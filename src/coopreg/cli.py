@@ -28,6 +28,7 @@ from .simkit import (
     OverflowAbort,
     Scenario,
     analyze,
+    prepare,
     report_to_dict,
     run,
     validate_scenario,
@@ -51,6 +52,8 @@ def _resolve_scenario(args) -> Scenario:
     else:
         if args.config is None:
             raise ConfigError("a config path or --builtin NAME is required")
+        if getattr(args, "seed", None) is not None:
+            raise ConfigError("--seed applies only to --builtin")
         scenario = load_config(args.config)
         overrides = {}
         if getattr(args, "horizon", None) is not None:
@@ -92,7 +95,8 @@ def _config_hash(scenario: Scenario) -> str:
 
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
-    checks = validate_scenario(scenario)
+    prep = prepare(scenario)
+    checks = prep.checks
     failed = [c for c in checks if not c.passed]
     if failed and not args.force:
         for c in failed:
@@ -101,7 +105,7 @@ def cmd_run(args) -> int:
         return 1
     try:
         started = time.perf_counter()
-        log = run(scenario)
+        log = run(scenario, prep.gains)
         elapsed = time.perf_counter() - started
     except OverflowAbort as exc:
         print(f"aborted: {exc}")
@@ -196,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["distributed", "adaptive"], default=None,
                            help="override the observer mode")
             p.add_argument("--seed", type=int, default=None,
-                           help="randomize unspecified initial conditions reproducibly")
+                           help="with --builtin, randomize unspecified initial "
+                                "conditions reproducibly")
             p.add_argument("--tol", type=float, default=None,
                            help="override the regulator solver tolerance")
 

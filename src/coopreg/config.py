@@ -2,7 +2,8 @@
 
 Sections: leader, graphs, signal, followers, gains, observer, run.  Numeric
 matrices are nested arrays.  Loading is strict: unknown keys, ragged
-matrices, and inconsistent dimensions are rejected with the offending key
+matrices, non-finite numbers (the NaN/Infinity literals Python's json
+accepts) and inconsistent dimensions are rejected with the offending key
 path, and a loaded scenario serializes back to an equivalent document
 (floats survive the round trip exactly).
 """
@@ -10,6 +11,7 @@ path, and a loaded scenario serializes back to an equivalent document
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -44,6 +46,15 @@ def _require_keys(obj: Any, required: set[str], optional: set[str], path: str) -
             raise ConfigError(f"{path}: missing required key {key!r}")
 
 
+def _finite(arr: np.ndarray, path: str) -> np.ndarray:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        index = "".join(f"[{i}]" for i in bad)
+        raise ConfigError(f"{path}{index}: expected a finite number, got {arr[bad]}")
+    return arr
+
+
 def _matrix(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ConfigError(f"{path}: expected a matrix as a list of rows")
@@ -56,7 +67,7 @@ def _matrix(obj: Any, path: str) -> np.ndarray:
         for c, val in enumerate(row):
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{path}[{k}][{c}]: expected a number")
-    return np.array(obj, dtype=float)
+    return _finite(np.array(obj, dtype=float), path)
 
 
 def _vector(obj: Any, path: str) -> np.ndarray:
@@ -64,7 +75,7 @@ def _vector(obj: Any, path: str) -> np.ndarray:
         not isinstance(v, (int, float)) or isinstance(v, bool) for v in obj
     ):
         raise ConfigError(f"{path}: expected a flat list of numbers")
-    return np.array(obj, dtype=float)
+    return _finite(np.array(obj, dtype=float), path)
 
 
 def _positive_int(obj: Any, path: str, minimum: int = 1) -> int:
@@ -76,6 +87,8 @@ def _positive_int(obj: Any, path: str, minimum: int = 1) -> int:
 def _number(obj: Any, path: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ConfigError(f"{path}: expected a number")
+    if not math.isfinite(obj):
+        raise ConfigError(f"{path}: expected a finite number, got {obj}")
     return float(obj)
 
 
@@ -102,7 +115,7 @@ def _parse_signal(obj: Any) -> SwitchingSignal:
             raise ConfigError("signal.table: expected a list of mode indices")
         tail = _positive_int(obj.get("tail_mode"), "signal.tail_mode")
         return SwitchingSignal.from_table([int(m) for m in table], tail)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"signal: {exc}") from exc

@@ -17,6 +17,8 @@ default to zero; passing a seed draws them reproducibly instead.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .observers import LeaderModel
@@ -64,12 +66,14 @@ def _double_integrator_plant() -> PlantModel:
     )
 
 
-def formation_scenario(
+def _formation(
+    name: str,
+    offsets: tuple[tuple[float, float], ...],
     horizon: int = 300,
     observer_mode: str = "distributed",
     seed: int | None = None,
 ) -> Scenario:
-    """Five-robot formation benchmark.
+    """The formation plants over the default network, locking onto ``offsets``.
 
     Follower states are (position - offset, velocity) in the plane, so the
     regulated output is exactly the position error relative to the shifted
@@ -81,20 +85,17 @@ def formation_scenario(
     plant = _double_integrator_plant()
     k_x = np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
     followers = []
-    for (px, py), (ox, oy) in zip(FORMATION_START_POSITIONS, FORMATION_OFFSETS):
+    for (px, py), (ox, oy) in zip(FORMATION_START_POSITIONS, offsets):
         vel = rng.normal(size=2) if rng is not None else np.zeros(2)
         x0 = np.array([px - ox, py - oy, vel[0], vel[1]])
         followers.append(
             FollowerSpec(plant=plant, x0=x0, gain=GainDirective(method="user", K_x=k_x))
         )
-    eta0 = None
-    s0 = None
-    if rng is not None:
-        eta0 = tuple(rng.normal(size=4) for _ in followers)
-    if observer_mode == "adaptive":
-        s0 = tuple(np.zeros((4, 4)) for _ in followers)
+    eta0 = tuple(rng.normal(size=4) for _ in followers) if rng is not None else None
+    s0 = (tuple(np.zeros((4, 4)) for _ in followers)
+          if observer_mode == "adaptive" else None)
     return Scenario(
-        name="formation-sec5",
+        name=name,
         leader=_planar_leader(),
         topology=fig2_topology(),
         followers=tuple(followers),
@@ -107,43 +108,13 @@ def formation_scenario(
     )
 
 
-def default_fig2_scenario(
+def formation_scenario(
     horizon: int = 300,
     observer_mode: str = "distributed",
     seed: int | None = None,
 ) -> Scenario:
-    """The formation plants over the default network with zero offsets.
-
-    Pure leader-following: every follower converges onto the leader's own
-    trajectory.  Mainly a demonstrator for the default switching family.
-    """
-    rng = np.random.default_rng(seed) if seed is not None else None
-    plant = _double_integrator_plant()
-    k_x = np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
-    followers = []
-    for px, py in FORMATION_START_POSITIONS:
-        vel = rng.normal(size=2) if rng is not None else np.zeros(2)
-        followers.append(
-            FollowerSpec(
-                plant=plant,
-                x0=np.array([px, py, vel[0], vel[1]]),
-                gain=GainDirective(method="user", K_x=k_x),
-            )
-        )
-    eta0 = tuple(rng.normal(size=4) for _ in followers) if rng is not None else None
-    s0 = (tuple(np.zeros((4, 4)) for _ in followers)
-          if observer_mode == "adaptive" else None)
-    return Scenario(
-        name="default-fig2",
-        leader=_planar_leader(),
-        topology=fig2_topology(),
-        followers=tuple(followers),
-        observer_mode=observer_mode,
-        eta0=eta0,
-        s0=s0,
-        horizon=horizon,
-        checks=AssumptionChecks(connectivity_window=7),
-    )
+    """Five-robot formation benchmark: the followers hold FORMATION_OFFSETS."""
+    return _formation("formation-sec5", FORMATION_OFFSETS, horizon, observer_mode, seed)
 
 
 def single_follower_scenario(
@@ -191,7 +162,8 @@ def single_follower_scenario(
 BUILTINS = {
     "formation-sec5": formation_scenario,
     "single-follower": single_follower_scenario,
-    "default-fig2": default_fig2_scenario,
+    # pure leader-following: every follower lands on the leader trajectory
+    "default-fig2": partial(_formation, "default-fig2", ((0.0, 0.0),) * len(FORMATION_OFFSETS)),
 }
 
 BUILTIN_SUMMARIES = {

@@ -8,8 +8,9 @@ time-t values and the time-t graph, so the semantics are synchronous.
 
 Runs are deterministic: identical scenarios produce identical trajectory
 logs, and the CSV export is byte-stable.  A magnitude guard aborts a run as
-soon as any state exceeds 1e12 in absolute value; a non-contracting leader
-grows at most polynomially, so only genuine divergence trips it.
+soon as any state exceeds 1e12 in absolute value or is not finite; a
+non-contracting leader grows at most polynomially, so only genuine
+divergence trips it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from .observers import (
     ObserverBank,
     fit_decay,
     observer_step,
-    spectral_radius,
 )
 from .regulation import (
     ControllerGains,
     GainSynthesisError,
     PlantModel,
+    RegulatorSolution,
     RegulatorUnsolvableError,
     build_controller,
     control_input,
@@ -50,10 +51,9 @@ class OverflowAbort(RuntimeError):
     """A simulated magnitude exceeded the overflow guard."""
 
     def __init__(self, t: int, magnitude: float):
-        super().__init__(
-            f"state magnitude {magnitude:.3e} exceeded {OVERFLOW_LIMIT:.0e} "
-            f"at time step {t}"
-        )
+        what = (f"state magnitude {magnitude:.3e} exceeded {OVERFLOW_LIMIT:.0e}"
+                if math.isfinite(magnitude) else f"non-finite state ({magnitude})")
+        super().__init__(f"{what} at time step {t}")
         self.t = t
         self.magnitude = magnitude
 
@@ -184,27 +184,94 @@ class CheckResult:
         return self.passed
 
 
-def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
-    """Solve the regulator equations and certify a gain for every follower."""
+@dataclass(frozen=True, eq=False)
+class Preparation:
+    """Assumption checks and certified gains of one scenario, from one pass;
+    ``gains`` is None when any follower's regulator or gain solve failed."""
+
+    checks: tuple[CheckResult, ...]
+    gains: tuple[ControllerGains, ...] | None
+
+
+@dataclass(frozen=True, eq=False)
+class _SharedSolve:
+    """Regulator solution and certified gain of one (plant, gain directive)
+    class; a failed solve keeps its exception in place of the result."""
+
+    first: int  # 1-based index of the first follower in the class
+    regulator: RegulatorSolution | Exception
+    gain: tuple[np.ndarray, float] | Exception
+    controller: ControllerGains | None
+
+    def detail(self, exc: Exception, k: int) -> str:
+        # gain errors name the follower whose solve ran; reword for follower k
+        return str(exc).replace(f"follower {self.first}:", f"follower {k}:", 1)
+
+
+# errors that prepare() reports as failed checks instead of raising
+_REPORTED_ERRORS = (RegulatorUnsolvableError, GainSynthesisError, np.linalg.LinAlgError,
+                    ValueError)
+
+
+def _solve_key(f: FollowerSpec) -> tuple:
+    """Equal for followers whose plant matrices and gain directive are equal by value."""
+    g = f.gain
+    arrays = [getattr(f.plant, k) for k in "ABCDEF"] + [g.K_x, g.Q, g.R]
+    return (g.method,) + tuple(
+        None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
+        for a in arrays
+    )
+
+
+def _solve_followers(scenario: Scenario, keep: tuple = ()) -> list[_SharedSolve]:
+    """One regulator solve and one gain synthesis per distinct follower class.
+
+    Returns the shared solve of every follower, in follower order.  Classes
+    are solved in order of their first follower, regulator before gain, so
+    with ``keep`` empty the first error raised is the one a per-follower
+    loop would raise; errors of the ``keep`` types are kept instead.
+    """
+    S = scenario.leader.S
+    shared: dict[tuple, _SharedSolve] = {}
     out = []
     for k, f in enumerate(scenario.followers, start=1):
-        solution = solve_regulator_equations(
-            f.plant, scenario.leader.S, tol=scenario.regulator_tol
-        )
-        K_x, _ = synthesize_stabilizing_gain(
-            f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
-            label=f"follower {k}",
-        )
-        out.append(build_controller(f.plant, scenario.leader.S, K_x, solution=solution))
+        key = _solve_key(f)
+        if key not in shared:
+            try:
+                regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
+            except keep as exc:
+                regulator = exc
+            try:
+                gain = synthesize_stabilizing_gain(
+                    f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
+                    label=f"follower {k}",
+                )
+            except keep as exc:
+                gain = exc
+            failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
+            controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
+            shared[key] = _SharedSolve(k, regulator, gain, controller)
+        out.append(shared[key])
     return out
 
 
-def validate_scenario(scenario: Scenario) -> list[CheckResult]:
-    """Run the requested assumption checks; reports, never raises.
+def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
+    """Solve the regulator equations and certify a gain for every follower.
+
+    Followers with equal plants and gain directives share one solve.
+    """
+    return [s.controller for s in _solve_followers(scenario)]
+
+
+def prepare(scenario: Scenario) -> Preparation:
+    """Run the requested assumption checks and synthesize every gain in one
+    pass; reports, never raises.
 
     Checks, in order: joint connectivity of the switching topology,
     leader spectral radius <= 1, per-follower stabilizability (gain
-    certification), and regulator-equation solvability.
+    certification), and regulator-equation solvability.  Followers with
+    equal plants and gain directives share one regulator solve and one gain
+    synthesis; each still gets its own checks.
     """
     checks = scenario.checks
     results: list[CheckResult] = []
@@ -223,46 +290,29 @@ def validate_scenario(scenario: Scenario) -> list[CheckResult]:
             detail = f"node {node} unreachable in the union window starting at t={t}"
         results.append(CheckResult("jointly_connected", res.connected, detail))
     if checks.leader_spectral:
-        rho = scenario.leader.rho
-        results.append(
-            CheckResult(
-                "leader_spectral_radius",
-                scenario.leader.rho_le_one,
-                f"rho(S) = {rho:.6g}",
-            )
-        )
+        try:
+            passed, detail = scenario.leader.rho_le_one, f"rho(S) = {scenario.leader.rho:.6g}"
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            passed, detail = False, f"rho(S): {exc}"
+        results.append(CheckResult("leader_spectral_radius", passed, detail))
+    solves = _solve_followers(scenario, keep=_REPORTED_ERRORS)
     if checks.stabilizability:
-        for k, f in enumerate(scenario.followers, start=1):
-            try:
-                _, radius = synthesize_stabilizing_gain(
-                    f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
-                    label=f"follower {k}",
-                )
-                results.append(
-                    CheckResult(
-                        f"stabilizable_follower_{k}", True,
-                        f"closed-loop spectral radius {radius:.6g}",
-                    )
-                )
-            except GainSynthesisError as exc:
-                results.append(CheckResult(f"stabilizable_follower_{k}", False, str(exc)))
+        for k, s in enumerate(solves, start=1):
+            ok = not isinstance(s.gain, Exception)
+            detail = f"closed-loop spectral radius {s.gain[1]:.6g}" if ok else s.detail(s.gain, k)
+            results.append(CheckResult(f"stabilizable_follower_{k}", ok, detail))
     if checks.regulator:
-        for k, f in enumerate(scenario.followers, start=1):
-            try:
-                sol = solve_regulator_equations(
-                    f.plant, scenario.leader.S, tol=scenario.regulator_tol
-                )
-                results.append(
-                    CheckResult(
-                        f"regulator_solvable_follower_{k}", True,
-                        f"residual {sol.residual:.3e}",
-                    )
-                )
-            except RegulatorUnsolvableError as exc:
-                results.append(
-                    CheckResult(f"regulator_solvable_follower_{k}", False, str(exc))
-                )
-    return results
+        for k, s in enumerate(solves, start=1):
+            ok = not isinstance(s.regulator, Exception)
+            detail = f"residual {s.regulator.residual:.3e}" if ok else s.detail(s.regulator, k)
+            results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, detail))
+    gains = tuple(s.controller for s in solves)
+    return Preparation(tuple(results), None if any(g is None for g in gains) else gains)
+
+
+def validate_scenario(scenario: Scenario) -> list[CheckResult]:
+    """The checks of ``prepare``; reports, never raises."""
+    return list(prepare(scenario).checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,9 +349,9 @@ class TrajectoryLog:
 def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> TrajectoryLog:
     """Simulate the closed loop and log every series.
 
-    Validation is the caller's concern (see validate_scenario); this
-    function only refuses to continue when states overflow or when gain
-    synthesis itself fails.
+    Validation is the caller's concern (see prepare, whose ``gains`` can be
+    passed in); this function only refuses to continue when states overflow
+    or turn non-finite, or when gain synthesis itself fails.
     """
     if gains is None:
         gains = synthesize_gains(scenario)
@@ -344,15 +394,14 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
             e_norms[t, i] = np.linalg.norm(e_i)
             if t < horizon:
                 x[i] = x_next
-        magnitude = max(
-            float(np.max(np.abs(v))),
-            float(np.max(np.abs(bank.eta))),
-            max(float(np.max(np.abs(xl[t]))) for xl in x_log),
-            float(np.max(np.abs(bank.s_est))) if bank.s_est is not None else 0.0,
-        )
-        # the comparison is inverted so that NaN states also abort
-        if not magnitude <= OVERFLOW_LIMIT:
-            raise OverflowAbort(t, magnitude)
+        peaks = [np.abs(v).max(), np.abs(bank.eta).max()]
+        peaks += [np.abs(xl[t]).max() for xl in x_log]
+        if bank.s_est is not None:
+            peaks.append(np.abs(bank.s_est).max())
+        # a NaN peak fails every comparison, so the inverted test aborts on
+        # NaN as well as on +-inf (Python's max() would silently drop a NaN)
+        if not all(p <= OVERFLOW_LIMIT for p in peaks):
+            raise OverflowAbort(t, float(np.max(peaks)))
         if t < horizon:
             bank = observer_step(leader, v, bank, adj)
             v = leader.advance(v)
@@ -399,9 +448,13 @@ class ConvergenceReport:
 def _judge(name: str, values: np.ndarray, thresholds: Thresholds) -> SeriesReport:
     # fp noise in an error series scales with the magnitudes it was computed
     # from, so lift the fitting floor accordingly for large-amplitude runs
+    final = float(values[-1])
+    if not np.isfinite(values).all():
+        # fit_decay would drop NaN samples as floored and an inf would lift the floor
+        no_fit = DecayFit(math.nan, math.nan, math.nan, n_samples=0, floored=False)
+        return SeriesReport(name, final, no_fit, False, "non-finite values")
     floor = max(1e-13, 1e-12 * float(np.max(values, initial=0.0)))
     fit = fit_decay(values, floor=floor)
-    final = float(values[-1])
     if fit.floored:
         return SeriesReport(name, final, fit, True, "converged (floor)")
     if math.isnan(fit.rate):

@@ -1,0 +1,99 @@
+"""Non-finite values never pass as converged; CLI flags that would be ignored are refused."""
+
+import dataclasses
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coopreg.cli import main
+from coopreg.config import ConfigError, load_config, save_config, scenario_to_config
+from coopreg.scenarios import formation_scenario
+from coopreg.simkit import FollowerSpec, OverflowAbort, analyze, run
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def test_nan_initial_state_aborts_at_step_zero():
+    base = formation_scenario(horizon=20)
+    f = base.followers[0]
+    x0 = f.x0.copy()
+    x0[0] = math.nan
+    scenario = dataclasses.replace(
+        base, followers=(FollowerSpec(plant=f.plant, x0=x0, gain=f.gain),) + base.followers[1:]
+    )
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(scenario)
+    assert exc_info.value.t == 0
+    assert "time step 0" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_series_is_not_converged(bad):
+    log = run(formation_scenario(horizon=300))
+    assert analyze(log).converged
+    e_norms = log.e_norms.copy()
+    e_norms[-1, 0] = bad
+    report = analyze(dataclasses.replace(log, e_norms=e_norms))
+    assert not report.converged
+    assert not report.series[1].converged  # e_norm_1 follows eta_tilde_norm
+
+
+def numeric_leaves(doc, path=""):
+    """(path, container, key) of every number, paths spelled as load_config names them."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        sub = f"{path}.{key}" if isinstance(doc, dict) else f"{path}[{key}]"
+        sub = sub.lstrip(".")
+        if isinstance(value, (dict, list)):
+            yield from numeric_leaves(value, sub)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield sub, doc, key
+
+
+FORMATION_DOC = scenario_to_config(formation_scenario(observer_mode="adaptive", seed=1))
+# signal segments are integer (mode, length) pairs, reported as "signal: ..."
+LEAVES = [p for p, _, _ in numeric_leaves(FORMATION_DOC) if not p.startswith("signal.")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(LEAVES), bad=st.sampled_from(NON_FINITE))
+def test_any_non_finite_config_entry_is_named(path, bad):
+    doc = json.loads(json.dumps(FORMATION_DOC))
+    _, container, key = next(leaf for leaf in numeric_leaves(doc) if leaf[0] == path)
+    container[key] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(cfg)
+    assert path in str(exc_info.value)
+
+
+def test_infinite_signal_segment_rejected(tmp_path):
+    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc["signal"]["segments"][0][1] = math.inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="signal"):
+        load_config(path)
+
+
+def test_cli_run_rejects_nan_config(tmp_path, capsys):
+    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc["followers"][0]["x0"][0] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "followers[0].x0[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_with_config_path_is_refused(tmp_path, capsys):
+    path = tmp_path / "formation.json"
+    save_config(formation_scenario(horizon=10), path)
+    assert main(["run", str(path), "--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    assert "--seed applies only to --builtin" in capsys.readouterr().err
