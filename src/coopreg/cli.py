@@ -14,10 +14,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config, scenario_to_config
@@ -61,8 +65,6 @@ def _resolve_scenario(args) -> Scenario:
         if getattr(args, "mode", None) is not None:
             overrides["observer_mode"] = args.mode
             if args.mode == "adaptive" and scenario.s0 is None:
-                import numpy as np
-
                 overrides["s0"] = tuple(
                     np.zeros((scenario.leader.q, scenario.leader.q))
                     for _ in scenario.followers
@@ -93,9 +95,19 @@ def _config_hash(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Record the wall time of the enclosed block under ``name``."""
+    started = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - started
+
+
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
-    prep = prepare(scenario)
+    timings: dict[str, float] = {}
+    with _stage(timings, "prepare"):
+        prep = prepare(scenario)
     checks = prep.checks
     failed = [c for c in checks if not c.passed]
     if failed and not args.force:
@@ -104,30 +116,31 @@ def cmd_run(args) -> int:
         print("validation failed; rerun with --force to simulate anyway")
         return 1
     try:
-        started = time.perf_counter()
-        log = run(scenario, prep.gains)
-        elapsed = time.perf_counter() - started
+        with _stage(timings, "run"):
+            log = run(scenario, prep.gains)
     except OverflowAbort as exc:
         print(f"aborted: {exc}")
         return 1
     except (RegulatorUnsolvableError, GainSynthesisError) as exc:
         print(f"synthesis failed: {exc}")
         return 1
-    report = analyze(log, scenario.thresholds, checks)
+    with _stage(timings, "analyze"):
+        report = analyze(log, scenario.thresholds, checks)
 
     out_dir = Path(args.out)
     csv_path = out_dir / "trajectory.csv"
     report_path = out_dir / "report.json"
     manifest_path = out_dir / "manifest.json"
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with csv_path.open("w", encoding="utf-8", newline="") as fh:
-            write_trajectory_csv(log, fh)
-        report_dict = report_to_dict(
-            report, scenario.name, scenario.observer_mode, scenario.horizon
-        )
-        with report_path.open("w", encoding="utf-8") as fh:
-            write_report_json(report_dict, fh)
+        with _stage(timings, "export"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with csv_path.open("w", encoding="utf-8", newline="") as fh:
+                write_trajectory_csv(log, fh)
+            report_dict = report_to_dict(
+                report, scenario.name, scenario.observer_mode, scenario.horizon
+            )
+            with report_path.open("w", encoding="utf-8") as fh:
+                write_report_json(report_dict, fh)
         manifest = {
             "config_sha256": _config_hash(scenario),
             "toolkit_version": __version__,
@@ -142,6 +155,9 @@ def cmd_run(args) -> int:
                 "failed": sum(1 for c in checks if not c.passed),
             },
             "converged": report.converged,
+            # export covers the trajectory CSV and the report, not this manifest
+            "timings_s": timings,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
         }
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -153,7 +169,7 @@ def cmd_run(args) -> int:
         status = "PASS" if s.converged else "FAIL"
         print(f"[{status}] {s.name}: final {s.final:.3e}, rate {rate} ({s.note})")
     print(
-        f"simulated {scenario.horizon} steps in {elapsed:.3f} s; "
+        f"simulated {scenario.horizon} steps in {timings['run']:.3f} s; "
         f"outputs in {out_dir}"
     )
     if failed:

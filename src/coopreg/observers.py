@@ -176,12 +176,12 @@ def _neighbor_mix(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_j omega_ij (values_j - values_i) for follower rows i = 1..N.
 
     ``values`` stacks the leader's entry first; works for vectors (N+1, q)
-    and matrices (N+1, q, q) alike.
+    and matrices (N+1, q, q) alike.  Omega is row-stochastic, so the sum
+    equals (Omega values)_i - values_i: one matmul over the flattened
+    entries instead of an (N+1, N+1, ...) difference tensor.
     """
-    n1 = omega.shape[0]
-    w = omega.reshape((n1, n1) + (1,) * (values.ndim - 1))
-    diff = values[None, :] - values[:, None]
-    return (w * diff).sum(axis=1)[1:]
+    flat = values.reshape(values.shape[0], -1)
+    return (omega[1:] @ flat - flat[1:]).reshape((flat.shape[0] - 1,) + values.shape[1:])
 
 
 def distributed_observer_step(

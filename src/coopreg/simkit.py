@@ -6,16 +6,27 @@ and strictly in this order, (1) the observer bank, (2) the control inputs,
 (3) the plants and the leader, with every right-hand side evaluated on
 time-t values and the time-t graph, so the semantics are synchronous.
 
+Each tick is a fixed number of array operations, however many followers
+there are.  Before the first tick, ``run`` checks the gain shapes once and
+groups the followers by plant dimensions (n, m, p); each group's A..F,
+K_x and K_v are stacked into (k, ., .) arrays, so the control law
+u = K_x x + K_v eta and the plant step run as one batched matmul per group.
+The observer's neighbour mix sum_j omega_ij (eta_j - eta_i) is computed as
+(Omega eta)_i - eta_i, valid because Omega is row-stochastic, with no
+(N+1) x (N+1) difference tensor.  In distributed mode the closed loop is a
+switched linear system, but no dense closed-loop matrix per mode is built:
+with N followers it has (q + N (q + n))^2 entries, 134 MB at N = 512 and
+n = q = 4, where the batched step needs only the stacked blocks.
+
 Runs are deterministic: identical scenarios produce identical trajectory
 logs, and the CSV export is byte-stable.  A magnitude guard aborts a run as
-soon as any state exceeds 1e12 in absolute value or is not finite; a
-non-contracting leader grows at most polynomially, so only genuine
-divergence trips it.
+soon as any state exceeds 1e12 in absolute value or is not finite, naming
+the first offending series and follower; a non-contracting leader grows at
+most polynomially, so only genuine divergence trips it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,8 +48,6 @@ from .regulation import (
     RegulatorSolution,
     RegulatorUnsolvableError,
     build_controller,
-    control_input,
-    plant_step,
     solve_regulator_equations,
     synthesize_stabilizing_gain,
 )
@@ -48,14 +57,22 @@ OVERFLOW_LIMIT = 1e12
 
 
 class OverflowAbort(RuntimeError):
-    """A simulated magnitude exceeded the overflow guard."""
+    """A simulated magnitude exceeded the overflow guard.
 
-    def __init__(self, t: int, magnitude: float):
+    ``series`` names the first offending quantity (``v``, ``eta``,
+    ``s_est`` or ``x``) and ``follower`` its 1-based follower, None for the
+    leader state ``v``; ``magnitude`` is the largest magnitude over all of them.
+    """
+
+    def __init__(self, t: int, magnitude: float, series: str, follower: int | None):
         what = (f"state magnitude {magnitude:.3e} exceeded {OVERFLOW_LIMIT:.0e}"
                 if math.isfinite(magnitude) else f"non-finite state ({magnitude})")
-        super().__init__(f"{what} at time step {t}")
+        owner = "the leader" if follower is None else f"follower {follower}"
+        super().__init__(f"{what} in {series} of {owner} at time step {t}")
         self.t = t
         self.magnitude = magnitude
+        self.series = series
+        self.follower = follower
 
 
 @dataclass(frozen=True)
@@ -319,8 +336,9 @@ def validate_scenario(scenario: Scenario) -> list[CheckResult]:
 class TrajectoryLog:
     """Time-indexed record of one run; horizon + 1 records.
 
-    Per-follower series are lists indexed by follower (dims may differ);
-    the derived norm series stack all followers.
+    Per-follower series are lists indexed by follower (dims may differ),
+    whose entries are views of one array per plant-dimension group; the
+    derived norm series stack all followers.
     """
 
     scenario_name: str
@@ -346,65 +364,152 @@ class TrajectoryLog:
         return self.eta.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class _PlantGroup:
+    """Followers with equal plant dimensions (n, m, p), stacked along axis 0.
+
+    ``members`` holds their 0-based follower indices in ascending order; the
+    logs are (k, T+1, ·) so that each follower's series is one contiguous
+    block.
+    """
+
+    members: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    E: np.ndarray
+    F: np.ndarray
+    K_x: np.ndarray
+    K_v: np.ndarray
+    x_log: np.ndarray
+    u_log: np.ndarray
+    e_log: np.ndarray
+
+
+def _plant_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_PlantGroup]:
+    """Check every follower's gain shapes once and stack followers by plant
+    dimensions, groups in order of their first follower."""
+    n_followers, q = scenario.n_followers, scenario.leader.q
+    if len(gains) != n_followers:
+        raise DimensionError(f"{len(gains)} controller gains for {n_followers} followers")
+    members: dict[tuple[int, int, int], list[int]] = {}
+    for i, (f, g) in enumerate(zip(scenario.followers, gains)):
+        n, m, p = f.plant.n, f.plant.m, f.plant.p
+        if g.K_x.shape != (m, n) or g.K_v.shape != (m, q):
+            raise DimensionError(
+                f"follower {i + 1}: gains K_x{g.K_x.shape}, K_v{g.K_v.shape} do not "
+                f"match plant (m, n, q) = ({m}, {n}, {q})"
+            )
+        members.setdefault((n, m, p), []).append(i)
+    steps = scenario.horizon + 1
+    groups = []
+    for (n, m, p), idx in members.items():
+        plants = {name: np.stack([getattr(scenario.followers[i].plant, name) for i in idx])
+                  for name in "ABCDEF"}
+        k = len(idx)
+        groups.append(_PlantGroup(
+            members=np.array(idx),
+            **plants,
+            K_x=np.stack([gains[i].K_x for i in idx]),
+            K_v=np.stack([gains[i].K_v for i in idx]),
+            x_log=np.empty((k, steps, n)),
+            u_log=np.empty((k, steps, m)),
+            e_log=np.empty((k, steps, p)),
+        ))
+    return groups
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batched M[k] @ x[k] for (k, a, b) matrices and (k, b) vectors."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _beyond_limit(a: np.ndarray) -> np.ndarray:
+    # a NaN fails every comparison, so the inverted test flags NaN as well as +-inf
+    return ~(np.abs(a) <= OVERFLOW_LIMIT)
+
+
+def _overflow(t: int, v: np.ndarray, bank: ObserverBank,
+              groups: list[_PlantGroup], xs: list[np.ndarray]) -> OverflowAbort:
+    """Name the first offending entry, in the order v, eta, s_est, x and by
+    follower within each series.  Failure path only."""
+    arrays = [v, bank.eta] + ([] if bank.s_est is None else [bank.s_est]) + xs
+    magnitude = float(np.max([np.abs(a).max() for a in arrays]))
+    if _beyond_limit(v).any():
+        return OverflowAbort(t, magnitude, "v", None)
+    candidates = [("eta", _beyond_limit(bank.eta).any(axis=1))]
+    if bank.s_est is not None:
+        candidates.append(("s_est", _beyond_limit(bank.s_est).any(axis=(1, 2))))
+    bad_x = np.zeros(bank.n_followers, dtype=bool)
+    for g, x in zip(groups, xs):
+        bad_x[g.members] = _beyond_limit(x).any(axis=1)
+    candidates.append(("x", bad_x))
+    series, bad = next((name, b) for name, b in candidates if b.any())
+    return OverflowAbort(t, magnitude, series, int(np.argmax(bad)) + 1)
+
+
 def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> TrajectoryLog:
     """Simulate the closed loop and log every series.
 
     Validation is the caller's concern (see prepare, whose ``gains`` can be
-    passed in); this function only refuses to continue when states overflow
-    or turn non-finite, or when gain synthesis itself fails.
+    passed in); this function checks the gain shapes once, before the first
+    step (DimensionError), and only refuses to continue when states
+    overflow or turn non-finite, or when gain synthesis itself fails.
     """
     if gains is None:
         gains = synthesize_gains(scenario)
+    groups = _plant_groups(scenario, gains)
     leader = scenario.leader
+    topology = scenario.topology
     n = scenario.n_followers
     q = leader.q
     horizon = scenario.horizon
     bank = scenario.initial_bank()
     v = leader.v0.copy()
-    x = [f.x0.copy() for f in scenario.followers]
+    xs = [np.stack([scenario.followers[i].x0 for i in g.members]) for g in groups]
 
     t_arr = np.arange(horizon + 1)
-    sigma = np.empty(horizon + 1, dtype=int)
+    sigma = np.array([topology.mode_at(t) for t in range(horizon + 1)], dtype=int)
     v_log = np.empty((horizon + 1, q))
-    x_log = [np.empty((horizon + 1, f.plant.n)) for f in scenario.followers]
     eta_log = np.empty((horizon + 1, n, q))
     s_log = (np.empty((horizon + 1, n, q, q))
              if scenario.observer_mode == "adaptive" else None)
-    u_log = [np.empty((horizon + 1, f.plant.m)) for f in scenario.followers]
-    e_log = [np.empty((horizon + 1, f.plant.p)) for f in scenario.followers]
     eta_tilde = np.empty(horizon + 1)
     s_tilde = np.empty(horizon + 1) if s_log is not None else None
-    e_norms = np.empty((horizon + 1, n))
 
     for t in range(horizon + 1):
-        adj = scenario.topology.adjacency_at(t)
-        sigma[t] = scenario.topology.mode_at(t)
         v_log[t] = v
         eta_log[t] = bank.eta
         if s_log is not None:
             s_log[t] = bank.s_est
             s_tilde[t] = np.linalg.norm(bank.s_est - leader.S[None, :, :])
         eta_tilde[t] = np.linalg.norm(bank.eta - v[None, :])
-        for i, (f, g) in enumerate(zip(scenario.followers, gains)):
-            u_i = control_input(g, x[i], bank.eta[i])
-            x_next, e_i = plant_step(f.plant, x[i], u_i, v)
-            x_log[i][t] = x[i]
-            u_log[i][t] = u_i
-            e_log[i][t] = e_i
-            e_norms[t, i] = np.linalg.norm(e_i)
-            if t < horizon:
-                x[i] = x_next
-        peaks = [np.abs(v).max(), np.abs(bank.eta).max()]
-        peaks += [np.abs(xl[t]).max() for xl in x_log]
+        peaks = [np.abs(v).max(), np.abs(bank.eta).max()] + [np.abs(x).max() for x in xs]
         if bank.s_est is not None:
             peaks.append(np.abs(bank.s_est).max())
         # a NaN peak fails every comparison, so the inverted test aborts on
         # NaN as well as on +-inf (Python's max() would silently drop a NaN)
         if not all(p <= OVERFLOW_LIMIT for p in peaks):
-            raise OverflowAbort(t, float(np.max(peaks)))
+            raise _overflow(t, v, bank, groups, xs)
+        for k, (g, x) in enumerate(zip(groups, xs)):
+            u = _matvec(g.K_x, x) + _matvec(g.K_v, bank.eta[g.members])
+            g.x_log[:, t] = x
+            g.u_log[:, t] = u
+            g.e_log[:, t] = _matvec(g.C, x) + _matvec(g.D, u) + g.F @ v
+            if t < horizon:
+                xs[k] = _matvec(g.A, x) + _matvec(g.B, u) + g.E @ v
         if t < horizon:
-            bank = observer_step(leader, v, bank, adj)
+            bank = observer_step(leader, v, bank, topology.adjacency_of_mode(int(sigma[t])))
             v = leader.advance(v)
+
+    # per-follower series are views into the group logs
+    x_log, u_log, e_log = [None] * n, [None] * n, [None] * n
+    e_norms = np.empty((horizon + 1, n))
+    for g in groups:
+        for j, i in enumerate(g.members):
+            x_log[i], u_log[i], e_log[i] = g.x_log[j], g.u_log[j], g.e_log[j]
+        e_norms[:, g.members] = np.linalg.norm(g.e_log, axis=2).T
 
     return TrajectoryLog(
         scenario_name=scenario.name,
@@ -508,23 +613,22 @@ def csv_columns(log: TrajectoryLog) -> list[str]:
 
 def write_trajectory_csv(log: TrajectoryLog, fh: IO[str]) -> None:
     """Write the log as CSV with full round-trip float formatting."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(csv_columns(log))
-    for t in range(log.horizon + 1):
-        row: list[str] = [str(int(log.t[t])), str(int(log.sigma[t]))]
-        row += [repr(float(val)) for val in log.v[t]]
-        for i in range(log.n_followers):
-            row += [repr(float(val)) for val in log.x[i][t]]
-            row += [repr(float(val)) for val in log.eta[t, i]]
-            if log.s_est is not None:
-                row += [repr(float(val)) for val in log.s_est[t, i].reshape(-1)]
-            row += [repr(float(val)) for val in log.u[i][t]]
-            row += [repr(float(val)) for val in log.e[i][t]]
-        row.append(repr(float(log.eta_tilde_norm[t])))
-        if log.s_tilde_norm is not None:
-            row.append(repr(float(log.s_tilde_norm[t])))
-        row += [repr(float(log.e_norms[t, i])) for i in range(log.n_followers)]
-        writer.writerow(row)
+    steps = log.horizon + 1
+    blocks = [log.v]
+    for i in range(log.n_followers):
+        blocks += [log.x[i], log.eta[:, i]]
+        if log.s_est is not None:
+            blocks.append(log.s_est[:, i].reshape(steps, -1))
+        blocks += [log.u[i], log.e[i]]
+    blocks.append(log.eta_tilde_norm[:, None])
+    if log.s_tilde_norm is not None:
+        blocks.append(log.s_tilde_norm[:, None])
+    blocks.append(log.e_norms)
+    values = np.hstack(blocks)
+    fh.write(",".join(csv_columns(log)) + "\n")
+    # row by row, so that no Python float list of the whole log is held at once
+    for t, sigma, row in zip(log.t.tolist(), log.sigma.tolist(), values):
+        fh.write(f"{t},{sigma},{','.join(map(repr, row.tolist()))}\n")
 
 
 def _fit_json(fit: DecayFit) -> dict:

@@ -208,6 +208,16 @@ class TestCliRun:
         assert len(paths) == len(set(paths)) == 2
         assert manifest["converged"] is True
 
+    def test_manifest_stage_timings_and_versions(self, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--builtin", "single-follower", "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        timings = manifest["timings_s"]
+        assert set(timings) == {"prepare", "run", "analyze", "export"}
+        assert all(isinstance(v, float) and np.isfinite(v) and v >= 0 for v in timings.values())
+        assert set(manifest["versions"]) == {"python", "numpy"}
+        assert manifest["versions"]["numpy"] == np.__version__
+
     def test_report_series_schema(self, tmp_path):
         main(["run", "--builtin", "single-follower", "--out", str(tmp_path / "out")])
         report = json.loads((tmp_path / "out" / "report.json").read_text())

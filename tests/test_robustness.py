@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,49 @@ def test_nan_initial_state_aborts_at_step_zero():
         run(scenario)
     assert exc_info.value.t == 0
     assert "time step 0" in str(exc_info.value)
+
+
+def test_abort_names_follower_and_series():
+    base = formation_scenario(horizon=20)
+    f = base.followers[2]
+    x0 = f.x0.copy()
+    x0[1] = math.nan
+    followers = list(base.followers)
+    followers[2] = FollowerSpec(plant=f.plant, x0=x0, gain=f.gain)
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(dataclasses.replace(base, followers=tuple(followers)))
+    exc = exc_info.value
+    assert (exc.t, exc.follower, exc.series) == (0, 3, "x")
+    assert math.isnan(exc.magnitude)
+    assert "x of follower 3" in str(exc) and "time step 0" in str(exc)
+
+
+@pytest.mark.parametrize("series", ["eta", "s_est"])
+def test_abort_names_observer_series(series):
+    base = formation_scenario(horizon=20, observer_mode="adaptive")
+    q = base.leader.q
+    eta0 = [np.zeros(q) for _ in base.followers]
+    s0 = [np.zeros((q, q)) for _ in base.followers]
+    if series == "eta":
+        eta0[1][2] = -math.inf
+    else:
+        s0[3][0, 1] = 2e12
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(dataclasses.replace(base, eta0=tuple(eta0), s0=tuple(s0)))
+    exc = exc_info.value
+    want = 2 if series == "eta" else 4
+    assert (exc.t, exc.follower, exc.series) == (0, want, series)
+    assert f"{series} of follower {want}" in str(exc)
+
+
+def test_abort_names_the_leader():
+    base = formation_scenario(horizon=20)
+    leader = dataclasses.replace(base.leader, v0=np.array([0.0, 1e13, 0.0, 0.0]))
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(dataclasses.replace(base, leader=leader))
+    exc = exc_info.value
+    assert (exc.t, exc.follower, exc.series, exc.magnitude) == (0, None, "v", 1e13)
+    assert "v of the leader" in str(exc)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
