@@ -184,6 +184,26 @@ def _neighbor_mix(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (omega[1:] @ flat - flat[1:]).reshape((flat.shape[0] - 1,) + values.shape[1:])
 
 
+def _observer_update(
+    S: np.ndarray,
+    omega: np.ndarray,
+    v: np.ndarray,
+    eta: np.ndarray,
+    s_est: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Next (eta, s_est) of the whole bank on raw arrays, without checks.
+
+    With ``s_est`` None this is the distributed observer, which multiplies by
+    the leader's S; otherwise the adaptive one, whose state update uses the
+    current S_i(t) and whose refreshed S_i(t+1) is returned for the next call.
+    """
+    mixed = eta + _neighbor_mix(omega, np.vstack([v[None, :], eta]))
+    if s_est is None:
+        return mixed @ S.T, None
+    new_s = s_est + _neighbor_mix(omega, np.concatenate([S[None, :, :], s_est], axis=0))
+    return np.einsum("iab,ib->ia", s_est, mixed), new_s
+
+
 def distributed_observer_step(
     leader: LeaderModel,
     v: np.ndarray,
@@ -198,9 +218,7 @@ def distributed_observer_step(
     if bank.mode != "distributed":
         raise ValueError("bank is not in distributed mode")
     _check_bank_adj(bank, adj, v)
-    eta_all = np.vstack([np.asarray(v, dtype=float)[None, :], bank.eta])
-    mix = _neighbor_mix(adj.omega, eta_all)
-    new_eta = (bank.eta + mix) @ leader.S.T
+    new_eta, _ = _observer_update(leader.S, adj.omega, np.asarray(v, dtype=float), bank.eta)
     return ObserverBank(mode="distributed", eta=new_eta)
 
 
@@ -218,11 +236,8 @@ def adaptive_observer_step(
     if bank.mode != "adaptive":
         raise ValueError("bank is not in adaptive mode")
     _check_bank_adj(bank, adj, v)
-    eta_all = np.vstack([np.asarray(v, dtype=float)[None, :], bank.eta])
-    s_all = np.concatenate([leader.S[None, :, :], bank.s_est], axis=0)
-    new_s = bank.s_est + _neighbor_mix(adj.omega, s_all)
-    mixed = bank.eta + _neighbor_mix(adj.omega, eta_all)
-    new_eta = np.einsum("iab,ib->ia", bank.s_est, mixed)
+    new_eta, new_s = _observer_update(leader.S, adj.omega, np.asarray(v, dtype=float),
+                                      bank.eta, bank.s_est)
     return ObserverBank(mode="adaptive", eta=new_eta, s_est=new_s)
 
 

@@ -125,12 +125,15 @@ def solve_regulator_equations(
     minimum-norm pair is returned.  The max-abs residual of the two
     equations, recomputed from the returned pair, certifies the solution.
 
-    Raises RegulatorUnsolvableError when the residual exceeds ``tol``.
+    Raises RegulatorUnsolvableError when S or a plant matrix is not finite,
+    or when the residual exceeds ``tol``.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, m, p, q = plant.n, plant.m, plant.p, plant.q
     if S.shape != (q, q):
         raise DimensionError(f"leader matrix {S.shape} does not match plant q={q}")
+    if not all(np.isfinite(M).all() for M in (S, *(getattr(plant, k) for k in "ABCDEF"))):
+        raise RegulatorUnsolvableError("regulator equations need a finite leader matrix and plant")
     iq = np.eye(q)
     top = np.hstack([np.kron(S.T, np.eye(n)) - np.kron(iq, plant.A),
                      -np.kron(iq, plant.B)])

@@ -8,12 +8,20 @@ time-t values and the time-t graph, so the semantics are synchronous.
 
 Each tick is a fixed number of array operations, however many followers
 there are.  Before the first tick, ``run`` checks the gain shapes once and
-groups the followers by plant dimensions (n, m, p); each group's A..F,
-K_x and K_v are stacked into (k, ., .) arrays, so the control law
-u = K_x x + K_v eta and the plant step run as one batched matmul per group.
-The observer's neighbour mix sum_j omega_ij (eta_j - eta_i) is computed as
-(Omega eta)_i - eta_i, valid because Omega is row-stochastic, with no
-(N+1) x (N+1) difference tensor.  In distributed mode the closed loop is a
+stacks every follower's A..F, K_x and K_v along axis 0 in one stack,
+zero-padded to the largest (n, m, p) of the team; the control law
+u = K_x x + K_v eta and the plant step run as one batched matmul each.
+Padding is exact: the padded rows and columns are zero, so padded states
+stay exactly zero and no real entry changes; the logs hold N max(n) state
+entries per step instead of the sum of the n_i, which costs memory only
+when the team mixes plant dimensions.  The preallocated logs are
+the state: step t reads row t and writes row t + 1, and the observer update
+is the array-level one that the public observer steps use after their
+checks, so nothing is validated per tick.  The observer's neighbour mix
+sum_j omega_ij (eta_j - eta_i) is computed as (Omega eta)_i - eta_i, valid
+because Omega is row-stochastic, with no (N+1) x (N+1) difference tensor.
+The regulated outputs and the norm series are computed after the last
+tick, as whole-array expressions.  In distributed mode the closed loop is a
 switched linear system, but no dense closed-loop matrix per mode is built:
 with N followers it has (q + N (q + n))^2 entries, 134 MB at N = 512 and
 n = q = 4, where the batched step needs only the stacked blocks.
@@ -34,13 +42,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .observers import (
-    DecayFit,
-    LeaderModel,
-    ObserverBank,
-    fit_decay,
-    observer_step,
-)
+from .observers import DecayFit, LeaderModel, ObserverBank, _observer_update, fit_decay
 from .regulation import (
     ControllerGains,
     GainSynthesisError,
@@ -337,7 +339,8 @@ class TrajectoryLog:
     """Time-indexed record of one run; horizon + 1 records.
 
     Per-follower series are lists indexed by follower (dims may differ),
-    whose entries are views of one array per plant-dimension group; the
+    whose entries are the [:, :n_i] views of one (T+1, N, max n) array
+    (likewise for u and e), zero-padded for mixed plant dimensions; the
     derived norm series stack all followers.
     """
 
@@ -364,65 +367,41 @@ class TrajectoryLog:
         return self.eta.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class _PlantGroup:
-    """Followers with equal plant dimensions (n, m, p), stacked along axis 0.
-
-    ``members`` holds their 0-based follower indices in ascending order; the
-    logs are (k, T+1, ·) so that each follower's series is one contiguous
-    block.
-    """
-
-    members: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-    K_x: np.ndarray
-    K_v: np.ndarray
-    x_log: np.ndarray
-    u_log: np.ndarray
-    e_log: np.ndarray
-
-
-def _plant_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_PlantGroup]:
-    """Check every follower's gain shapes once and stack followers by plant
-    dimensions, groups in order of their first follower."""
-    n_followers, q = scenario.n_followers, scenario.leader.q
-    if len(gains) != n_followers:
-        raise DimensionError(f"{len(gains)} controller gains for {n_followers} followers")
-    members: dict[tuple[int, int, int], list[int]] = {}
-    for i, (f, g) in enumerate(zip(scenario.followers, gains)):
-        n, m, p = f.plant.n, f.plant.m, f.plant.p
+def _follower_stack(scenario: Scenario,
+                    gains: Sequence[ControllerGains]) -> dict[str, np.ndarray]:
+    """Check every follower's gain shapes once and stack A..F, K_x and K_v
+    along axis 0, zero-padded to the largest (n, m, p) of the team."""
+    followers, q = scenario.followers, scenario.leader.q
+    if len(gains) != len(followers):
+        raise DimensionError(f"{len(gains)} controller gains for {len(followers)} followers")
+    for i, (f, g) in enumerate(zip(followers, gains)):
+        n, m = f.plant.n, f.plant.m
         if g.K_x.shape != (m, n) or g.K_v.shape != (m, q):
             raise DimensionError(
                 f"follower {i + 1}: gains K_x{g.K_x.shape}, K_v{g.K_v.shape} do not "
                 f"match plant (m, n, q) = ({m}, {n}, {q})"
             )
-        members.setdefault((n, m, p), []).append(i)
-    steps = scenario.horizon + 1
-    groups = []
-    for (n, m, p), idx in members.items():
-        plants = {name: np.stack([getattr(scenario.followers[i].plant, name) for i in idx])
-                  for name in "ABCDEF"}
-        k = len(idx)
-        groups.append(_PlantGroup(
-            members=np.array(idx),
-            **plants,
-            K_x=np.stack([gains[i].K_x for i in idx]),
-            K_v=np.stack([gains[i].K_v for i in idx]),
-            x_log=np.empty((k, steps, n)),
-            u_log=np.empty((k, steps, m)),
-            e_log=np.empty((k, steps, p)),
-        ))
-    return groups
+    n, m, p = (max(getattr(f.plant, d) for f in followers) for d in "nmp")
+    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (n, q),
+              "F": (p, q), "K_x": (m, n), "K_v": (m, q)}
+    stack = {name: np.zeros((len(followers),) + shape) for name, shape in shapes.items()}
+    for i, (f, g) in enumerate(zip(followers, gains)):
+        for name, out in stack.items():
+            M = getattr(g if name.startswith("K") else f.plant, name)
+            out[i, :M.shape[0], :M.shape[1]] = M
+    return stack
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batched M[k] @ x[k] for (k, a, b) matrices and (k, b) vectors."""
+    """M @ x over the (broadcast) leading axes of (..., a, b) matrices and (..., b) vectors."""
     return (M @ x[..., None])[..., 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every a[t]: one dot per t, as np.linalg.norm(a[t]) computes it
+    (a sum of squares along an axis rounds differently)."""
+    flat = a.reshape(a.shape[0], -1)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
 def _beyond_limit(a: np.ndarray) -> np.ndarray:
@@ -430,23 +409,16 @@ def _beyond_limit(a: np.ndarray) -> np.ndarray:
     return ~(np.abs(a) <= OVERFLOW_LIMIT)
 
 
-def _overflow(t: int, v: np.ndarray, bank: ObserverBank,
-              groups: list[_PlantGroup], xs: list[np.ndarray]) -> OverflowAbort:
-    """Name the first offending entry, in the order v, eta, s_est, x and by
-    follower within each series.  Failure path only."""
-    arrays = [v, bank.eta] + ([] if bank.s_est is None else [bank.s_est]) + xs
-    magnitude = float(np.max([np.abs(a).max() for a in arrays]))
-    if _beyond_limit(v).any():
-        return OverflowAbort(t, magnitude, "v", None)
-    candidates = [("eta", _beyond_limit(bank.eta).any(axis=1))]
-    if bank.s_est is not None:
-        candidates.append(("s_est", _beyond_limit(bank.s_est).any(axis=(1, 2))))
-    bad_x = np.zeros(bank.n_followers, dtype=bool)
-    for g, x in zip(groups, xs):
-        bad_x[g.members] = _beyond_limit(x).any(axis=1)
-    candidates.append(("x", bad_x))
-    series, bad = next((name, b) for name, b in candidates if b.any())
-    return OverflowAbort(t, magnitude, series, int(np.argmax(bad)) + 1)
+def _overflow(t: int, rows: dict[str, np.ndarray]) -> OverflowAbort:
+    """Name the first offending entry of the time-t ``rows``, in the order
+    v, eta, s_est, x and by follower within each series.  Failure path only."""
+    magnitude = float(np.max([np.abs(a).max() for a in rows.values()]))
+    for series, a in rows.items():
+        bad = _beyond_limit(a).reshape(len(a), -1).any(axis=1)
+        if bad.any():
+            follower = None if series == "v" else int(np.argmax(bad)) + 1
+            return OverflowAbort(t, magnitude, series, follower)
+    raise AssertionError("no entry beyond the overflow limit")
 
 
 def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> TrajectoryLog:
@@ -459,72 +431,60 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
     """
     if gains is None:
         gains = synthesize_gains(scenario)
-    groups = _plant_groups(scenario, gains)
-    leader = scenario.leader
+    P = _follower_stack(scenario, gains)
+    S = scenario.leader.S
     topology = scenario.topology
-    n = scenario.n_followers
-    q = leader.q
     horizon = scenario.horizon
+    n_followers, q = scenario.n_followers, scenario.leader.q
     bank = scenario.initial_bank()
-    v = leader.v0.copy()
-    xs = [np.stack([scenario.followers[i].x0 for i in g.members]) for g in groups]
 
-    t_arr = np.arange(horizon + 1)
     sigma = np.array([topology.mode_at(t) for t in range(horizon + 1)], dtype=int)
     v_log = np.empty((horizon + 1, q))
-    eta_log = np.empty((horizon + 1, n, q))
-    s_log = (np.empty((horizon + 1, n, q, q))
-             if scenario.observer_mode == "adaptive" else None)
-    eta_tilde = np.empty(horizon + 1)
-    s_tilde = np.empty(horizon + 1) if s_log is not None else None
+    eta_log = np.empty((horizon + 1, n_followers, q))
+    s_log = None if bank.s_est is None else np.empty((horizon + 1, n_followers, q, q))
+    x_log = np.zeros((horizon + 1, n_followers, P["A"].shape[1]))
+    u_log = np.empty((horizon + 1, n_followers, P["B"].shape[2]))
+    v_log[0], eta_log[0] = scenario.leader.v0, bank.eta
+    if s_log is not None:
+        s_log[0] = bank.s_est
+    for i, f in enumerate(scenario.followers):
+        x_log[0, i, :f.plant.n] = f.x0
 
-    for t in range(horizon + 1):
-        v_log[t] = v
-        eta_log[t] = bank.eta
+    # the logs are the state: step t reads row t and writes row t + 1
+    state = {name: a for name, a in (("v", v_log), ("eta", eta_log), ("s_est", s_log),
+                                     ("x", x_log)) if a is not None}
+    for t, mode in enumerate(sigma.tolist()):
+        # a NaN fails every comparison, so the inverted test aborts on NaN as well as on +-inf
+        if not all(np.abs(a[t]).max() <= OVERFLOW_LIMIT for a in state.values()):
+            raise _overflow(t, {name: a[t] for name, a in state.items()})
+        v, eta, x = v_log[t], eta_log[t], x_log[t]
+        u_log[t] = _matvec(P["K_x"], x) + _matvec(P["K_v"], eta)
+        if t == horizon:
+            break
+        x_log[t + 1] = _matvec(P["A"], x) + _matvec(P["B"], u_log[t]) + P["E"] @ v
+        eta_log[t + 1], s_next = _observer_update(
+            S, topology.adjacency_of_mode(mode).omega, v, eta,
+            None if s_log is None else s_log[t])
         if s_log is not None:
-            s_log[t] = bank.s_est
-            s_tilde[t] = np.linalg.norm(bank.s_est - leader.S[None, :, :])
-        eta_tilde[t] = np.linalg.norm(bank.eta - v[None, :])
-        peaks = [np.abs(v).max(), np.abs(bank.eta).max()] + [np.abs(x).max() for x in xs]
-        if bank.s_est is not None:
-            peaks.append(np.abs(bank.s_est).max())
-        # a NaN peak fails every comparison, so the inverted test aborts on
-        # NaN as well as on +-inf (Python's max() would silently drop a NaN)
-        if not all(p <= OVERFLOW_LIMIT for p in peaks):
-            raise _overflow(t, v, bank, groups, xs)
-        for k, (g, x) in enumerate(zip(groups, xs)):
-            u = _matvec(g.K_x, x) + _matvec(g.K_v, bank.eta[g.members])
-            g.x_log[:, t] = x
-            g.u_log[:, t] = u
-            g.e_log[:, t] = _matvec(g.C, x) + _matvec(g.D, u) + g.F @ v
-            if t < horizon:
-                xs[k] = _matvec(g.A, x) + _matvec(g.B, u) + g.E @ v
-        if t < horizon:
-            bank = observer_step(leader, v, bank, topology.adjacency_of_mode(int(sigma[t])))
-            v = leader.advance(v)
+            s_log[t + 1] = s_next
+        v_log[t + 1] = S @ v
 
-    # per-follower series are views into the group logs
-    x_log, u_log, e_log = [None] * n, [None] * n, [None] * n
-    e_norms = np.empty((horizon + 1, n))
-    for g in groups:
-        for j, i in enumerate(g.members):
-            x_log[i], u_log[i], e_log[i] = g.x_log[j], g.u_log[j], g.e_log[j]
-        e_norms[:, g.members] = np.linalg.norm(g.e_log, axis=2).T
-
+    e_log = _matvec(P["C"], x_log) + _matvec(P["D"], u_log) + _matvec(P["F"], v_log[:, None])
+    plants = [f.plant for f in scenario.followers]
     return TrajectoryLog(
         scenario_name=scenario.name,
         observer_mode=scenario.observer_mode,
-        t=t_arr,
+        t=np.arange(horizon + 1),
         sigma=sigma,
         v=v_log,
-        x=x_log,
+        x=[x_log[:, i, :plant.n] for i, plant in enumerate(plants)],
         eta=eta_log,
         s_est=s_log,
-        u=u_log,
-        e=e_log,
-        eta_tilde_norm=eta_tilde,
-        s_tilde_norm=s_tilde,
-        e_norms=e_norms,
+        u=[u_log[:, i, :plant.m] for i, plant in enumerate(plants)],
+        e=[e_log[:, i, :plant.p] for i, plant in enumerate(plants)],
+        eta_tilde_norm=_norms(eta_log - v_log[:, None, :]),
+        s_tilde_norm=None if s_log is None else _norms(s_log - S),
+        e_norms=np.linalg.norm(e_log, axis=2),
     )
 
 

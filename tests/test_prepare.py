@@ -1,6 +1,8 @@
 """One prepare pass per scenario: shared solves, per-follower checks, builders."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +137,20 @@ def test_validate_reports_a_non_finite_leader():
     spectral = next(r for r in results if r.name == "leader_spectral_radius")
     assert not spectral.passed
     assert not all(results)
+
+
+def test_non_finite_leader_fails_the_regulator_check_without_a_warning():
+    base = formation_scenario(horizon=10)
+    S = base.leader.S.copy()
+    S[0, 1] = np.inf
+    scenario = dataclasses.replace(base, leader=LeaderModel(S=S, v0=base.leader.v0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = validate_scenario(scenario)
+    regulator = [r for r in results if r.name.startswith("regulator_solvable_follower_")]
+    assert len(regulator) == scenario.n_followers
+    assert not any(regulator)
+    assert all("finite" in r.detail for r in regulator)
 
 
 # default-fig2 as its own builder wrote it: the formation start positions

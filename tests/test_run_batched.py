@@ -3,12 +3,13 @@ neighbour mix against its difference-tensor definition, and the trajectory
 CSV against a per-float writer."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-import coopreg.simkit as simkit
+import coopreg.observers
 from coopreg.observers import LeaderModel, _neighbor_mix, observer_step
 from coopreg.regulation import ControllerGains, PlantModel, control_input, plant_step
 from coopreg.scenarios import formation_scenario
@@ -16,6 +17,7 @@ from coopreg.simkit import (
     AssumptionChecks,
     FollowerSpec,
     GainDirective,
+    OverflowAbort,
     Scenario,
     csv_columns,
     prepare,
@@ -179,7 +181,7 @@ def no_steps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a step ran before the gain shapes were checked")
 
-    monkeypatch.setattr(simkit, "observer_step", refuse)
+    monkeypatch.setattr(coopreg.observers, "_neighbor_mix", refuse)
 
 
 @pytest.mark.parametrize("bad", ["K_x rows", "K_x cols", "K_v cols", "missing"])
@@ -200,6 +202,28 @@ def test_misshaped_gains_raise_before_any_step(bad, no_steps):
         run(scenario, gains)
     if bad != "missing":
         assert "follower 4" in str(exc_info.value)
+
+
+def test_nan_in_a_padded_follower_aborts_at_step_zero():
+    base = mixed_scenario("distributed", horizon=5)
+    f = base.followers[3]  # integrator(1): n=2 in a stack padded to n=4
+    x0 = f.x0.copy()
+    x0[1] = np.nan
+    followers = base.followers[:3] + (FollowerSpec(f.plant, x0, f.gain),) + base.followers[4:]
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(dataclasses.replace(base, followers=followers))
+    assert (exc_info.value.t, exc_info.value.follower, exc_info.value.series) == (0, 4, "x")
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_run_makes_no_per_step_bank_checks(mode, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run checked the bank against the graph")
+
+    monkeypatch.setattr(coopreg.observers, "_check_bank_adj", refuse)
+    log = run(formation_scenario(horizon=300, observer_mode=mode))
+    assert log.horizon == 300
+    assert log.e_norms[-1].max() < 1e-6
 
 
 def per_float_csv(log, fh) -> None:
