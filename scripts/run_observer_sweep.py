@@ -36,12 +36,11 @@ def main() -> int:
         leader = random_leader(rng)
         n, q = topo.n_followers, leader.q
 
-        dist = ObserverBank(mode="distributed", eta=rng.normal(size=(n, q)))
+        dist = ObserverBank(eta=rng.normal(size=(n, q)))
         d_norm = simulate_observer_norms(topo, leader, dist, args.horizon)["eta_tilde"]
         d_fit = fit_decay(d_norm)
 
-        adap = ObserverBank(mode="adaptive", eta=rng.normal(size=(n, q)),
-                            s_est=np.zeros((n, q, q)))
+        adap = ObserverBank(eta=rng.normal(size=(n, q)), s_est=np.zeros((n, q, q)))
         a_norms = simulate_observer_norms(topo, leader, adap, args.horizon)
         a_fit = fit_decay(a_norms["eta_tilde"])
         s_final = a_norms["s_tilde"][-1]

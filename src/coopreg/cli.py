@@ -42,39 +42,42 @@ from .simkit import (
 
 
 def _resolve_scenario(args) -> Scenario:
+    """The scenario the flags name.  A ValueError from building or overriding
+    it (a negative --horizon or --seed, a non-finite --tol) is a ConfigError,
+    so the command exits 2 with its message."""
     from dataclasses import replace
 
-    if args.builtin is not None:
-        if args.config is not None:
-            raise ConfigError("pass either a config path or --builtin, not both")
-        scenario = build_builtin(
-            args.builtin,
-            horizon=getattr(args, "horizon", None),
-            observer_mode=getattr(args, "mode", None),
-            seed=getattr(args, "seed", None),
-        )
-    else:
-        if args.config is None:
-            raise ConfigError("a config path or --builtin NAME is required")
-        if getattr(args, "seed", None) is not None:
-            raise ConfigError("--seed applies only to --builtin")
-        scenario = load_config(args.config)
-        overrides = {}
-        if getattr(args, "horizon", None) is not None:
-            overrides["horizon"] = args.horizon
-        if getattr(args, "mode", None) is not None:
-            overrides["observer_mode"] = args.mode
-            if args.mode == "adaptive" and scenario.s0 is None:
-                overrides["s0"] = tuple(
-                    np.zeros((scenario.leader.q, scenario.leader.q))
-                    for _ in scenario.followers
-                )
-            if args.mode == "distributed":
-                overrides["s0"] = None
-        if overrides:
-            scenario = replace(scenario, **overrides)
-    if getattr(args, "tol", None) is not None:
-        scenario = replace(scenario, regulator_tol=args.tol)
+    try:
+        if args.builtin is not None:
+            if args.config is not None:
+                raise ConfigError("pass either a config path or --builtin, not both")
+            scenario = build_builtin(
+                args.builtin,
+                horizon=getattr(args, "horizon", None),
+                observer_mode=getattr(args, "mode", None),
+                seed=getattr(args, "seed", None),
+            )
+        else:
+            if args.config is None:
+                raise ConfigError("a config path or --builtin NAME is required")
+            if getattr(args, "seed", None) is not None:
+                raise ConfigError("--seed applies only to --builtin")
+            scenario = load_config(args.config)
+            overrides = {}
+            if getattr(args, "horizon", None) is not None:
+                overrides["horizon"] = args.horizon
+            if getattr(args, "mode", None) is not None:
+                overrides["observer_mode"] = args.mode
+                if args.mode == "distributed":
+                    overrides["s0"] = None
+            if overrides:
+                scenario = replace(scenario, **overrides)
+        if getattr(args, "tol", None) is not None:
+            scenario = replace(scenario, regulator_tol=args.tol)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return scenario
 
 
@@ -180,6 +183,9 @@ def cmd_run(args) -> int:
 def cmd_props(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
+        return 2
+    if args.trials < 0 or args.seed < 0:
+        print(f"--trials and --seed must be >= 0, got {args.trials} and {args.seed}")
         return 2
     if args.trials == 0:
         print(f"warning: 0 trials requested for suite {args.suite}; vacuous pass")

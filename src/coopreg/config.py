@@ -208,8 +208,6 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
         s0 = tuple(
             _matrix(s, f"observer.s0[{k}]") for k, s in enumerate(doc["observer"]["s0"])
         )
-    if mode == "adaptive" and s0 is None:
-        s0 = tuple(np.zeros((leader.q, leader.q)) for _ in followers)
 
     run_obj = doc["run"]
     _require_keys(run_obj, {"horizon"}, {"checks", "thresholds", "regulator_tol"}, "run")

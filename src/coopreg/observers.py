@@ -1,7 +1,8 @@
 """Distributed leader-state observers over switching networks.
 
-Two estimator families are implemented as pure step functions.  The plain
-distributed observer propagates each follower's estimate through the active
+Two estimator families share one pure step function, ``observer_step``,
+and a bank runs the adaptive one exactly when it carries matrix estimates.
+The plain distributed observer propagates each follower's estimate through the active
 graph,
 
     eta_i(t+1) = S eta_i(t) + S sum_j omega_ij(t) (eta_j(t) - eta_i(t)),
@@ -100,24 +101,21 @@ class LeaderModel:
 
 @dataclass(frozen=True, eq=False)
 class ObserverBank:
-    """Per-follower estimates: eta (N, q) and, in adaptive mode, s_est (N, q, q).
+    """Per-follower estimates: eta (N, q) and, for the adaptive observer, s_est (N, q, q).
 
+    The bank's mode is whether it carries the matrix estimates s_est: with
+    them it runs the adaptive observer, without them the distributed one.
     The leader's own eta_0 / S_0 are never stored; step functions read them
     from the true leader, which prevents drift of the anchor values.
     """
 
-    mode: str
     eta: np.ndarray
     s_est: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("distributed", "adaptive"):
-            raise ValueError(f"unknown observer mode {self.mode!r}")
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 2:
             raise DimensionError("eta must be a (followers, q) array")
-        if (self.s_est is not None) != (self.mode == "adaptive"):
-            raise ValueError("s_est must be present exactly in adaptive mode")
         object.__setattr__(self, "eta", _readonly(eta))
         if self.s_est is not None:
             s = np.asarray(self.s_est, dtype=float)
@@ -129,6 +127,10 @@ class ObserverBank:
             object.__setattr__(self, "s_est", _readonly(s))
 
     @property
+    def mode(self) -> str:
+        return "distributed" if self.s_est is None else "adaptive"
+
+    @property
     def n_followers(self) -> int:
         return self.eta.shape[0]
 
@@ -138,8 +140,10 @@ class ObserverBank:
 
     @classmethod
     def zeros(cls, mode: str, n_followers: int, q: int) -> "ObserverBank":
+        if mode not in ("distributed", "adaptive"):
+            raise ValueError(f"unknown observer mode {mode!r}")
         s = np.zeros((n_followers, q, q)) if mode == "adaptive" else None
-        return cls(mode=mode, eta=np.zeros((n_followers, q)), s_est=s)
+        return cls(eta=np.zeros((n_followers, q)), s_est=s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,18 +162,9 @@ class ErrorState:
     def from_bank(cls, bank: ObserverBank, v: np.ndarray, leader: LeaderModel) -> "ErrorState":
         eta_tilde = (bank.eta - np.asarray(v)[None, :]).reshape(-1)
         s_tilde = None
-        if bank.mode == "adaptive":
+        if bank.s_est is not None:
             s_tilde = np.vstack([si - leader.S for si in bank.s_est])
         return cls(eta_tilde=eta_tilde, s_tilde=s_tilde)
-
-
-def _check_bank_adj(bank: ObserverBank, adj: NormalizedAdjacency, v: np.ndarray) -> None:
-    if adj.node_count != bank.n_followers + 1:
-        raise DimensionError(
-            f"graph has {adj.node_count} nodes but bank holds {bank.n_followers} followers"
-        )
-    if np.asarray(v).shape[0] != bank.q:
-        raise DimensionError("leader state dimension does not match the bank")
 
 
 def _neighbor_mix(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -204,7 +199,7 @@ def _observer_update(
     return np.einsum("iab,ib->ia", s_est, mixed), new_s
 
 
-def distributed_observer_step(
+def observer_step(
     leader: LeaderModel,
     v: np.ndarray,
     bank: ObserverBank,
@@ -212,45 +207,22 @@ def distributed_observer_step(
 ) -> ObserverBank:
     """Advance all follower estimates one step through the active graph.
 
-    The leader state v itself is advanced separately (v <- S v); this
-    function only produces the next estimate bank.
+    A bank without s_est runs the distributed observer, which multiplies by
+    the leader's S; a bank with s_est runs the adaptive one, whose state
+    update multiplies by the current S_i(t) while the refreshed S_i(t+1)
+    only takes effect on the next call.  The leader state v itself is
+    advanced separately (v <- S v); this function only produces the next
+    estimate bank.
     """
-    if bank.mode != "distributed":
-        raise ValueError("bank is not in distributed mode")
-    _check_bank_adj(bank, adj, v)
-    new_eta, _ = _observer_update(leader.S, adj.omega, np.asarray(v, dtype=float), bank.eta)
-    return ObserverBank(mode="distributed", eta=new_eta)
-
-
-def adaptive_observer_step(
-    leader: LeaderModel,
-    v: np.ndarray,
-    bank: ObserverBank,
-    adj: NormalizedAdjacency,
-) -> ObserverBank:
-    """Advance matrix estimates and state estimates one step.
-
-    The state update multiplies by the current S_i(t); the refreshed
-    S_i(t+1) only takes effect on the next call.
-    """
-    if bank.mode != "adaptive":
-        raise ValueError("bank is not in adaptive mode")
-    _check_bank_adj(bank, adj, v)
+    if adj.node_count != bank.n_followers + 1:
+        raise DimensionError(
+            f"graph has {adj.node_count} nodes but bank holds {bank.n_followers} followers"
+        )
+    if np.asarray(v).shape[0] != bank.q:
+        raise DimensionError("leader state dimension does not match the bank")
     new_eta, new_s = _observer_update(leader.S, adj.omega, np.asarray(v, dtype=float),
                                       bank.eta, bank.s_est)
-    return ObserverBank(mode="adaptive", eta=new_eta, s_est=new_s)
-
-
-def observer_step(
-    leader: LeaderModel,
-    v: np.ndarray,
-    bank: ObserverBank,
-    adj: NormalizedAdjacency,
-) -> ObserverBank:
-    """Dispatch on the bank's mode."""
-    if bank.mode == "distributed":
-        return distributed_observer_step(leader, v, bank, adj)
-    return adaptive_observer_step(leader, v, bank, adj)
+    return ObserverBank(eta=new_eta, s_est=new_s)
 
 
 def error_form_step(
@@ -258,12 +230,12 @@ def error_form_step(
     adj: NormalizedAdjacency,
     leader: LeaderModel,
     v: np.ndarray,
-    mode: str | None = None,
 ) -> ErrorState:
     """Advance the stacked error state through its compact linear form.
 
-    Distributed mode is the homogeneous map eta_tilde <- (Lambda kron S)
-    eta_tilde.  Adaptive mode applies
+    Without s_tilde (distributed observer) this is the homogeneous map
+    eta_tilde <- (Lambda kron S) eta_tilde.  With s_tilde (adaptive
+    observer) it applies
 
         eta_tilde <- (Gamma1 + Gamma2) eta_tilde + Gamma3
         s_tilde   <- (Lambda kron I_q) s_tilde
@@ -274,8 +246,6 @@ def error_form_step(
     are evaluated at the current time, matching the bank updates exactly;
     this function is the independent second route for equivalence tests.
     """
-    if mode is None:
-        mode = "adaptive" if err.s_tilde is not None else "distributed"
     lam = adj.lambda_block
     n = lam.shape[0]
     q = leader.q
@@ -283,13 +253,9 @@ def error_form_step(
         raise DimensionError(
             f"eta_tilde has {err.eta_tilde.shape[0]} entries, expected {n * q}"
         )
-    if mode == "distributed":
-        if err.s_tilde is not None:
-            raise ValueError("distributed error state must not carry s_tilde")
+    if err.s_tilde is None:
         return ErrorState(eta_tilde=np.kron(lam, leader.S) @ err.eta_tilde)
 
-    if err.s_tilde is None:
-        raise ValueError("adaptive error state requires s_tilde")
     s_blocks = [err.s_tilde[i * q : (i + 1) * q, :] for i in range(n)]
     gamma1 = np.kron(lam, leader.S)
     s_diag = np.zeros((n * q, n * q))

@@ -246,9 +246,8 @@ def equivalence_trial(seed: int, horizon: int = 100, tol: float = 1e-10) -> Tria
     topo = random_topology(rng)
     leader = random_leader(rng)
     n, q = topo.n_followers, leader.q
-    dist = ObserverBank(mode="distributed", eta=rng.normal(size=(n, q)))
+    dist = ObserverBank(eta=rng.normal(size=(n, q)))
     adap = ObserverBank(
-        mode="adaptive",
         eta=rng.normal(size=(n, q)),
         s_est=leader.S[None, :, :] + rng.uniform(-0.3, 0.3, size=(n, q, q)),
     )

@@ -126,7 +126,7 @@ def solve_regulator_equations(
     equations, recomputed from the returned pair, certifies the solution.
 
     Raises RegulatorUnsolvableError when S or a plant matrix is not finite,
-    or when the residual exceeds ``tol``.
+    or when the residual is not at most ``tol`` (so a NaN ``tol`` fails).
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, m, p, q = plant.n, plant.m, plant.p, plant.q
@@ -146,7 +146,7 @@ def solve_regulator_equations(
     r1 = np.max(np.abs(X @ S - plant.A @ X - plant.B @ U - plant.E))
     r2 = np.max(np.abs(plant.C @ X + plant.D @ U + plant.F))
     residual = float(max(r1, r2))
-    if residual > tol:
+    if not residual <= tol:
         raise RegulatorUnsolvableError(
             f"regulator equations unsolvable for this plant/leader pair "
             f"(residual {residual:.3e} > tol {tol:.1e})"

@@ -92,8 +92,6 @@ def _formation(
             FollowerSpec(plant=plant, x0=x0, gain=GainDirective(method="user", K_x=k_x))
         )
     eta0 = tuple(rng.normal(size=4) for _ in followers) if rng is not None else None
-    s0 = (tuple(np.zeros((4, 4)) for _ in followers)
-          if observer_mode == "adaptive" else None)
     return Scenario(
         name=name,
         leader=_planar_leader(),
@@ -101,7 +99,6 @@ def _formation(
         followers=tuple(followers),
         observer_mode=observer_mode,
         eta0=eta0,
-        s0=s0,
         horizon=horizon,
         checks=AssumptionChecks(connectivity_window=7),
         thresholds=Thresholds(final=1e-6, rate=0.999),
@@ -140,7 +137,6 @@ def single_follower_scenario(
     )
     x0 = rng.normal(size=2) * 5 if rng is not None else np.array([4.0, 4.0])
     eta0 = (rng.normal(size=2),) if rng is not None else None
-    s0 = ((np.zeros((2, 2)),) if observer_mode == "adaptive" else None)
     return Scenario(
         name="single-follower",
         leader=leader,
@@ -153,7 +149,6 @@ def single_follower_scenario(
         ),
         observer_mode=observer_mode,
         eta0=eta0,
-        s0=s0,
         horizon=horizon,
         checks=AssumptionChecks(connectivity_window=0),
     )
@@ -182,6 +177,8 @@ def build_builtin(
     if name not in BUILTINS:
         known = ", ".join(sorted(BUILTINS))
         raise KeyError(f"unknown builtin scenario {name!r} (known: {known})")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     kwargs = {}
     if horizon is not None:
         kwargs["horizon"] = horizon

@@ -16,7 +16,7 @@ stay exactly zero and no real entry changes; the logs hold N max(n) state
 entries per step instead of the sum of the n_i, which costs memory only
 when the team mixes plant dimensions.  The preallocated logs are
 the state: step t reads row t and writes row t + 1, and the observer update
-is the array-level one that the public observer steps use after their
+is the array-level one that the public ``observer_step`` uses after its
 checks, so nothing is validated per tick.  The observer's neighbour mix
 sum_j omega_ij (eta_j - eta_i) is computed as (Omega eta)_i - eta_i, valid
 because Omega is row-stochastic, with no (N+1) x (N+1) difference tensor.
@@ -130,7 +130,11 @@ class FollowerSpec:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Complete description of one closed-loop simulation."""
+    """Complete description of one closed-loop simulation.
+
+    An adaptive scenario without ``s0`` starts every follower's estimate of
+    the leader matrix at zero; a distributed one must not set ``s0``.
+    """
 
     name: str
     leader: LeaderModel
@@ -148,7 +152,9 @@ class Scenario:
         if self.observer_mode not in ("distributed", "adaptive"):
             raise ValueError(f"unknown observer mode {self.observer_mode!r}")
         if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if not math.isfinite(self.regulator_tol):
+            raise ValueError(f"regulator_tol must be finite, got {self.regulator_tol}")
         followers = tuple(self.followers)
         if len(followers) != self.topology.n_followers:
             raise DimensionError(
@@ -170,10 +176,13 @@ class Scenario:
             if len(eta0) != len(followers) or any(e.shape[0] != q for e in eta0):
                 raise DimensionError("eta0 must hold one q-vector per follower")
             object.__setattr__(self, "eta0", eta0)
-        if self.s0 is not None:
+        s0 = self.s0
+        if s0 is None and self.observer_mode == "adaptive":
+            s0 = [np.zeros((q, q))] * len(followers)
+        if s0 is not None:
             if self.observer_mode != "adaptive":
                 raise ValueError("s0 only applies to the adaptive observer")
-            s0 = tuple(_readonly(np.asarray(s, dtype=float)) for s in self.s0)
+            s0 = tuple(_readonly(np.asarray(s, dtype=float)) for s in s0)
             if len(s0) != len(followers) or any(s.shape != (q, q) for s in s0):
                 raise DimensionError("s0 must hold one q x q matrix per follower")
             object.__setattr__(self, "s0", s0)
@@ -183,14 +192,9 @@ class Scenario:
         return len(self.followers)
 
     def initial_bank(self) -> ObserverBank:
-        q = self.leader.q
-        n = self.n_followers
-        eta = np.vstack(self.eta0) if self.eta0 is not None else np.zeros((n, q))
-        if self.observer_mode == "adaptive":
-            s = (np.stack(self.s0) if self.s0 is not None
-                 else np.zeros((n, q, q)))
-            return ObserverBank(mode="adaptive", eta=eta, s_est=s)
-        return ObserverBank(mode="distributed", eta=eta)
+        eta = (np.vstack(self.eta0) if self.eta0 is not None
+               else np.zeros((self.n_followers, self.leader.q)))
+        return ObserverBank(eta=eta, s_est=None if self.s0 is None else np.stack(self.s0))
 
 
 @dataclass(frozen=True)

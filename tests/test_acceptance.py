@@ -104,9 +104,7 @@ def test_distributed_observer_family():
         leader = random_leader(rng)
         assert 2 <= leader.q <= 4
         assert leader.rho <= 1.0 + 1e-12
-        bank = ObserverBank(
-            mode="distributed", eta=rng.normal(size=(topo.n_followers, leader.q))
-        )
+        bank = ObserverBank(eta=rng.normal(size=(topo.n_followers, leader.q)))
         norms = simulate_observer_norms(topo, leader, bank, 500)["eta_tilde"]
         fit = fit_decay(norms)
         assert norms[-1] < 1e-8, f"seed {seed}: final {norms[-1]:.2e}"
@@ -121,7 +119,6 @@ def test_adaptive_observer_family():
         topo = random_topology(rng)
         leader = random_leader(rng)
         bank = ObserverBank(
-            mode="adaptive",
             eta=rng.normal(size=(topo.n_followers, leader.q)),
             s_est=np.zeros((topo.n_followers, leader.q, leader.q)),
         )

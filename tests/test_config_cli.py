@@ -237,6 +237,17 @@ class TestCliRun:
         names = [s["name"] for s in report["series"]]
         assert "s_tilde_norm" in names
 
+    @pytest.mark.parametrize("saved, override", [("distributed", "adaptive"),
+                                                  ("adaptive", "distributed")])
+    def test_mode_override_on_a_config_matches_the_builtin(self, saved, override, tmp_path):
+        path = tmp_path / f"{saved}.json"
+        save_config(build_builtin("formation-sec5", observer_mode=saved), path)
+        assert main(["run", str(path), "--mode", override, "--out", str(tmp_path / "cfg")]) == 0
+        assert main(["run", "--builtin", "formation-sec5", "--mode", override,
+                     "--out", str(tmp_path / "builtin")]) == 0
+        cfg = (tmp_path / "cfg" / "trajectory.csv").read_bytes()
+        assert cfg == (tmp_path / "builtin" / "trajectory.csv").read_bytes()
+
     def test_horizon_zero_initial_row_only(self, tmp_path):
         out_dir = tmp_path / "h0"
         code = main(

@@ -7,11 +7,10 @@ from coopreg.observers import (
     ErrorState,
     LeaderModel,
     ObserverBank,
-    adaptive_observer_step,
-    distributed_observer_step,
     error_form_step,
     fit_decay,
     kron_factorization_check,
+    observer_step,
     perturbed_convergence_check,
     spectral_radius,
 )
@@ -74,11 +73,13 @@ class TestLeaderModel:
 
 
 class TestBankValidation:
-    def test_s_est_presence_tied_to_mode(self):
+    def test_mode_is_whether_s_est_is_present(self):
+        assert ObserverBank(eta=np.zeros((2, 2))).mode == "distributed"
+        assert ObserverBank(eta=np.zeros((2, 2)), s_est=np.zeros((2, 2, 2))).mode == "adaptive"
+        with pytest.raises(DimensionError):
+            ObserverBank(eta=np.zeros((2, 2)), s_est=np.zeros((2, 3, 3)))
         with pytest.raises(ValueError):
-            ObserverBank(mode="distributed", eta=np.zeros((2, 2)), s_est=np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            ObserverBank(mode="adaptive", eta=np.zeros((2, 2)))
+            ObserverBank.zeros("adaptve", 2, 2)
 
     def test_zeros_constructor(self):
         bank = ObserverBank.zeros("adaptive", 3, 2)
@@ -91,11 +92,9 @@ class TestDistributedObserver:
         topo = random_topology(rng)
         leader = random_leader(rng)
         v = leader.v0.copy()
-        bank = ObserverBank(
-            mode="distributed", eta=np.tile(v, (topo.n_followers, 1))
-        )
+        bank = ObserverBank(eta=np.tile(v, (topo.n_followers, 1)))
         for t in range(40):
-            bank = distributed_observer_step(leader, v, bank, topo.adjacency_at(t))
+            bank = observer_step(leader, v, bank, topo.adjacency_at(t))
             v = leader.advance(v)
             assert np.allclose(bank.eta, v[None, :], atol=1e-10)
 
@@ -103,10 +102,10 @@ class TestDistributedObserver:
         leader = LeaderModel(S=np.eye(2), v0=np.array([1.0, -1.0]))
         adj = single_link_adjacency()
         eta0 = np.array([[3.0, 5.0]])
-        bank = ObserverBank(mode="distributed", eta=eta0)
+        bank = ObserverBank(eta=eta0)
         v = leader.v0.copy()
         for t in range(1, 30):
-            bank = distributed_observer_step(leader, v, bank, adj)
+            bank = observer_step(leader, v, bank, adj)
             v = leader.advance(v)
             expected = 0.5**t * (eta0[0] - leader.v0) + v
             assert np.allclose(bank.eta[0], expected, atol=1e-12)
@@ -125,12 +124,6 @@ class TestDistributedObserver:
         assert fit.decaying
         assert norms[-1] < 1e-8
 
-    def test_mode_check(self):
-        bank = ObserverBank.zeros("adaptive", 1, 2)
-        leader = LeaderModel(S=np.eye(2), v0=np.zeros(2))
-        with pytest.raises(ValueError):
-            distributed_observer_step(leader, leader.v0, bank, single_link_adjacency())
-
 
 class TestAdaptiveObserver:
     def test_exact_matrix_knowledge_reduces_to_distributed(self):
@@ -139,15 +132,13 @@ class TestAdaptiveObserver:
         leader = random_leader(rng)
         n, q = topo.n_followers, leader.q
         eta0 = rng.normal(size=(n, q))
-        adaptive = ObserverBank(
-            mode="adaptive", eta=eta0, s_est=np.tile(leader.S, (n, 1, 1))
-        )
-        distributed = ObserverBank(mode="distributed", eta=eta0)
+        adaptive = ObserverBank(eta=eta0, s_est=np.tile(leader.S, (n, 1, 1)))
+        distributed = ObserverBank(eta=eta0)
         v = leader.v0.copy()
         for t in range(100):
             adj = topo.adjacency_at(t)
-            adaptive = adaptive_observer_step(leader, v, adaptive, adj)
-            distributed = distributed_observer_step(leader, v, distributed, adj)
+            adaptive = observer_step(leader, v, adaptive, adj)
+            distributed = observer_step(leader, v, distributed, adj)
             v = leader.advance(v)
             assert np.allclose(adaptive.eta, distributed.eta, atol=1e-12)
             assert np.allclose(adaptive.s_est, leader.S[None], atol=1e-12)
@@ -156,9 +147,9 @@ class TestAdaptiveObserver:
         leader = LeaderModel(S=np.array([[0.9, 0.1], [0.0, 0.8]]), v0=np.zeros(2))
         adj = single_link_adjacency()
         s0 = np.zeros((1, 2, 2))
-        bank = ObserverBank(mode="adaptive", eta=np.zeros((1, 2)), s_est=s0)
+        bank = ObserverBank(eta=np.zeros((1, 2)), s_est=s0)
         for t in range(1, 25):
-            bank = adaptive_observer_step(leader, leader.v0, bank, adj)
+            bank = observer_step(leader, leader.v0, bank, adj)
             expected = leader.S + 0.5**t * (s0[0] - leader.S)
             assert np.allclose(bank.s_est[0], expected, atol=1e-13)
 
@@ -167,7 +158,6 @@ class TestAdaptiveObserver:
         topo = random_topology(rng)
         leader = random_leader(rng)
         bank = ObserverBank(
-            mode="adaptive",
             eta=rng.normal(size=(topo.n_followers, leader.q)),
             s_est=np.zeros((topo.n_followers, leader.q, leader.q)),
         )
@@ -216,7 +206,7 @@ class TestErrorFormEquivalence:
             mode = "adaptive" if seed % 2 else "distributed"
             s_est = (leader.S[None] + rng.uniform(-0.3, 0.3, size=(n, q, q))
                      if mode == "adaptive" else None)
-            bank = ObserverBank(mode=mode, eta=rng.normal(size=(n, q)), s_est=s_est)
+            bank = ObserverBank(eta=rng.normal(size=(n, q)), s_est=s_est)
             assert bank_vs_error_form(topo, leader, bank, 1) < 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -227,17 +217,10 @@ class TestErrorFormEquivalence:
         leader = random_leader(rng)
         n, q = topo.n_followers, leader.q
         bank = ObserverBank(
-            mode="adaptive",
             eta=rng.normal(size=(n, q)),
             s_est=leader.S[None] + rng.uniform(-0.3, 0.3, size=(n, q, q)),
         )
         assert bank_vs_error_form(topo, leader, bank, 100) < 1e-10
-
-    def test_mode_consistency_checks(self):
-        leader = LeaderModel(S=np.eye(2), v0=np.zeros(2))
-        err = ErrorState(eta_tilde=np.zeros(2))
-        with pytest.raises(ValueError):
-            error_form_step(err, single_link_adjacency(), leader, leader.v0, mode="adaptive")
 
 
 class TestKronFactorization:
@@ -330,10 +313,7 @@ class TestTheoremProperties:
             rng = np.random.default_rng(seed)
             topo = random_topology(rng)
             leader = random_leader(rng)
-            bank = ObserverBank(
-                mode="distributed",
-                eta=rng.normal(size=(topo.n_followers, leader.q)),
-            )
+            bank = ObserverBank(eta=rng.normal(size=(topo.n_followers, leader.q)))
             norms = simulate_observer_norms(topo, leader, bank, 500)["eta_tilde"]
             fit = fit_decay(norms)
             assert fit.decaying

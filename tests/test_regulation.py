@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,11 @@ class TestRegulatorEquations:
         )
         with pytest.raises(RegulatorUnsolvableError):
             solve_regulator_equations(plant, np.eye(2))
+
+    def test_nan_tolerance_fails_the_certificate(self):
+        # `residual > nan` is False, so only the inverted test refuses it
+        with pytest.raises(RegulatorUnsolvableError):
+            solve_regulator_equations(planar_tracking_plant(), planar_leader_matrix(), tol=math.nan)
 
     def test_random_solvable_plants_certified(self):
         for seed in range(20):

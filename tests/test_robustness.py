@@ -136,6 +136,42 @@ def test_cli_run_rejects_nan_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_refused(command, tol, tmp_path, capsys):
+    argv = [command, "--builtin", "formation-sec5", "--tol", tol]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"regulator_tol must be finite, got {tol}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "-3", "horizon must be >= 0, got -3"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_negative_run_flag_exits_2(flag, value, message, tmp_path, capsys):
+    argv = ["run", "--builtin", "formation-sec5", flag, value, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_horizon_over_a_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "formation.json"
+    save_config(formation_scenario(horizon=10), path)
+    assert main(["run", str(path), "--horizon", "-3", "--out", str(tmp_path / "out")]) == 2
+    assert "horizon must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_negative_props_flag_exits_2(flag, capsys):
+    assert main(["props", "lemma2", flag, "-2"]) == 2
+    out = capsys.readouterr().out
+    assert "must be >= 0" in out and "trials passed" not in out
+
+
 def test_seed_with_config_path_is_refused(tmp_path, capsys):
     path = tmp_path / "formation.json"
     save_config(formation_scenario(horizon=10), path)

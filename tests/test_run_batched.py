@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import coopreg.observers
-from coopreg.observers import LeaderModel, _neighbor_mix, observer_step
+from coopreg.observers import LeaderModel, ObserverBank, _neighbor_mix, observer_step
 from coopreg.regulation import ControllerGains, PlantModel, control_input, plant_step
 from coopreg.scenarios import formation_scenario
 from coopreg.simkit import (
@@ -220,10 +220,22 @@ def test_run_makes_no_per_step_bank_checks(mode, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run checked the bank against the graph")
 
-    monkeypatch.setattr(coopreg.observers, "_check_bank_adj", refuse)
+    monkeypatch.setattr(coopreg.observers, "observer_step", refuse)
     log = run(formation_scenario(horizon=300, observer_mode=mode))
     assert log.horizon == 300
     assert log.e_norms[-1].max() < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_run_builds_no_bank_per_step(mode, monkeypatch):
+    # a patched class attribute is seen through every import binding of the
+    # checked step, which a patched module function is not
+    built = []
+    post_init = ObserverBank.__post_init__
+    monkeypatch.setattr(ObserverBank, "__post_init__",
+                        lambda bank: (built.append(bank), post_init(bank))[1])
+    run(formation_scenario(horizon=300, observer_mode=mode))
+    assert len(built) == 1  # the initial bank
 
 
 def per_float_csv(log, fh) -> None:

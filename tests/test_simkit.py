@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -331,3 +333,17 @@ class TestScenarioValidation:
                 followers=base.followers,
                 horizon=10,
             )
+
+    def test_adaptive_scenario_defaults_to_zero_matrix_estimates(self):
+        base = single_follower_scenario()
+        adaptive = dataclasses.replace(base, observer_mode="adaptive")
+        assert base.s0 is None and base.initial_bank().mode == "distributed"
+        assert len(adaptive.s0) == 1 and np.array_equal(adaptive.s0[0], np.zeros((2, 2)))
+        assert adaptive.initial_bank().mode == "adaptive"
+        with pytest.raises(ValueError, match="s0 only applies"):
+            dataclasses.replace(adaptive, observer_mode="distributed")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_regulator_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="regulator_tol must be finite"):
+            dataclasses.replace(single_follower_scenario(), regulator_tol=tol)
