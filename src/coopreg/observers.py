@@ -225,6 +225,17 @@ def observer_step(
     return ObserverBank(eta=new_eta, s_est=new_s)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays as one broadcast multiply.
+
+    Every entry is the single product a[i, j] * b[k, l], as in np.kron, so
+    the result is the same to the bit without np.kron's generic set-up.
+    """
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def error_form_step(
     err: ErrorState,
     adj: NormalizedAdjacency,
@@ -253,22 +264,22 @@ def error_form_step(
         raise DimensionError(
             f"eta_tilde has {err.eta_tilde.shape[0]} entries, expected {n * q}"
         )
+    gamma1 = _kron(lam, leader.S)
     if err.s_tilde is None:
-        return ErrorState(eta_tilde=np.kron(lam, leader.S) @ err.eta_tilde)
+        return ErrorState(eta_tilde=gamma1 @ err.eta_tilde)
 
     s_blocks = [err.s_tilde[i * q : (i + 1) * q, :] for i in range(n)]
-    gamma1 = np.kron(lam, leader.S)
     s_diag = np.zeros((n * q, n * q))
     for i, blk in enumerate(s_blocks):
         s_diag[i * q : (i + 1) * q, i * q : (i + 1) * q] = blk
     lam_min_i = lam - np.eye(n)
     coupling = np.vstack(
-        [np.kron(lam_min_i[i : i + 1, :], s_blocks[i]) for i in range(n)]
+        [_kron(lam_min_i[i : i + 1, :], s_blocks[i]) for i in range(n)]
     )
     gamma2 = s_diag + coupling
     gamma3 = s_diag @ np.tile(np.asarray(v, dtype=float), n)
     new_eta = (gamma1 + gamma2) @ err.eta_tilde + gamma3
-    new_s = np.kron(lam, np.eye(q)) @ err.s_tilde
+    new_s = _kron(lam, np.eye(q)) @ err.s_tilde
     return ErrorState(eta_tilde=new_eta, s_tilde=new_s)
 
 

@@ -155,6 +155,8 @@ class Scenario:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if not math.isfinite(self.regulator_tol):
             raise ValueError(f"regulator_tol must be finite, got {self.regulator_tol}")
+        if self.regulator_tol < 0:
+            raise ValueError(f"regulator_tol must be >= 0, got {self.regulator_tol}")
         followers = tuple(self.followers)
         if len(followers) != self.topology.n_followers:
             raise DimensionError(
@@ -442,7 +444,7 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
     n_followers, q = scenario.n_followers, scenario.leader.q
     bank = scenario.initial_bank()
 
-    sigma = np.array([topology.mode_at(t) for t in range(horizon + 1)], dtype=int)
+    sigma = topology.signal.modes(0, horizon + 1)
     v_log = np.empty((horizon + 1, q))
     eta_log = np.empty((horizon + 1, n_followers, q))
     s_log = None if bank.s_est is None else np.empty((horizon + 1, n_followers, q, q))

@@ -19,8 +19,10 @@ so concurrent read access is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,11 +204,16 @@ class SwitchingSignal:
     (mode, length) segments that repeat forever, or an explicit per-step
     table with a default tail mode after the table ends.  The dwell time is
     the minimum interval length of the description.
+
+    A periodic signal caches the end offsets of its segments within one
+    period (the last one is the period), so a lookup costs O(log segments)
+    and the cache stays O(segments) however long a segment is.
     """
 
     segments: tuple[tuple[int, int], ...] | None = None
     table: tuple[int, ...] | None = None
     tail_mode: int | None = None
+    _ends: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if (self.segments is None) == (self.table is None):
@@ -221,6 +228,7 @@ class SwitchingSignal:
                 if l < 1:
                     raise ValueError(f"segment length {l} must be >= 1")
             object.__setattr__(self, "segments", segs)
+            object.__setattr__(self, "_ends", tuple(accumulate(l for _, l in segs)))
         else:
             tab = tuple(int(m) for m in self.table)
             if self.tail_mode is None:
@@ -246,7 +254,7 @@ class SwitchingSignal:
     def period(self) -> int | None:
         if self.segments is None:
             return None
-        return sum(l for _, l in self.segments)
+        return self._ends[-1]
 
     @property
     def dwell(self) -> int:
@@ -268,15 +276,25 @@ class SwitchingSignal:
         if t < 0:
             raise ValueError("time index must be nonnegative")
         if self.segments is not None:
-            r = t % self.period
-            for m, l in self.segments:
-                if r < l:
-                    return m
-                r -= l
-            raise AssertionError("unreachable: segment lengths cover the period")
+            return self.segments[bisect_right(self._ends, t % self._ends[-1])][0]
         if t < len(self.table):
             return self.table[t]
         return self.tail_mode
+
+    def modes(self, t0: int, t1: int) -> np.ndarray:
+        """Active mode indices at times t0, .., t1 - 1 as an int array."""
+        if t0 < 0:
+            raise ValueError("time index must be nonnegative")
+        if t1 < t0:
+            raise ValueError("t1 must be >= t0")
+        if self.segments is not None:
+            r = np.arange(t0, t1) % self._ends[-1]
+            seg_modes = np.array([m for m, _ in self.segments], dtype=int)
+            return seg_modes[np.searchsorted(self._ends, r, side="right")]
+        out = np.full(t1 - t0, self.tail_mode, dtype=int)
+        head = self.table[t0:t1]
+        out[: len(head)] = head
+        return out
 
 
 def _runs(seq: Sequence[int]) -> list[tuple[int, int]]:
@@ -358,9 +376,11 @@ def is_jointly_connected(
 
     For each start time t in [0, horizon - window], the union digraph over
     modes active at t, .., t + window is built and reachability from node 0
-    is decided by BFS.  For periodic signals the horizon is capped at one
-    full period plus the window, which is sufficient by periodicity; for
-    table signals the verdict only covers the checked horizon.
+    is decided by BFS.  A window's verdict depends only on its set of modes,
+    so each distinct set is decided once.  For periodic signals the horizon
+    is capped at one full period plus the window, which is sufficient by
+    periodicity; for table signals the verdict only covers the checked
+    horizon.
 
     Returns a ConnectivityResult whose witness is the first failing
     (start time, node) pair.
@@ -373,10 +393,14 @@ def is_jointly_connected(
     if horizon < window:
         raise ValueError("horizon must be >= window")
     horizon = min(horizon, cap) if topo.signal.is_periodic else horizon
+    schedule = topo.signal.modes(0, horizon + 1).tolist()
+    reached: dict[frozenset[int], np.ndarray] = {}
     for t in range(horizon - window + 1):
-        modes = {topo.mode_at(t + s) for s in range(window + 1)}
-        union = union_digraph([topo.graphs[m - 1] for m in modes])
-        seen = leader_reachable(union)
+        modes = frozenset(schedule[t : t + window + 1])
+        if modes not in reached:
+            union = union_digraph([topo.graphs[m - 1] for m in modes])
+            reached[modes] = leader_reachable(union)
+        seen = reached[modes]
         if not seen[1:].all():
             bad = int(np.nonzero(~seen)[0][0])
             return ConnectivityResult(False, (t, bad), horizon)
@@ -423,8 +447,8 @@ def transition_product(
         raise ValueError(f"unknown block {block!r}")
     size = topo.n_followers if block == "lambda" else topo.node_count
     out = np.eye(size)
-    for s in range(t0, t):
-        adj = topo.adjacency_at(s)
+    for mode in topo.signal.modes(t0, t).tolist():
+        adj = topo.adjacency_of_mode(mode)
         m = adj.lambda_block if block == "lambda" else adj.omega
         out = m @ out
     return out

@@ -1,0 +1,229 @@
+"""The switching schedule lookup and the O(H) property oracles, pinned bit for bit.
+
+The reference implementations here are the straightforward forms the fast
+paths replaced: one ``mode_at`` per step, one ``transition_product`` per k,
+one union and BFS per connectivity window, and ``error_form_step`` built
+from ``np.kron``.
+"""
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopreg import observers, topology
+from coopreg.cli import main
+from coopreg.observers import (
+    ErrorState,
+    error_form_step,
+    kron_factorization_check,
+    observer_step,
+)
+from coopreg.properties import (
+    SUITES,
+    follower_product_norms,
+    lemma2_trial,
+    lemma3_trial,
+    lemma4_trial,
+    random_leader,
+    random_topology,
+)
+from coopreg.topology import (
+    ConnectivityResult,
+    SwitchingSignal,
+    SwitchingTopology,
+    is_jointly_connected,
+    leader_reachable,
+    transition_product,
+    union_digraph,
+)
+
+PROPS_DATA = Path(__file__).parent / "data" / "props"
+
+
+periodic_signals = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=5
+).map(SwitchingSignal.periodic)
+table_signals = st.builds(
+    SwitchingSignal.from_table,
+    st.lists(st.integers(1, 4), max_size=12),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sig=st.one_of(periodic_signals, table_signals), t0=st.integers(0, 40),
+       length=st.integers(0, 40))
+def test_modes_equals_mode_at_per_step(sig, t0, length):
+    got = sig.modes(t0, t0 + length)
+    assert got.shape == (length,) and got.dtype.kind == "i"
+    assert got.tolist() == [sig.mode_at(t) for t in range(t0, t0 + length)]
+
+
+def test_modes_of_an_empty_range_is_empty():
+    for sig in (SwitchingSignal.periodic([(1, 2), (2, 1)]),
+                SwitchingSignal.from_table([1, 2], tail_mode=3)):
+        for t in (0, 1, 7):
+            assert sig.modes(t, t).shape == (0,)
+
+
+def test_table_modes_cross_into_the_tail():
+    sig = SwitchingSignal.from_table([2, 1, 2], tail_mode=3)
+    assert sig.modes(1, 6).tolist() == [1, 2, 3, 3, 3]
+    assert sig.modes(5, 8).tolist() == [3, 3, 3]
+    empty_table = SwitchingSignal.from_table([], tail_mode=2)
+    assert empty_table.modes(0, 3).tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("t0, t1", [(-1, 3), (-2, -2), (5, 4)])
+def test_modes_rejects_bad_ranges(t0, t1):
+    for sig in (SwitchingSignal.periodic([(1, 2)]),
+                SwitchingSignal.from_table([1], tail_mode=1)):
+        with pytest.raises(ValueError):
+            sig.modes(t0, t1)
+
+
+def test_a_huge_segment_costs_no_per_step_memory():
+    tracemalloc.start()
+    try:
+        sig = SwitchingSignal.periodic([(2, 10**12), (1, 3)])
+        got = sig.modes(10**12 - 2, 10**12 + 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert got.tolist() == [2, 2, 1, 1]
+    assert sig.period == 10**12 + 3
+    assert [sig.mode_at(t) for t in (0, 10**12 - 1, 10**12, 10**12 + 3)] == [2, 2, 1, 2]
+
+
+def test_accumulated_lemma2_norms_equal_transition_products():
+    horizon = 240
+    for seed in range(30):
+        topo = random_topology(np.random.default_rng(seed))
+        reference = np.array(
+            [np.linalg.norm(transition_product(topo, 0, k), 2) for k in range(horizon + 1)]
+        )
+        assert follower_product_norms(topo, horizon).tobytes() == reference.tobytes()
+
+
+def per_window_connectivity(topo, window, horizon):
+    """is_jointly_connected with one union and one BFS per window: the reference."""
+    for t in range(horizon - window + 1):
+        modes = {topo.mode_at(t + s) for s in range(window + 1)}
+        seen = leader_reachable(union_digraph([topo.graphs[m - 1] for m in modes]))
+        if not seen[1:].all():
+            return ConnectivityResult(False, (t, int(np.nonzero(~seen)[0][0])), horizon)
+    return ConnectivityResult(True, None, horizon)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_connectivity_verdicts_match_the_per_window_reference(seed):
+    rng = np.random.default_rng(seed)
+    periodic = random_topology(rng)
+    table = SwitchingTopology(
+        graphs=periodic.graphs,
+        signal=SwitchingSignal.from_table(
+            rng.integers(1, periodic.n_modes + 1, size=12).tolist(), tail_mode=1),
+    )
+    for window in range(periodic.signal.period + 1):
+        cap = periodic.signal.period + window
+        assert is_jointly_connected(periodic, window) == per_window_connectivity(
+            periodic, window, cap)
+        for horizon in (window, window + 5, 12 + window):
+            assert is_jointly_connected(table, window, horizon) == per_window_connectivity(
+                table, window, horizon)
+
+
+def test_connectivity_decides_each_distinct_mode_set_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(topology, "leader_reachable",
+                        lambda g: calls.append(g) or leader_reachable(g))
+    topo = random_topology(np.random.default_rng(0))
+    period = topo.signal.period
+    assert is_jointly_connected(topo, period - 1).connected
+    # every window of one period holds every mode
+    assert len(calls) == 1
+
+
+def kron_error_form_step(err, adj, leader, v):
+    """error_form_step written with np.kron throughout: the reference."""
+    lam = adj.lambda_block
+    n = lam.shape[0]
+    q = leader.q
+    if err.s_tilde is None:
+        return ErrorState(eta_tilde=np.kron(lam, leader.S) @ err.eta_tilde)
+    s_blocks = [err.s_tilde[i * q : (i + 1) * q, :] for i in range(n)]
+    gamma1 = np.kron(lam, leader.S)
+    s_diag = np.zeros((n * q, n * q))
+    for i, blk in enumerate(s_blocks):
+        s_diag[i * q : (i + 1) * q, i * q : (i + 1) * q] = blk
+    lam_min_i = lam - np.eye(n)
+    coupling = np.vstack(
+        [np.kron(lam_min_i[i : i + 1, :], s_blocks[i]) for i in range(n)]
+    )
+    gamma2 = s_diag + coupling
+    gamma3 = s_diag @ np.tile(np.asarray(v, dtype=float), n)
+    new_eta = (gamma1 + gamma2) @ err.eta_tilde + gamma3
+    new_s = np.kron(lam, np.eye(q)) @ err.s_tilde
+    return ErrorState(eta_tilde=new_eta, s_tilde=new_s)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_error_form_step_matches_the_kron_reference_bitwise(seed, adaptive):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    n, q = topo.n_followers, leader.q
+    s_tilde = rng.uniform(-0.3, 0.3, size=(n * q, q)) if adaptive else None
+    fast = ref = ErrorState(eta_tilde=rng.normal(size=n * q), s_tilde=s_tilde)
+    v = leader.v0.copy()
+    for t in range(100):
+        adj = topo.adjacency_at(t)
+        fast = error_form_step(fast, adj, leader, v)
+        ref = kron_error_form_step(ref, adj, leader, v)
+        assert fast.eta_tilde.tobytes() == ref.eta_tilde.tobytes()
+        if adaptive:
+            assert fast.s_tilde.tobytes() == ref.s_tilde.tobytes()
+        else:
+            assert fast.s_tilde is None
+        v = leader.advance(v)
+
+
+def test_oracles_never_run_on_the_observer_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle ran on the observer path it checks")
+
+    # patch every coopreg module that binds the functions, not just their home
+    for name in ("_observer_update", "_neighbor_mix"):
+        original = getattr(observers, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("coopreg") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, refuse)
+
+    rng = np.random.default_rng(3)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    n, q = topo.n_followers, leader.q
+    bank = observers.ObserverBank(eta=rng.normal(size=(n, q)))
+    with pytest.raises(AssertionError, match="observer path"):
+        observer_step(leader, leader.v0, bank, topo.adjacency_at(0))
+
+    err = ErrorState(eta_tilde=rng.normal(size=n * q), s_tilde=rng.normal(size=(n * q, q)))
+    for t in range(5):
+        err = error_form_step(err, topo.adjacency_at(t), leader, leader.v0)
+    assert kron_factorization_check(topo, leader, 10) < 1e-9
+    for trial in (lemma2_trial, lemma3_trial, lemma4_trial):
+        assert trial(0).passed
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_props_stdout_matches_the_recorded_output(suite, capsys):
+    assert main(["props", suite, "--trials", "30", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (PROPS_DATA / f"{suite}.txt").read_bytes()

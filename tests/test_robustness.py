@@ -147,6 +147,32 @@ def test_non_finite_tol_is_refused(command, tol, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_tol_is_refused(command, tmp_path, capsys):
+    argv = [command, "--builtin", "formation-sec5", "--tol", "-1"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "regulator_tol must be >= 0, got -1.0" in err and "unsolvable" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_tol_in_a_config_is_refused(command, tmp_path, capsys):
+    path = tmp_path / "formation.json"
+    save_config(formation_scenario(horizon=10), path)
+    doc = json.loads(path.read_text())
+    doc["run"]["regulator_tol"] = -1.0
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "regulator_tol must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--horizon", "-3", "horizon must be >= 0, got -3"),
     ("--seed", "-1", "seed must be >= 0, got -1"),

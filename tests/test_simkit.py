@@ -347,3 +347,8 @@ class TestScenarioValidation:
     def test_regulator_tolerance_must_be_finite(self, tol):
         with pytest.raises(ValueError, match="regulator_tol must be finite"):
             dataclasses.replace(single_follower_scenario(), regulator_tol=tol)
+
+    def test_regulator_tolerance_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=r"regulator_tol must be >= 0, got -1\.0"):
+            dataclasses.replace(single_follower_scenario(), regulator_tol=-1.0)
+        assert dataclasses.replace(single_follower_scenario(), regulator_tol=0.0).regulator_tol == 0
