@@ -92,6 +92,18 @@ def _number(obj: Any, path: str) -> float:
     return float(obj)
 
 
+def _flag(obj: Any, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ConfigError(f"{path}: expected true or false, got {obj!r}")
+    return obj
+
+
+def _list(obj: Any, path: str, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: expected a list of {what}")
+    return obj
+
+
 def _parse_signal(obj: Any) -> SwitchingSignal:
     _require_keys(obj, set(), {"period", "segments", "table", "tail_mode"}, "signal")
     if ("segments" in obj) == ("table" in obj):
@@ -103,36 +115,47 @@ def _parse_signal(obj: Any) -> SwitchingSignal:
                 isinstance(s, list) and len(s) == 2 for s in segs
             ):
                 raise ConfigError("signal.segments: expected a list of [mode, length] pairs")
-            sig = SwitchingSignal.periodic([(int(m), int(l)) for m, l in segs])
-            if "period" in obj and obj["period"] != sig.period:
+            sig = SwitchingSignal.periodic(
+                (_positive_int(m, f"signal.segments[{k}][0]"),
+                 _positive_int(l, f"signal.segments[{k}][1]"))
+                for k, (m, l) in enumerate(segs)
+            )
+            if "period" in obj and _positive_int(obj["period"], "signal.period") != sig.period:
                 raise ConfigError(
                     f"signal.period: {obj['period']} does not match the segment "
                     f"lengths (sum {sig.period})"
                 )
             return sig
-        table = obj["table"]
-        if not isinstance(table, list):
-            raise ConfigError("signal.table: expected a list of mode indices")
+        table = _list(obj["table"], "signal.table", "mode indices")
         tail = _positive_int(obj.get("tail_mode"), "signal.tail_mode")
-        return SwitchingSignal.from_table([int(m) for m in table], tail)
-    except (ValueError, TypeError, OverflowError) as exc:
+        return SwitchingSignal.from_table(
+            [_positive_int(m, f"signal.table[{k}]") for k, m in enumerate(table)], tail
+        )
+    except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"signal: {exc}") from exc
 
 
+# the optional keys each gain method reads; any other key is an error
+_GAIN_KEYS = {"user": {"K_x"}, "riccati": {"Q", "R"}}
+
+
 def _parse_gain(obj: Any, path: str) -> GainDirective:
     _require_keys(obj, {"method"}, {"K_x", "Q", "R"}, path)
     method = obj["method"]
+    if method not in _GAIN_KEYS:
+        raise ConfigError(f"{path}.method: expected 'user' or 'riccati', got {method!r}")
+    extra = sorted(obj.keys() - {"method"} - _GAIN_KEYS[method])
+    if extra:
+        raise ConfigError(f"{path}.{extra[0]}: not used by the {method!r} gain method")
     if method == "user":
         if "K_x" not in obj:
             raise ConfigError(f"{path}: user gain requires 'K_x'")
         return GainDirective(method="user", K_x=_matrix(obj["K_x"], f"{path}.K_x"))
-    if method == "riccati":
-        q = _matrix(obj["Q"], f"{path}.Q") if "Q" in obj else None
-        r = _matrix(obj["R"], f"{path}.R") if "R" in obj else None
-        return GainDirective(method="riccati", Q=q, R=r)
-    raise ConfigError(f"{path}.method: expected 'user' or 'riccati', got {method!r}")
+    q = _matrix(obj["Q"], f"{path}.Q") if "Q" in obj else None
+    r = _matrix(obj["R"], f"{path}.R") if "R" in obj else None
+    return GainDirective(method="riccati", Q=q, R=r)
 
 
 def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
@@ -201,12 +224,14 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     eta0 = None
     if "eta0" in doc["observer"]:
         eta0 = tuple(
-            _vector(e, f"observer.eta0[{k}]") for k, e in enumerate(doc["observer"]["eta0"])
+            _vector(e, f"observer.eta0[{k}]")
+            for k, e in enumerate(_list(doc["observer"]["eta0"], "observer.eta0", "vectors"))
         )
     s0 = None
     if "s0" in doc["observer"]:
         s0 = tuple(
-            _matrix(s, f"observer.s0[{k}]") for k, s in enumerate(doc["observer"]["s0"])
+            _matrix(s, f"observer.s0[{k}]")
+            for k, s in enumerate(_list(doc["observer"]["s0"], "observer.s0", "matrices"))
         )
 
     run_obj = doc["run"]
@@ -221,8 +246,11 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
              "leader_spectral", "stabilizability", "regulator"},
             "run.checks",
         )
+        flags = {
+            key: _flag(cobj.get(key, True), f"run.checks.{key}")
+            for key in ("connectivity", "leader_spectral", "stabilizability", "regulator")
+        }
         checks = AssumptionChecks(
-            connectivity=bool(cobj.get("connectivity", True)),
             connectivity_window=_positive_int(
                 cobj.get("connectivity_window", 0), "run.checks.connectivity_window", 0
             ),
@@ -230,9 +258,7 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
                 _positive_int(cobj["connectivity_horizon"], "run.checks.connectivity_horizon", 0)
                 if "connectivity_horizon" in cobj else None
             ),
-            leader_spectral=bool(cobj.get("leader_spectral", True)),
-            stabilizability=bool(cobj.get("stabilizability", True)),
-            regulator=bool(cobj.get("regulator", True)),
+            **flags,
         )
     thresholds = Thresholds()
     if "thresholds" in run_obj:

@@ -163,7 +163,7 @@ class ErrorState:
         eta_tilde = (bank.eta - np.asarray(v)[None, :]).reshape(-1)
         s_tilde = None
         if bank.s_est is not None:
-            s_tilde = np.vstack([si - leader.S for si in bank.s_est])
+            s_tilde = (bank.s_est - leader.S).reshape(-1, bank.q)
         return cls(eta_tilde=eta_tilde, s_tilde=s_tilde)
 
 

@@ -97,16 +97,12 @@ class WeightedDigraph:
 class NormalizedAdjacency:
     """Row-stochastic normalization of a weighted digraph.
 
-    Attributes
-    ----------
-    omega : (N+1, N+1) row-stochastic matrix with strictly positive diagonal.
-    lambda_block : (N, N) follower sub-block (last N rows and columns).
-    delta : (N, N) diagonal matrix of leader-coupling weights omega_i0.
+    ``omega`` is the (N+1, N+1) row-stochastic matrix with strictly positive
+    diagonal.  It is the only array stored: the follower block is a view of
+    it, so the two cannot disagree.
     """
 
     omega: np.ndarray
-    lambda_block: np.ndarray
-    delta: np.ndarray
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
@@ -118,12 +114,15 @@ class NormalizedAdjacency:
         if np.any(np.diag(om) <= 0):
             raise ValueError("omega diagonal must be strictly positive")
         object.__setattr__(self, "omega", _readonly(om))
-        object.__setattr__(self, "lambda_block", _readonly(self.lambda_block))
-        object.__setattr__(self, "delta", _readonly(self.delta))
 
     @property
     def node_count(self) -> int:
         return self.omega.shape[0]
+
+    @property
+    def lambda_block(self) -> np.ndarray:
+        """(N, N) follower sub-block: the read-only view ``omega[1:, 1:]``."""
+        return self.omega[1:, 1:]
 
 
 def normalize_adjacency(g: WeightedDigraph) -> NormalizedAdjacency:
@@ -137,11 +136,7 @@ def normalize_adjacency(g: WeightedDigraph) -> NormalizedAdjacency:
     row = w.sum(axis=1)
     omega = w / (1.0 + row)[:, None]
     np.fill_diagonal(omega, 1.0 / (1.0 + row))
-    return NormalizedAdjacency(
-        omega=omega,
-        lambda_block=omega[1:, 1:],
-        delta=np.diag(omega[1:, 0]),
-    )
+    return NormalizedAdjacency(omega)
 
 
 def union_digraph(graphs: Sequence[WeightedDigraph]) -> WeightedDigraph:
@@ -348,9 +343,6 @@ class SwitchingTopology:
     def mode_at(self, t: int) -> int:
         return self.signal.mode_at(t)
 
-    def graph_at(self, t: int) -> WeightedDigraph:
-        return self.graphs[self.signal.mode_at(t) - 1]
-
     def adjacency_at(self, t: int) -> NormalizedAdjacency:
         """Normalized adjacency of the active graph (precomputed per mode)."""
         return self._normalized[self.signal.mode_at(t) - 1]
@@ -430,25 +422,14 @@ def consensus_step(adj: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     return adj.omega @ x
 
 
-def transition_product(
-    topo: SwitchingTopology,
-    t0: int,
-    t: int,
-    block: str = "lambda",
-) -> np.ndarray:
-    """Product of active-mode matrices M(t-1) M(t-2) .. M(t0).
+def transition_product(topo: SwitchingTopology, t0: int, t: int) -> np.ndarray:
+    """Product of active follower blocks Lambda(t-1) Lambda(t-2) .. Lambda(t0).
 
-    ``block`` selects the full normalized adjacency ("full_omega") or its
-    follower sub-block ("lambda").  Returns the identity when t == t0.
+    Returns the (N, N) identity when t == t0.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
-    if block not in ("lambda", "full_omega"):
-        raise ValueError(f"unknown block {block!r}")
-    size = topo.n_followers if block == "lambda" else topo.node_count
-    out = np.eye(size)
+    out = np.eye(topo.n_followers)
     for mode in topo.signal.modes(t0, t).tolist():
-        adj = topo.adjacency_of_mode(mode)
-        m = adj.lambda_block if block == "lambda" else adj.omega
-        out = m @ out
+        out = topo.adjacency_of_mode(mode).lambda_block @ out
     return out

@@ -203,3 +203,54 @@ def test_seed_with_config_path_is_refused(tmp_path, capsys):
     save_config(formation_scenario(horizon=10), path)
     assert main(["run", str(path), "--seed", "1", "--out", str(tmp_path / "out")]) == 2
     assert "--seed applies only to --builtin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key", ["eta0", "s0"])
+def test_observer_initial_values_must_be_a_list(command, key, tmp_path, capsys):
+    doc = scenario_to_config(formation_scenario(horizon=10, observer_mode="adaptive"))
+    doc["observer"][key] = 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"observer.{key}: expected a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# (where in a formation-sec5 config, new value, key path the error must name);
+# each value used to be coerced by int()/bool() or dropped without a word
+STRICT_CASES = {
+    "fractional_segment_length": (("signal", "segments", 0, 1), 2.7, "signal.segments[0][1]"),
+    "string_segment_mode": (("signal", "segments", 0, 0), "1", "signal.segments[0][0]"),
+    "boolean_segment_mode": (("signal", "segments", 0, 0), True, "signal.segments[0][0]"),
+    "fractional_period": (("signal", "period"), 8.0, "signal.period"),
+    "fractional_table_mode": (
+        ("signal",), {"table": [1, 1.9], "tail_mode": 1}, "signal.table[1]"),
+    "string_check_flag": (
+        ("run", "checks", "connectivity"), "false", "run.checks.connectivity"),
+    "integer_check_flag": (
+        ("run", "checks", "leader_spectral"), 0, "run.checks.leader_spectral"),
+    "riccati_gain_with_K_x": (
+        ("gains", 0), {"method": "riccati", "K_x": [[0.0, 0.0]]}, "gains[0].K_x"),
+    "user_gain_with_Q": (
+        ("gains", 0), {"method": "user", "K_x": [[0.0, 0.0]], "Q": [[1.0]]}, "gains[0].Q"),
+    "user_gain_with_R": (
+        ("gains", 0), {"method": "user", "K_x": [[0.0, 0.0]], "R": [[1.0]]}, "gains[0].R"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_config_values_are_not_coerced_or_dropped(case, tmp_path, capsys):
+    (*parents, last), value, key = STRICT_CASES[case]
+    doc = scenario_to_config(formation_scenario(horizon=10))
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[last] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert f"{key}: " in capsys.readouterr().err
