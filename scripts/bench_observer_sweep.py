@@ -1,0 +1,250 @@
+#!/usr/bin/env python3
+"""Time the observer step and the closed loop over the follower count N.
+
+For each N, builds a swarm-like scenario (four modes of random spanning
+trees in which follower i reads one random node in [0, i), dwell 2, a
+planar constant-velocity leader with q = 4, double-integrator followers)
+and records, in both observer modes:
+
+- ``_observer_update`` per call and ``run`` per call, each the best of
+  ``--repeats`` timed runs;
+- which neighbour-mix form each mode's adjacency selected (edge table or
+  dense Omega) and its largest in-degree k_max;
+- the traced peak memory (tracemalloc) of building the scenario and one run.
+
+A second table, ``crossover``, times the two mix forms against each other
+on graphs whose follower rows all have in-degree k, over the (N+1) / k
+ratios around ``EDGE_TABLE_FACTOR``; it is the measurement that constant
+rests on.  The JSON file also records the Python and numpy versions and
+the git commit.  Nothing is pinned or otherwise tuned on the machine; BLAS
+runs on one thread unless the environment says otherwise.
+
+Usage:
+    python scripts/bench_observer_sweep.py --out BENCH.json \
+        [--sizes 4 32 128 512 2048] [--repeats 5] [--horizon 100]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import itertools
+import json
+import platform
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coopreg import topology  # noqa: E402
+from coopreg.observers import LeaderModel, _neighbor_mix, _observer_update  # noqa: E402
+from coopreg.regulation import PlantModel  # noqa: E402
+from coopreg.simkit import (  # noqa: E402
+    AssumptionChecks,
+    FollowerSpec,
+    Scenario,
+    run,
+    synthesize_gains,
+)
+from coopreg.topology import (  # noqa: E402
+    NormalizedAdjacency,
+    SwitchingSignal,
+    SwitchingTopology,
+    WeightedDigraph,
+)
+
+MODES = ("distributed", "adaptive")
+LEADER_S = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+SEED = 0
+TUNING = ("none: no CPU pinning, affinity, frequency or priority setting; "
+          "wall-clock best of the repeats on a machine shared with other work")
+
+
+def double_integrator() -> PlantModel:
+    c = np.kron(np.array([[1.0, 0.0]]), np.eye(2))
+    return PlantModel(A=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+                      B=np.kron(np.array([[0.5], [1.0]]), np.eye(2)),
+                      C=c, D=np.zeros((2, 2)), E=np.zeros((4, 4)), F=-c)
+
+
+def tree_topology(n: int, rng: np.random.Generator) -> SwitchingTopology:
+    graphs = tuple(
+        WeightedDigraph.from_edges(n + 1, [(int(rng.integers(0, i)), i) for i in range(1, n + 1)])
+        for _ in range(4)
+    )
+    return SwitchingTopology(graphs=graphs,
+                             signal=SwitchingSignal.periodic([(m, 2) for m in range(1, 5)]))
+
+
+def scenario(n: int, mode: str, horizon: int) -> Scenario:
+    rng = np.random.default_rng(SEED)
+    return Scenario(
+        name=f"sweep-{n}-{mode}",
+        leader=LeaderModel(S=LEADER_S, v0=np.array([0.0, 0.0, 1.0, 1.0])),
+        topology=tree_topology(n, rng),
+        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
+        observer_mode=mode,
+        eta0=tuple(rng.normal(size=4) for _ in range(n)),
+        horizon=horizon,
+        checks=AssumptionChecks(connectivity=False),
+    )
+
+
+def best_per_call(fn, repeats: int, min_seconds: float = 0.05) -> float:
+    """Best over ``repeats`` timed runs of the per-call time of ``fn``, each
+    run calling it often enough to last about ``min_seconds``."""
+    fn()
+    t0 = time.perf_counter()
+    fn()
+    calls = max(1, int(min_seconds / max(time.perf_counter() - t0, 1e-9)))
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
+def sweep_entry(n: int, mode: str, horizon: int, repeats: int) -> dict:
+    tracemalloc.start()
+    try:
+        sc = scenario(n, mode, horizon)
+        gains = synthesize_gains(sc)
+        run(sc, gains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    adjs = [sc.topology.adjacency_of_mode(m) for m in range(1, sc.topology.n_modes + 1)]
+    bank = sc.initial_bank()
+    v = sc.leader.v0
+    cycle = itertools.cycle(adjs)
+
+    def step():
+        _observer_update(LEADER_S, next(cycle), v, bank.eta, bank.s_est)
+
+    return {
+        "N": n,
+        "mode": mode,
+        "q": 4,
+        "horizon": horizon,
+        "mix_forms": [{"form": "dense" if a._edges is None else "table",
+                       "k_max": len(topology._in_edge_table(a.omega))} for a in adjs],
+        "observer_update_us": best_per_call(step, repeats) * 1e6,
+        "run_ms": best_per_call(lambda: run(sc, gains), repeats, min_seconds=0.1) * 1e3,
+        "peak_traced_mb": peak / 1e6,
+        "omega_mb_per_mode": adjs[0].omega.nbytes / 1e6,
+    }
+
+
+def in_degree_adjacency(n: int, k: int, rng: np.random.Generator) -> NormalizedAdjacency:
+    """Every follower reads k distinct random other nodes (the leader among them)."""
+    w = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        others = np.delete(np.arange(n + 1), i)
+        w[i, rng.choice(others, size=k, replace=False)] = rng.uniform(0.5, 1.5, size=k)
+    return topology.normalize_adjacency(WeightedDigraph(w))
+
+
+def with_form(adj: NormalizedAdjacency, table: bool) -> NormalizedAdjacency:
+    """A twin of ``adj`` that mixes with the given form, whatever it selects."""
+    twin = NormalizedAdjacency(adj.omega)
+    object.__setattr__(twin, "_edges", topology._in_edge_table(adj.omega) if table else None)
+    return twin
+
+
+def crossover(sizes: list[int], repeats: int) -> list[dict]:
+    rng = np.random.default_rng(SEED)
+    out = []
+    for n1 in sizes:
+        for ratio in (8, 16, 32, 64, 128):
+            k = n1 // ratio
+            if k < 1:
+                continue
+            adj = in_degree_adjacency(n1 - 1, k, rng)
+            for columns in (4, 16):
+                values = rng.normal(size=(n1, columns))
+                dense, table = with_form(adj, False), with_form(adj, True)
+                t_dense = best_per_call(lambda: _neighbor_mix(dense, values), repeats)
+                t_table = best_per_call(lambda: _neighbor_mix(table, values), repeats)
+                out.append({"nodes": n1, "k": k, "nodes_per_k": ratio, "columns": columns,
+                            "dense_us": t_dense * 1e6, "table_us": t_table * 1e6,
+                            "table_wins": t_table < t_dense})
+    return out
+
+
+def git_state() -> dict:
+    """The checked-out commit and whether tracked files differ from it."""
+    def git(*cmd: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True,
+                                  text=True, timeout=10)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    changes = git("status", "--porcelain", "--untracked-files=no")
+    return {"git_sha": sha, "git_uncommitted_changes": None if changes is None else bool(changes)}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--sizes", type=int, nargs="+", default=[4, 32, 128, 512, 2048])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--horizon", type=int, default=100)
+    ap.add_argument("--crossover-nodes", type=int, nargs="*",
+                    default=[64, 128, 256, 512, 1024, 2048],
+                    help="node counts N+1 of the crossover table")
+    args = ap.parse_args()
+    if args.repeats < 3 or min(args.sizes) < 1 or args.horizon < 0:
+        ap.error("need --repeats >= 3, sizes >= 1 and --horizon >= 0")
+
+    sweep = [sweep_entry(n, mode, args.horizon, args.repeats)
+             for n in args.sizes for mode in MODES]
+    print(f"{'N':>5} {'mode':>11} {'forms':>12} {'update us':>10} {'run ms':>9} {'peak MB':>8}")
+    for e in sweep:
+        forms = ",".join(sorted({f["form"] for f in e["mix_forms"]}))
+        print(f"{e['N']:>5} {e['mode']:>11} {forms:>12} {e['observer_update_us']:>10.1f} "
+              f"{e['run_ms']:>9.2f} {e['peak_traced_mb']:>8.2f}")
+    cross = crossover(args.crossover_nodes, args.repeats)
+    for c in cross:
+        print(f"crossover nodes {c['nodes']:>5} k {c['k']:>4} columns {c['columns']:>2}: "
+              f"dense {c['dense_us']:8.1f} us, table {c['table_us']:8.1f} us")
+    per_call = {(e["N"], e["mode"]): e["observer_update_us"] for e in sweep}
+    growth = [{"from_N": a, "to_N": b, **{m: per_call[b, m] / per_call[a, m] for m in MODES}}
+              for a, b in zip(args.sizes, args.sizes[1:])]
+    doc = {
+        "harness": "scripts/bench_observer_sweep.py",
+        **git_state(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {v: os.environ.get(v) for v in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "machine_tuning": TUNING,
+        "repeats": args.repeats,
+        "edge_table_factor": topology.EDGE_TABLE_FACTOR,
+        "sweep": sweep,
+        "observer_update_growth": growth,
+        "crossover": cross,
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"machine tuning: {TUNING}")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

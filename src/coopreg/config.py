@@ -55,6 +55,10 @@ def _finite(arr: np.ndarray, path: str) -> np.ndarray:
     return arr
 
 
+# the types json.load gives numbers; bool is not among them
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _matrix(obj: Any, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ConfigError(f"{path}: expected a matrix as a list of rows")
@@ -64,9 +68,11 @@ def _matrix(obj: Any, path: str) -> np.ndarray:
             raise ConfigError(
                 f"{path}: ragged matrix, row {k} has {len(row)} entries, expected {width}"
             )
-        for c, val in enumerate(row):
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigError(f"{path}[{k}][{c}]: expected a number")
+        # one set test per row; the per-entry loop only names the bad entry
+        if not _NUMBER_TYPES.issuperset(map(type, row)):
+            for c, val in enumerate(row):
+                if not isinstance(val, (int, float)) or isinstance(val, bool):
+                    raise ConfigError(f"{path}[{k}][{c}]: expected a number")
     return _finite(np.array(obj, dtype=float), path)
 
 

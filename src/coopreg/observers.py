@@ -14,7 +14,9 @@ a matrix consensus on per-follower copies of the leader matrix,
     eta_i(t+1) = S_i(t) eta_i(t) + S_i(t) sum_j omega_ij(t) (eta_j(t) - eta_i(t)),
 
 so followers need not know S a priori; the state update deliberately uses
-the current estimate S_i(t), not the refreshed one.
+the current estimate S_i(t), not the refreshed one.  Both sums run over the
+in-neighbours j of follower i: over the adjacency's edge table when the
+graph is sparse, otherwise as (Omega x)_i - x_i over the dense Omega.
 
 Each observer has a compact error-form twin acting on the stacked errors
 (`error_form_step`), used as the independent second route in equivalence
@@ -167,21 +169,33 @@ class ErrorState:
         return cls(eta_tilde=eta_tilde, s_tilde=s_tilde)
 
 
-def _neighbor_mix(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _neighbor_mix(adj: NormalizedAdjacency, values: np.ndarray) -> np.ndarray:
     """sum_j omega_ij (values_j - values_i) for follower rows i = 1..N.
 
     ``values`` stacks the leader's entry first; works for vectors (N+1, q)
-    and matrices (N+1, q, q) alike.  Omega is row-stochastic, so the sum
-    equals (Omega values)_i - values_i: one matmul over the flattened
+    and matrices (N+1, q, q) alike.  A sparse adjacency sums over its
+    in-neighbour edge table, sum_k w_k (values[src_k] - values_i), in
+    O(edges) per flattened entry.  Otherwise Omega is row-stochastic, so the
+    sum equals (Omega values)_i - values_i: one matmul over the flattened
     entries instead of an (N+1, N+1, ...) difference tensor.
     """
     flat = values.reshape(values.shape[0], -1)
-    return (omega[1:] @ flat - flat[1:]).reshape((flat.shape[0] - 1,) + values.shape[1:])
+    own = flat[1:]
+    if adj._edges is None:
+        mix = adj.omega[1:] @ flat - own
+    else:
+        mix = None if adj._edges else np.zeros_like(own)
+        for src, weight in adj._edges:
+            term = np.take(flat, src, axis=0)  # a fresh copy, updated in place
+            term -= own
+            term *= weight
+            mix = term if mix is None else np.add(mix, term, out=mix)
+    return mix.reshape(own.shape[:1] + values.shape[1:])
 
 
 def _observer_update(
     S: np.ndarray,
-    omega: np.ndarray,
+    adj: NormalizedAdjacency,
     v: np.ndarray,
     eta: np.ndarray,
     s_est: np.ndarray | None = None,
@@ -192,10 +206,10 @@ def _observer_update(
     the leader's S; otherwise the adaptive one, whose state update uses the
     current S_i(t) and whose refreshed S_i(t+1) is returned for the next call.
     """
-    mixed = eta + _neighbor_mix(omega, np.vstack([v[None, :], eta]))
+    mixed = eta + _neighbor_mix(adj, np.vstack([v[None, :], eta]))
     if s_est is None:
         return mixed @ S.T, None
-    new_s = s_est + _neighbor_mix(omega, np.concatenate([S[None, :, :], s_est], axis=0))
+    new_s = s_est + _neighbor_mix(adj, np.concatenate([S[None, :, :], s_est], axis=0))
     return np.einsum("iab,ib->ia", s_est, mixed), new_s
 
 
@@ -220,7 +234,7 @@ def observer_step(
         )
     if np.asarray(v).shape[0] != bank.q:
         raise DimensionError("leader state dimension does not match the bank")
-    new_eta, new_s = _observer_update(leader.S, adj.omega, np.asarray(v, dtype=float),
+    new_eta, new_s = _observer_update(leader.S, adj, np.asarray(v, dtype=float),
                                       bank.eta, bank.s_est)
     return ObserverBank(eta=new_eta, s_est=new_s)
 

@@ -18,8 +18,10 @@ when the team mixes plant dimensions.  The preallocated logs are
 the state: step t reads row t and writes row t + 1, and the observer update
 is the array-level one that the public ``observer_step`` uses after its
 checks, so nothing is validated per tick.  The observer's neighbour mix
-sum_j omega_ij (eta_j - eta_i) is computed as (Omega eta)_i - eta_i, valid
-because Omega is row-stochastic, with no (N+1) x (N+1) difference tensor.
+sum_j omega_ij (eta_j - eta_i) reads the active mode's adjacency: a sparse
+one sums over its in-neighbour edge table in O(edges), and a small or dense
+one computes (Omega eta)_i - eta_i, valid because Omega is row-stochastic;
+neither builds an (N+1) x (N+1) difference tensor.
 The regulated outputs and the norm series are computed after the last
 tick, as whole-array expressions.  In distributed mode the closed loop is a
 switched linear system, but no dense closed-loop matrix per mode is built:
@@ -469,7 +471,7 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
             break
         x_log[t + 1] = _matvec(P["A"], x) + _matvec(P["B"], u_log[t]) + P["E"] @ v
         eta_log[t + 1], s_next = _observer_update(
-            S, topology.adjacency_of_mode(mode).omega, v, eta,
+            S, topology.adjacency_of_mode(mode), v, eta,
             None if s_log is None else s_log[t])
         if s_log is not None:
             s_log[t + 1] = s_next

@@ -55,7 +55,10 @@ class WeightedDigraph:
             raise DimensionError(f"weight matrix must be square, got shape {w.shape}")
         if w.shape[0] < 1:
             raise DimensionError("graph needs at least the leader node")
-        if np.any(w < 0):
+        # a NaN fails every comparison, so each test is inverted to catch it
+        if not np.isfinite(w).all():
+            raise ValueError("edge weights must be finite")
+        if not (w >= 0).all():
             raise ValueError("edge weights must be nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("diagonal weights (self-loops) must be zero")
@@ -93,27 +96,94 @@ class WeightedDigraph:
         return cls(w)
 
 
+# An adjacency mixes over its in-neighbour edge table when
+# EDGE_TABLE_FACTOR * k_max <= N + 1, k_max being the largest off-diagonal
+# in-degree of a follower row, and over the dense Omega otherwise.  The
+# gather costs O(N k_max) per mixed column and the matmul O((N+1)^2), but the
+# gather pays four numpy calls per table column, so it loses on small or
+# dense graphs.  Measured with scripts/bench_observer_sweep.py (the
+# "crossover" table of BENCH_8.json: 4 and 16 columns, one BLAS thread,
+# 2-vCPU VM): from N+1 = 512 to 2048 the gather wins at (N+1) / k_max = 32
+# (by 1.1-4.2x), and at 16 it loses or ties in 5 of 6 cases.  Below 512
+# nodes, where Omega stays in cache, the crossover moves up to about 128, at
+# a few µs either way.
+EDGE_TABLE_FACTOR = 32
+
+
+def _in_edge_table(om: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The follower rows' off-diagonal in-edges of Omega as k_max columns.
+
+    Column k pairs an (N,) array of source nodes with an (N, 1) array of the
+    weights omega_ij, read out of Omega; a row with fewer than k_max in-edges
+    is padded with its own node and weight 0.  Built from the nonzero
+    indices alone, so no further (N+1) x (N+1) array is allocated.
+    """
+    n = om.shape[0] - 1
+    rows, cols = np.nonzero(om[1:])
+    off = cols != rows + 1
+    rows, cols = rows[off], cols[off]
+    degree = np.bincount(rows, minlength=n)
+    k_max = int(degree.max(initial=0))
+    # np.nonzero is row-major, so an edge's rank within its row is its offset
+    # from the row's first edge
+    rank = np.arange(rows.shape[0]) - (np.cumsum(degree) - degree)[rows]
+    src = np.tile(np.arange(1, n + 1), (k_max, 1))
+    src[rank, rows] = cols
+    weight = np.zeros((k_max, n, 1))
+    weight[rank, rows, 0] = om[rows + 1, cols]
+    for a in (src, weight):
+        a.setflags(write=False)
+    return tuple(zip(src, weight))
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
     """Row-stochastic normalization of a weighted digraph.
 
     ``omega`` is the (N+1, N+1) row-stochastic matrix with strictly positive
-    diagonal.  It is the only array stored: the follower block is a view of
-    it, so the two cannot disagree.
+    diagonal.  It is the only dense array stored: the follower block is a
+    view of it, so the two cannot disagree.  A sparse adjacency also keeps
+    its in-neighbour edge table, which the observer's neighbour mix reads
+    in place of Omega (see ``EDGE_TABLE_FACTOR``); it is None when the
+    dense Omega is used.
     """
 
     omega: np.ndarray
+    _edges: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
-        row_sums = om.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-12):
+        # the caller may still hold the array, so keep a read-only copy
+        self._adopt(_readonly(self.omega))
+
+    @classmethod
+    def _of_fresh(cls, omega: np.ndarray) -> "NormalizedAdjacency":
+        """Wrap an Omega that no caller holds, without copying it."""
+        adj = cls.__new__(cls)
+        omega.setflags(write=False)
+        adj._adopt(omega)
+        return adj
+
+    def _adopt(self, om: np.ndarray) -> None:
+        if om.ndim != 2 or om.shape[0] != om.shape[1]:
+            raise DimensionError(f"omega must be square, got shape {om.shape}")
+        # a NaN fails every comparison, so each test is inverted to catch it
+        if not np.isfinite(om).all():
+            raise ValueError("omega entries must be finite")
+        if not (np.abs(om.sum(axis=1) - 1.0) <= 1e-12).all():
             raise ValueError("omega rows must sum to 1")
-        if np.any(om < 0) or np.any(om > 1):
+        if not (om >= 0).all() or not (om <= 1).all():
             raise ValueError("omega entries must lie in [0, 1]")
-        if np.any(np.diag(om) <= 0):
+        if not (np.diag(om) > 0).all():
             raise ValueError("omega diagonal must be strictly positive")
-        object.__setattr__(self, "omega", _readonly(om))
+        # the diagonal is positive, so a row's off-diagonal in-degree is one less;
+        # a dense graph is counted, never tabled
+        k_max = int(np.count_nonzero(om[1:], axis=1).max(initial=1)) - 1
+        object.__setattr__(self, "omega", om)
+        object.__setattr__(
+            self, "_edges", _in_edge_table(om) if EDGE_TABLE_FACTOR * k_max <= om.shape[0] else None
+        )
 
     @property
     def node_count(self) -> int:
@@ -130,13 +200,17 @@ def normalize_adjacency(g: WeightedDigraph) -> NormalizedAdjacency:
 
     Row i is divided by 1 + (sum of the in-edge weights of node i), and the
     freed mass is placed on the diagonal, so every row sums to exactly 1 and
-    the diagonal stays strictly positive.  Total for any nonnegative weights.
+    the diagonal stays strictly positive.  Raises ValueError when the in-edge
+    weights of a node, each finite, sum past the float range.
     """
     w = g.weights
-    row = w.sum(axis=1)
+    with np.errstate(over="ignore"):
+        row = w.sum(axis=1)
+    if not np.isfinite(row).all():
+        raise ValueError("the in-edge weights of a node must have a finite sum")
     omega = w / (1.0 + row)[:, None]
     np.fill_diagonal(omega, 1.0 / (1.0 + row))
-    return NormalizedAdjacency(omega)
+    return NormalizedAdjacency._of_fresh(omega)
 
 
 def union_digraph(graphs: Sequence[WeightedDigraph]) -> WeightedDigraph:

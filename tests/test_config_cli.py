@@ -146,6 +146,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"leader\.S\[0\]\[1\]"):
             config_to_scenario(doc)
 
+    @pytest.mark.parametrize("bad", [True, False, "1", None, [1.0], {"x": 1}])
+    def test_first_non_numeric_graph_entry_named(self, bad):
+        doc = self.base_doc()
+        doc["graphs"][1][2][3] = bad
+        doc["graphs"][1][4][0] = "later"
+        with pytest.raises(ConfigError) as exc_info:
+            config_to_scenario(doc)
+        assert str(exc_info.value) == "graphs[1][2][3]: expected a number"
+
     def test_boolean_rejected_as_number(self):
         doc = self.base_doc()
         doc["run"]["regulator_tol"] = True

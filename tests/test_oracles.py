@@ -195,6 +195,15 @@ def test_error_form_step_matches_the_kron_reference_bitwise(seed, adaptive):
         v = leader.advance(v)
 
 
+class UnreadableTable(tuple):
+    """An edge table that fails the test wherever it is read."""
+
+    def refuse(self, *args):
+        raise AssertionError("an oracle read the edge table of the observer path")
+
+    __iter__ = __getitem__ = __bool__ = refuse
+
+
 def test_oracles_never_run_on_the_observer_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle ran on the observer path it checks")
@@ -205,9 +214,13 @@ def test_oracles_never_run_on_the_observer_path(monkeypatch):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("coopreg") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, refuse)
+    # every adjacency built from here on selects a table, and none may be read
+    monkeypatch.setattr(topology, "EDGE_TABLE_FACTOR", 0)
+    monkeypatch.setattr(topology, "_in_edge_table", lambda omega: UnreadableTable())
 
     rng = np.random.default_rng(3)
     topo = random_topology(rng)
+    assert type(topo.adjacency_at(0)._edges) is UnreadableTable
     leader = random_leader(rng)
     n, q = topo.n_followers, leader.q
     bank = observers.ObserverBank(eta=rng.normal(size=(n, q)))

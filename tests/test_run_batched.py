@@ -1,6 +1,6 @@
-"""The batched ``run`` against a per-follower reference loop, the Omega x - x
-neighbour mix against its difference-tensor definition, and the trajectory
-CSV against a per-float writer."""
+"""The batched ``run`` against a per-follower reference loop, the neighbour
+mix (Omega x - x or the edge-table gather) against its difference-tensor
+definition, and the trajectory CSV against a per-float writer."""
 
 import csv
 import dataclasses
@@ -11,6 +11,7 @@ import pytest
 
 import coopreg.observers
 from coopreg.observers import LeaderModel, ObserverBank, _neighbor_mix, observer_step
+from coopreg.properties import bank_vs_error_form, random_leader
 from coopreg.regulation import ControllerGains, PlantModel, control_input, plant_step
 from coopreg.scenarios import formation_scenario
 from coopreg.simkit import (
@@ -24,7 +25,14 @@ from coopreg.simkit import (
     run,
     write_trajectory_csv,
 )
-from coopreg.topology import DimensionError, SwitchingSignal, SwitchingTopology, WeightedDigraph
+from coopreg.topology import (
+    DimensionError,
+    NormalizedAdjacency,
+    SwitchingSignal,
+    SwitchingTopology,
+    WeightedDigraph,
+    normalize_adjacency,
+)
 
 TOL = 1e-10
 
@@ -153,18 +161,104 @@ def difference_tensor_mix(omega, values):
     return (w * diff).sum(axis=1)[1:]
 
 
-@pytest.mark.parametrize("n_followers", [1, 4, 33])
+# edge densities of the sizes that select the edge table; the others draw 0.4
+SPARSE_DENSITY = {150: 0.005, 600: 0.01}
+
+
+@pytest.mark.parametrize("n_followers", [1, 4, 33, 150, 600])
 @pytest.mark.parametrize("shape", [(3,), (3, 3)])
 def test_neighbor_mix_matches_difference_tensor(n_followers, shape):
     rng = np.random.default_rng(n_followers)
     n1 = n_followers + 1
-    omega = rng.random((n1, n1)) * (rng.random((n1, n1)) < 0.4)
+    density = SPARSE_DENSITY.get(n_followers, 0.4)
+    omega = rng.random((n1, n1)) * (rng.random((n1, n1)) < density)
     omega[np.diag_indices(n1)] += 0.1
     omega /= omega.sum(axis=1, keepdims=True)
+    adj = NormalizedAdjacency(omega)
+    if n_followers in SPARSE_DENSITY:
+        assert adj._edges is not None
     values = rng.normal(size=(n1,) + shape)
-    got = _neighbor_mix(omega, values)
+    got = _neighbor_mix(adj, values)
     assert got.shape == (n_followers,) + shape
     assert np.abs(got - difference_tensor_mix(omega, values)).max() <= 1e-13
+
+
+# N = 79 followers, so an edge table of up to 2 columns is selected
+EDGE_CASES = {
+    "no edges": [],
+    "leader-only rows": [(0, i) for i in range(1, 80)],
+    "rows without in-edges": [(0, 1), (1, 2), (0, 2), (2, 7), (78, 79)],
+    "one row with two in-edges": [(0, 5), (5, 6), (3, 6), (6, 79)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+@pytest.mark.parametrize("shape", [(3,), (3, 3)])
+def test_edge_table_mix_covers_degenerate_rows(case, shape):
+    adj = normalize_adjacency(WeightedDigraph.from_edges(80, EDGE_CASES[case], weight=1.5))
+    assert adj._edges is not None
+    values = np.random.default_rng(5).normal(size=(80,) + shape)
+    got = _neighbor_mix(adj, values)
+    assert got.shape == (79,) + shape
+    assert np.abs(got - difference_tensor_mix(adj.omega, values)).max() <= 1e-13
+    # a row without in-edges mixes to exactly zero
+    silent = [i - 1 for i in range(1, 80) if not any(r == i for _, r in EDGE_CASES[case])]
+    assert not got[silent].any()
+
+
+def sparse_topology(n_followers: int, n_modes: int, seed: int) -> SwitchingTopology:
+    """A spanning tree rooted at the leader split across the modes, plus a
+    leader link for every fifth follower, cycled with dwell 2."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n_modes, n_followers + 1, n_followers + 1))
+    for i in range(1, n_followers + 1):
+        w[rng.integers(0, n_modes), i, rng.integers(0, i)] = rng.uniform(0.5, 1.5)
+        if i % 5 == 0:
+            w[rng.integers(0, n_modes), i, 0] = rng.uniform(0.5, 1.5)
+    return SwitchingTopology(
+        graphs=tuple(WeightedDigraph(m) for m in w),
+        signal=SwitchingSignal.periodic([(m, 2) for m in range(1, n_modes + 1)]),
+    )
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_edge_table_bank_matches_the_dense_error_form(mode):
+    topo = sparse_topology(150, n_modes=3, seed=11)
+    assert all(topo.adjacency_of_mode(m)._edges is not None for m in (1, 2, 3))
+    rng = np.random.default_rng(12)
+    leader = random_leader(rng, q=3)
+    s_est = leader.S + rng.uniform(-0.3, 0.3, size=(150, 3, 3)) if mode == "adaptive" else None
+    bank = ObserverBank(eta=rng.normal(size=(150, 3)), s_est=s_est)
+    assert bank_vs_error_form(topo, leader, bank, horizon=40) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_run_on_an_edge_table_topology_is_byte_identical(mode):
+    n = 64
+    topo = sparse_topology(n, n_modes=4, seed=2)
+    assert all(topo.adjacency_of_mode(m)._edges is not None for m in (1, 2, 3, 4))
+    rng = np.random.default_rng(4)
+    S = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    scenario = Scenario(
+        name=f"sparse-{mode}",
+        leader=LeaderModel(S=S, v0=np.array([0.5, -1.0, 0.2, 0.1])),
+        topology=topo,
+        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4))
+                        for _ in range(n)),
+        observer_mode=mode,
+        eta0=tuple(rng.normal(size=4) for _ in range(n)),
+        horizon=300,
+    )
+    gains = prepare(scenario).gains
+    first, second = run(scenario, gains), run(scenario, gains)
+    for key in ("v", "eta", "s_est", "eta_tilde_norm", "s_tilde_norm", "e_norms"):
+        a, b = getattr(first, key), getattr(second, key)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), key
+    for key in ("x", "u", "e"):
+        for a, b in zip(getattr(first, key), getattr(second, key)):
+            assert a.tobytes() == b.tobytes(), key
+    # the table carried the leader's state out to the whole tree
+    assert first.eta_tilde_norm[-1] < 1e-6 and first.e_norms[-1].max() < 1e-6
 
 
 def reshaped(gains: ControllerGains, K_x=None, K_v=None) -> ControllerGains:

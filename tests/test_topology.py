@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from coopreg.observers import fit_decay
 from coopreg.scenarios import FIG2_EDGE_SETS, fig2_topology
 from coopreg.topology import (
+    EDGE_TABLE_FACTOR,
     DimensionError,
+    NormalizedAdjacency,
     SwitchingSignal,
     SwitchingTopology,
     WeightedDigraph,
+    _in_edge_table,
     consensus_step,
     find_connectivity_window,
     is_jointly_connected,
@@ -89,17 +92,8 @@ class TestNormalizeAdjacency:
                 lam[0, 0] = 0.0
 
     def test_topology_keeps_one_dense_array_per_mode(self):
-        # four sparse spanning trees over N=512 followers: follower i reads
-        # one random node in [0, i)
         n = 512
-        rng = np.random.default_rng(0)
-        graphs = tuple(
-            WeightedDigraph.from_edges(
-                n + 1, [(int(rng.integers(0, i)), i) for i in range(1, n + 1)]
-            )
-            for _ in range(4)
-        )
-        signal = SwitchingSignal.periodic([(m, 2) for m in range(1, 5)])
+        graphs, signal = sparse_trees(n)
         tracemalloc.start()
         try:
             topo = SwitchingTopology(graphs=graphs, signal=signal)
@@ -110,6 +104,31 @@ class TestNormalizeAdjacency:
         # omega per mode, and nothing else of that size
         assert kept <= 1.1 * topo.n_modes * dense
 
+    @pytest.mark.parametrize("shape", ["sparse", "complete"])
+    def test_normalizing_holds_no_second_dense_array(self, shape):
+        n = 512
+        graphs, signal = sparse_trees(n)
+        if shape == "complete":
+            graphs = (complete_graph(n),) * 4
+        tracemalloc.start()
+        try:
+            topo = SwitchingTopology(graphs=graphs, signal=signal)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the fresh omega is adopted, not copied, and a dense mode builds no
+        # edge table: the transients of a mode stay well below one more
+        # (N+1) x (N+1) array
+        dense = (n + 1) ** 2 * np.dtype(float).itemsize
+        assert topo.n_modes == 4 and peak - kept <= 0.5 * dense
+
+    def test_constructor_copies_a_caller_array(self):
+        omega = np.array([[1.0, 0.0], [0.5, 0.5]])
+        adj = NormalizedAdjacency(omega)
+        omega[1] = [0.0, 1.0]
+        assert not np.shares_memory(adj.omega, omega)
+        assert adj.omega[1, 0] == 0.5 and not adj.omega.flags.writeable
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             WeightedDigraph(np.array([[0.0, -1.0], [0.0, 0.0]]))
@@ -117,6 +136,82 @@ class TestNormalizeAdjacency:
             WeightedDigraph(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DimensionError):
             WeightedDigraph(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        w = np.zeros((3, 3))
+        w[2, 1] = bad
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            WeightedDigraph(w)
+
+    def test_rejects_weights_whose_sum_overflows(self):
+        w = np.zeros((3, 3))
+        w[2, :2] = 1e308
+        with pytest.raises(ValueError, match="finite sum"):
+            normalize_adjacency(WeightedDigraph(w))
+
+    def test_rejects_non_square_omega(self):
+        with pytest.raises(DimensionError, match="square"):
+            NormalizedAdjacency(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_omega(self, bad):
+        omega = np.eye(3)
+        omega[1] = bad
+        with pytest.raises(ValueError, match="omega entries must be finite"):
+            NormalizedAdjacency(omega)
+
+
+def sparse_trees(n: int, n_modes: int = 4, seed: int = 0):
+    """``n_modes`` sparse spanning trees over ``n`` followers, in which
+    follower i reads one random node in [0, i), cycled with dwell 2."""
+    rng = np.random.default_rng(seed)
+    graphs = tuple(
+        WeightedDigraph.from_edges(n + 1, [(int(rng.integers(0, i)), i) for i in range(1, n + 1)])
+        for _ in range(n_modes)
+    )
+    return graphs, SwitchingSignal.periodic([(m, 2) for m in range(1, n_modes + 1)])
+
+
+def complete_graph(n: int) -> WeightedDigraph:
+    return WeightedDigraph(np.ones((n + 1, n + 1)) - np.eye(n + 1))
+
+
+def in_degree_graph(n: int, k: int) -> WeightedDigraph:
+    """Follower i reads the k nodes before it (fewer near the leader)."""
+    return WeightedDigraph.from_edges(
+        n + 1, [(j, i) for i in range(1, n + 1) for j in range(max(0, i - k), i)], weight=0.7
+    )
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("graph, table", [
+        (WeightedDigraph.from_edges(5, FIG2_EDGE_SETS[0]), False),  # formation size
+        (complete_graph(512), False),
+        (in_degree_graph(62, 2), False),  # 32 * 2 > 63 nodes
+        (in_degree_graph(63, 2), True),   # 32 * 2 <= 64 nodes
+        (sparse_trees(512)[0][0], True),
+        (WeightedDigraph(np.zeros((5, 5))), True),  # no edges: an empty table
+    ])
+    def test_form_follows_the_graph_shape(self, graph, table):
+        assert EDGE_TABLE_FACTOR == 32
+        adj = normalize_adjacency(graph)
+        assert (adj._edges is not None) == table
+
+    @pytest.mark.parametrize("graph", [sparse_trees(64)[0][1], in_degree_graph(80, 3),
+                                       WeightedDigraph.from_edges(40, [(0, 3), (7, 3), (2, 9)])])
+    def test_table_holds_omega_in_edges_bit_for_bit(self, graph):
+        om, n = normalize_adjacency(graph).omega, graph.n_followers
+        edges = _in_edge_table(om)
+        assert len(edges) == max(np.count_nonzero(om[i]) - 1 for i in range(1, n + 1))
+        rebuilt = np.diag(np.diag(om))
+        for src, weight in edges:
+            assert src.shape == (n,) and weight.shape == (n, 1)
+            pad = weight[:, 0] == 0
+            assert np.array_equal(src[pad], np.arange(1, n + 1)[pad])
+            rebuilt[np.arange(1, n + 1)[~pad], src[~pad]] += weight[~pad, 0]
+        rebuilt[0] = om[0]
+        assert rebuilt.tobytes() == om.tobytes()
 
 
 class TestUnionDigraph:
@@ -133,6 +228,20 @@ class TestUnionDigraph:
         a = WeightedDigraph.from_edges(3, [(0, 1)], weight=2.0)
         b = WeightedDigraph.from_edges(3, [(0, 1)], weight=3.0)
         assert union_digraph([a, b]).weights[1, 0] == 3.0
+
+    def test_union_of_huge_weights_is_still_checked_for_connectivity(self):
+        # each mode's row 2 sums to 1e308; the union's to inf, which only a
+        # normalization would refuse
+        graphs = []
+        for j in (0, 1):
+            w = np.zeros((3, 3))
+            w[1, 0] = 1.0
+            w[2, j] = 1e308
+            graphs.append(WeightedDigraph(w))
+        topo = SwitchingTopology(graphs=tuple(graphs),
+                                 signal=SwitchingSignal.periodic([(1, 1), (2, 1)]))
+        assert union_digraph(graphs).edges == [(0, 1), (0, 2), (1, 2)]
+        assert is_jointly_connected(topo, 1).connected
 
     def test_bundled_union_reaches_all_followers(self):
         union = union_digraph([WeightedDigraph.from_edges(5, e) for e in FIG2_EDGE_SETS])
