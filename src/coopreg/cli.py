@@ -29,6 +29,7 @@ from .properties import SUITES, run_suite
 from .regulation import GainSynthesisError, RegulatorUnsolvableError
 from .scenarios import BUILTIN_SUMMARIES, BUILTINS, build_builtin
 from .simkit import (
+    FEEDFORWARD,
     OverflowAbort,
     Scenario,
     analyze,
@@ -149,6 +150,7 @@ def cmd_run(args) -> int:
             "toolkit_version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "scenario": scenario.name,
+            "feedforward": FEEDFORWARD,
             "outputs": {
                 "trajectory_csv": str(csv_path),
                 "report_json": str(report_path),

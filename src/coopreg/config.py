@@ -270,10 +270,12 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if "thresholds" in run_obj:
         tobj = run_obj["thresholds"]
         _require_keys(tobj, set(), {"final", "rate"}, "run.thresholds")
-        thresholds = Thresholds(
-            final=_number(tobj.get("final", 1e-6), "run.thresholds.final"),
-            rate=_number(tobj.get("rate", 0.999), "run.thresholds.rate"),
-        )
+        final = _number(tobj.get("final", 1e-6), "run.thresholds.final")
+        rate = _number(tobj.get("rate", 0.999), "run.thresholds.rate")
+        try:
+            thresholds = Thresholds(final=final, rate=rate)
+        except ValueError as exc:
+            raise ConfigError(f"run.{exc}") from exc
     regulator_tol = _number(run_obj.get("regulator_tol", 1e-9), "run.regulator_tol")
 
     try:

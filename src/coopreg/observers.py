@@ -375,6 +375,55 @@ class DecayFit:
         return self.floored or (not math.isnan(self.rate) and self.rate < 1.0)
 
 
+def _fit_columns(
+    values: np.ndarray,
+    floors: np.ndarray | float,
+    tail_fraction: float = 0.6,
+) -> list[DecayFit]:
+    """Geometric fits of every column of a (T, k) stack of series at once.
+
+    Column j drops its samples at or below ``floors[j]`` (a scalar floor
+    applies to every column) and fits a line through (t, ln value) over the
+    last max(ceil(tail_fraction * kept), 2) kept samples, found with a
+    reversed cumulative count of the kept samples.  The slope and intercept
+    are the closed-form centred least-squares ones, computed for all
+    columns in the same array operations; each column is a row of the
+    transposed stack and is reduced on its own, so its fit does not depend
+    on the other columns.  A column with no kept sample is ``floored``; one
+    with a single kept sample gets NaN rate, prefactor and residual.
+    """
+    v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # one series per row
+    keep = v > np.reshape(floors, (-1, 1))
+    count = keep.sum(axis=1)
+    want = np.maximum(np.ceil(tail_fraction * count), 2)
+    kept_from = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1]  # kept samples at or after t
+    sel = keep & (kept_from <= want[:, None])
+    n = sel.sum(axis=1)
+    lines = n >= 2
+    sel, v, m = sel[lines], v[lines], n[lines]
+    t = np.arange(v.shape[1], dtype=float)
+    y = np.log(np.where(sel, v, 1.0))  # ln v on the tail, 0 elsewhere
+    t_mean = (sel * t).sum(axis=1) / m
+    y_mean = y.sum(axis=1) / m
+    dt = np.where(sel, t - t_mean[:, None], 0.0)
+    with np.errstate(invalid="ignore"):  # an inf sample gives a NaN fit, without a warning
+        dy = np.where(sel, y - y_mean[:, None], 0.0)
+    slope = (dt * dy).sum(axis=1) / (dt * dt).sum(axis=1)
+    resid = dy - slope[:, None] * dt
+    rms = np.sqrt((resid * resid).sum(axis=1) / m)
+    span = (y.max(axis=1, where=sel, initial=-np.inf)
+            - y.min(axis=1, where=sel, initial=np.inf))
+    fits = np.full((3, n.shape[0]), np.nan)
+    fits[:, lines] = np.exp(slope), np.exp(y_mean - slope * t_mean), rms / np.maximum(span, 1.0)
+    fits[:, count == 0] = 0.0
+    return [
+        DecayFit(rate=rate, prefactor=prefactor, residual=residual,
+                 n_samples=samples, floored=kept == 0)
+        for rate, prefactor, residual, samples, kept
+        in zip(*fits.tolist(), n.tolist(), count.tolist())
+    ]
+
+
 def fit_decay(
     values: np.ndarray,
     tail_fraction: float = 0.6,
@@ -385,30 +434,7 @@ def fit_decay(
     Samples at or below ``floor`` are discarded (they sit in floating-point
     noise), then a least-squares line is fit through (t, ln value) over the
     last ``tail_fraction`` of the surviving samples, skipping the early
-    transient.
+    transient.  This is the one-column case of ``_fit_columns``, the fit
+    that ``simkit.analyze`` runs on all its series at once.
     """
-    values = np.asarray(values, dtype=float)
-    t = np.arange(values.shape[0])
-    keep = values > floor
-    if not keep.any():
-        return DecayFit(rate=0.0, prefactor=0.0, residual=0.0, n_samples=0, floored=True)
-    t, v = t[keep], values[keep]
-    k = max(int(math.ceil(tail_fraction * len(v))), 2)
-    t, v = t[-k:], np.log(v[-k:])
-    if len(v) < 2 or t[-1] == t[0]:
-        return DecayFit(
-            rate=math.nan, prefactor=math.nan, residual=math.nan,
-            n_samples=len(v), floored=False,
-        )
-    design = np.vstack([t, np.ones_like(t, dtype=float)]).T
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    resid = v - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    span = float(v.max() - v.min())
-    return DecayFit(
-        rate=float(np.exp(coef[0])),
-        prefactor=float(np.exp(coef[1])),
-        residual=rms / max(span, 1.0),
-        n_samples=len(v),
-        floored=False,
-    )
+    return _fit_columns(np.asarray(values, dtype=float)[:, None], floor, tail_fraction)[0]

@@ -44,7 +44,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .observers import DecayFit, LeaderModel, ObserverBank, _observer_update, fit_decay
+from .observers import DecayFit, LeaderModel, ObserverBank, _fit_columns, _observer_update
 from .regulation import (
     ControllerGains,
     GainSynthesisError,
@@ -58,6 +58,10 @@ from .regulation import (
 from .topology import DimensionError, SwitchingTopology, is_jointly_connected, _readonly
 
 OVERFLOW_LIMIT = 1e12
+# where the feedforward gain K_v = U - K_x X comes from in both observer
+# modes: regulator equations solved with the true leader matrix S, which the
+# adaptive observer itself never reads
+FEEDFORWARD = "leader_S"
 
 
 class OverflowAbort(RuntimeError):
@@ -109,10 +113,21 @@ class AssumptionChecks:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Convergence pass criteria: final value and fitted rate bounds."""
+    """Convergence pass criteria: final value and fitted rate bounds.
+
+    ``final`` must be > 0 and ``rate`` in (0, 1]: a rate bound above 1
+    passes a growing series, and a bound at or below 0 fails every series.
+    """
 
     final: float = 1e-6
     rate: float = 0.999
+
+    def __post_init__(self):
+        # inverted tests, so that NaN is refused as well
+        if not self.final > 0:
+            raise ValueError(f"thresholds.final must be > 0, got {self.final}")
+        if not 0 < self.rate <= 1:
+            raise ValueError(f"thresholds.rate must be in (0, 1], got {self.rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,16 +533,12 @@ class ConvergenceReport:
         return all(s.converged for s in self.series)
 
 
-def _judge(name: str, values: np.ndarray, thresholds: Thresholds) -> SeriesReport:
-    # fp noise in an error series scales with the magnitudes it was computed
-    # from, so lift the fitting floor accordingly for large-amplitude runs
-    final = float(values[-1])
-    if not np.isfinite(values).all():
-        # fit_decay would drop NaN samples as floored and an inf would lift the floor
+def _judge(name: str, final: float, fit: DecayFit | None,
+           thresholds: Thresholds) -> SeriesReport:
+    """Verdict on one series from its fit; ``fit`` is None for a non-finite series."""
+    if fit is None:
         no_fit = DecayFit(math.nan, math.nan, math.nan, n_samples=0, floored=False)
         return SeriesReport(name, final, no_fit, False, "non-finite values")
-    floor = max(1e-13, 1e-12 * float(np.max(values, initial=0.0)))
-    fit = fit_decay(values, floor=floor)
     if fit.floored:
         return SeriesReport(name, final, fit, True, "converged (floor)")
     if math.isnan(fit.rate):
@@ -543,15 +554,33 @@ def analyze(
     thresholds: Thresholds = Thresholds(),
     checks: Sequence[CheckResult] = (),
 ) -> ConvergenceReport:
-    """Fit geometric rates on every error series and compare with thresholds."""
-    series = [_judge("eta_tilde_norm", log.eta_tilde_norm, thresholds)]
+    """Fit geometric rates on every error series and compare with thresholds.
+
+    The series eta_tilde_norm, s_tilde_norm (adaptive only) and e_norm_1..N
+    are the columns of one (T+1, k) stack, fitted by a single batched
+    least-squares pass (``fit_decay`` is its one-column case).  A column
+    holding NaN or +-inf is reported as "non-finite values" without a fit
+    and is left out of the batch: a NaN sample would be dropped as floored
+    and an inf would lift the floor.
+    """
+    names = ["eta_tilde_norm"]
+    columns = [log.eta_tilde_norm]
     if log.s_tilde_norm is not None:
-        series.append(_judge("s_tilde_norm", log.s_tilde_norm, thresholds))
-    for i in range(log.n_followers):
-        series.append(_judge(f"e_norm_{i + 1}", log.e_norms[:, i], thresholds))
-    return ConvergenceReport(
-        series=tuple(series), thresholds=thresholds, checks=tuple(checks)
+        names.append("s_tilde_norm")
+        columns.append(log.s_tilde_norm)
+    names += [f"e_norm_{i + 1}" for i in range(log.n_followers)]
+    values = np.column_stack(columns + [log.e_norms])
+    finite = np.isfinite(values).all(axis=0)
+    fitted = values[:, finite]
+    # fp noise in an error series scales with the magnitudes it was computed
+    # from, so lift each fitting floor accordingly for large-amplitude runs
+    floors = np.maximum(1e-13, 1e-12 * fitted.max(axis=0, initial=0.0))
+    fits = iter(_fit_columns(fitted, floors))
+    series = tuple(
+        _judge(name, final, next(fits) if ok else None, thresholds)
+        for name, final, ok in zip(names, values[-1].tolist(), finite.tolist())
     )
+    return ConvergenceReport(series=series, thresholds=thresholds, checks=tuple(checks))
 
 
 def csv_columns(log: TrajectoryLog) -> list[str]:
@@ -617,6 +646,7 @@ def report_to_dict(report: ConvergenceReport, scenario_name: str = "",
     return {
         "scenario": scenario_name,
         "observer_mode": observer_mode,
+        "feedforward": FEEDFORWARD,
         "horizon": horizon,
         "thresholds": {"final": report.thresholds.final, "rate": report.thresholds.rate},
         "checks": [

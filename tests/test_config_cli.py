@@ -167,6 +167,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="horizon"):
             config_to_scenario(doc)
 
+    @pytest.mark.parametrize("key, value", [("final", -1), ("final", 0), ("rate", 5.0),
+                                            ("rate", -0.5), ("rate", 0)])
+    def test_threshold_out_of_range_exits_2(self, key, value, tmp_path, capsys):
+        # a rate bound above 1 passes a growing series; a bound <= 0 fails every series
+        doc = self.base_doc()
+        doc["run"]["thresholds"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"run.thresholds.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_eta0_count_rejected(self):
         doc = self.base_doc()
         doc["observer"]["eta0"] = [[0.0, 0.0, 0.0, 0.0]]  # one vector, four followers
@@ -235,6 +247,13 @@ class TestCliRun:
         for entry in report["series"]:
             assert set(entry) == expected
         assert {"name", "passed", "detail"} == set(report["checks"][0])
+
+    @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+    def test_feedforward_source_named(self, mode, tmp_path):
+        out_dir = tmp_path / "out"
+        main(["run", "--builtin", "single-follower", "--mode", mode, "--out", str(out_dir)])
+        for name in ("report.json", "manifest.json"):
+            assert json.loads((out_dir / name).read_text())["feedforward"] == "leader_S"
 
     def test_adaptive_mode(self, tmp_path):
         code = main(

@@ -1,25 +1,41 @@
 """The batched ``run`` against a per-follower reference loop, the neighbour
 mix (Omega x - x or the edge-table gather) against its difference-tensor
-definition, and the trajectory CSV against a per-float writer."""
+definition, the trajectory CSV against a per-float writer, and the batched
+decay fits of ``analyze`` against a per-series ``lstsq`` fit."""
 
 import csv
 import dataclasses
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopreg.observers
-from coopreg.observers import LeaderModel, ObserverBank, _neighbor_mix, observer_step
+import coopreg.simkit
+from coopreg.observers import (
+    DecayFit,
+    LeaderModel,
+    ObserverBank,
+    _fit_columns,
+    _neighbor_mix,
+    fit_decay,
+    observer_step,
+)
 from coopreg.properties import bank_vs_error_form, random_leader
 from coopreg.regulation import ControllerGains, PlantModel, control_input, plant_step
-from coopreg.scenarios import formation_scenario
+from coopreg.scenarios import BUILTINS, build_builtin, formation_scenario
 from coopreg.simkit import (
     AssumptionChecks,
     FollowerSpec,
     GainDirective,
     OverflowAbort,
     Scenario,
+    Thresholds,
+    analyze,
     csv_columns,
     prepare,
     run,
@@ -366,3 +382,180 @@ def test_csv_matches_per_float_writer(build):
     write_trajectory_csv(log, got)
     per_float_csv(log, want)
     assert got.getvalue() == want.getvalue()
+
+
+def lstsq_fit_decay(values, tail_fraction=0.6, floor=1e-13) -> DecayFit:
+    """The per-series ``np.linalg.lstsq`` fit that the batched one replaced (the oracle)."""
+    values = np.asarray(values, dtype=float)
+    t = np.arange(values.shape[0])
+    keep = values > floor
+    if not keep.any():
+        return DecayFit(rate=0.0, prefactor=0.0, residual=0.0, n_samples=0, floored=True)
+    t, v = t[keep], values[keep]
+    k = max(int(math.ceil(tail_fraction * len(v))), 2)
+    t, v = t[-k:], np.log(v[-k:])
+    if len(v) < 2 or t[-1] == t[0]:
+        return DecayFit(
+            rate=math.nan, prefactor=math.nan, residual=math.nan,
+            n_samples=len(v), floored=False,
+        )
+    design = np.vstack([t, np.ones_like(t, dtype=float)]).T
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    resid = v - design @ coef
+    rms = float(np.sqrt(np.mean(resid**2)))
+    span = float(v.max() - v.min())
+    return DecayFit(
+        rate=float(np.exp(coef[0])),
+        prefactor=float(np.exp(coef[1])),
+        residual=rms / max(span, 1.0),
+        n_samples=len(v),
+        floored=False,
+    )
+
+
+def per_series_analyze(log, thresholds=Thresholds()) -> list[tuple]:
+    """(name, final, fit, converged, note) of every series, judged one series
+    at a time with the lstsq fit, as ``analyze`` did before it batched the fits."""
+    columns = [("eta_tilde_norm", log.eta_tilde_norm)]
+    if log.s_tilde_norm is not None:
+        columns.append(("s_tilde_norm", log.s_tilde_norm))
+    columns += [(f"e_norm_{i + 1}", log.e_norms[:, i]) for i in range(log.n_followers)]
+    out = []
+    for name, values in columns:
+        final = float(values[-1])
+        if not np.isfinite(values).all():
+            no_fit = DecayFit(math.nan, math.nan, math.nan, n_samples=0, floored=False)
+            out.append((name, final, no_fit, False, "non-finite values"))
+            continue
+        fit = lstsq_fit_decay(values, floor=max(1e-13, 1e-12 * float(np.max(values, initial=0.0))))
+        if fit.floored:
+            out.append((name, final, fit, True, "converged (floor)"))
+        elif math.isnan(fit.rate):
+            out.append((name, final, fit, final < thresholds.final,
+                        "insufficient samples for a rate fit"))
+        else:
+            converged = fit.rate < thresholds.rate and final < thresholds.final
+            out.append((name, final, fit, converged,
+                        "converged" if converged else "not converged"))
+    return out
+
+
+def assert_fit_close(got: DecayFit, want: DecayFit) -> None:
+    assert (got.n_samples, got.floored) == (want.n_samples, want.floored)
+    for key in ("rate", "prefactor"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, rel=1e-12, abs=0), key
+    a, b = got.residual, want.residual
+    assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12
+
+
+def column(kind: str, steps: int, rng: np.random.Generator) -> np.ndarray:
+    t = np.arange(steps)
+    scale, rate = rng.uniform(0.1, 100.0), rng.uniform(0.3, 1.2)
+    if kind == "geometric":  # with a bounded multiplicative ripple
+        return scale * rate**t * np.exp(rng.uniform(-0.2, 0.2, steps))
+    if kind == "plateau":  # decays into a floating-point noise plateau
+        return np.maximum(scale * rng.uniform(0.3, 0.9)**t, rng.uniform(1e-16, 1e-12, steps))
+    if kind == "constant":
+        return np.full(steps, scale)
+    if kind == "zero":
+        return np.zeros(steps)
+    values = np.zeros(steps)  # one survivor
+    values[rng.integers(steps)] = scale
+    return values
+
+
+KINDS = ("geometric", "plateau", "constant", "zero", "survivor")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=8),
+       steps=st.one_of(st.just(1), st.integers(2, 150)),
+       tail_fraction=st.sampled_from([0.6, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_columns_matches_the_lstsq_fit(kinds, steps, tail_fraction, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.column_stack([column(kind, steps, rng) for kind in kinds])
+    floors = np.maximum(1e-13, 1e-12 * stack.max(axis=0))
+    fits = _fit_columns(stack, floors, tail_fraction)
+    assert len(fits) == len(kinds)
+    for j, fit in enumerate(fits):
+        assert_fit_close(fit, lstsq_fit_decay(stack[:, j], tail_fraction, floors[j]))
+
+
+def test_fit_decay_on_an_inf_sample_is_a_nan_fit_as_with_lstsq():
+    series = np.array([1.0, 0.5, np.inf, 0.1])
+    assert_fit_close(fit_decay(series), lstsq_fit_decay(series))
+    assert math.isnan(fit_decay(series).rate)
+
+
+def sparse_scenario(mode: str, n: int = 150, horizon: int = 200) -> Scenario:
+    rng = np.random.default_rng(8)
+    return Scenario(
+        name=f"sparse-{mode}",
+        leader=LeaderModel(S=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+                           v0=np.array([0.5, -1.0, 0.2, 0.1])),
+        topology=sparse_topology(n, n_modes=3, seed=9),
+        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4))
+                        for _ in range(n)),
+        observer_mode=mode,
+        eta0=tuple(rng.normal(size=4) for _ in range(n)),
+        horizon=horizon,
+    )
+
+
+ANALYZED = [(name, mode, None) for name in sorted(BUILTINS)
+            for mode in ("distributed", "adaptive")]
+ANALYZED += [("formation-sec5", "adaptive", 0), ("single-follower", "distributed", 1)]
+
+
+@pytest.mark.parametrize("name, mode, horizon", ANALYZED)
+def test_analyze_verdicts_match_the_per_series_fit(name, mode, horizon):
+    log = run(build_builtin(name, horizon=horizon, observer_mode=mode))
+    got = analyze(log).series
+    want = per_series_analyze(log)
+    assert [s.name for s in got] == [w[0] for w in want]
+    for s, (_, final, fit, converged, note) in zip(got, want):
+        assert (s.final, s.converged, s.note) == (final, converged, note)
+        assert_fit_close(s.fit, fit)
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_analyze_verdicts_match_the_per_series_fit_on_a_sparse_swarm(mode):
+    scenario = sparse_scenario(mode)
+    log = run(scenario, prepare(scenario).gains)
+    got = analyze(log, scenario.thresholds).series
+    want = per_series_analyze(log, scenario.thresholds)
+    assert len(got) == len(want) == 150 + (2 if mode == "adaptive" else 1)
+    for s, (name, final, fit, converged, note) in zip(got, want):
+        assert (s.name, s.final, s.converged, s.note) == (name, final, converged, note)
+        assert_fit_close(s.fit, fit)
+
+
+def test_non_finite_columns_leave_the_other_fits_bit_identical():
+    log = run(formation_scenario(horizon=120, observer_mode="adaptive"))
+    s_tilde, e_norms = log.s_tilde_norm.copy(), log.e_norms.copy()
+    s_tilde[40] = np.nan
+    e_norms[-1, 2] = np.inf
+    clean = analyze(log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(dataclasses.replace(log, s_tilde_norm=s_tilde, e_norms=e_norms))
+    assert [s.name for s in report.series] == [s.name for s in clean.series]
+    for got, want in zip(report.series, clean.series):
+        if got.name in ("s_tilde_norm", "e_norm_3"):
+            assert (got.converged, got.note, got.fit.n_samples) == (False, "non-finite values", 0)
+            assert math.isnan(got.fit.rate)
+        else:
+            assert got == want
+
+
+def test_analyze_fits_every_series_in_one_call(monkeypatch):
+    log = run(formation_scenario(horizon=80, observer_mode="adaptive"))
+    calls = []
+    batched = coopreg.simkit._fit_columns
+    monkeypatch.setattr(coopreg.simkit, "_fit_columns",
+                        lambda *args: (calls.append(args), batched(*args))[1])
+    monkeypatch.setattr(np.linalg, "lstsq", None)
+    report = analyze(log)
+    assert len(calls) == 1 and calls[0][0].shape == (81, len(report.series))

@@ -276,6 +276,16 @@ class TestAnalyze:
         # formation decay rate is about 0.81 per step, above this bound
         assert not report.converged
 
+    @pytest.mark.parametrize("final, rate", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
+                                             (1e-6, 0.0), (1e-6, -0.5), (1e-6, 5.0),
+                                             (1e-6, math.nan)])
+    def test_out_of_range_thresholds_refused(self, final, rate):
+        with pytest.raises(ValueError, match="thresholds"):
+            Thresholds(final=final, rate=rate)
+
+    def test_threshold_bounds_are_open_at_zero_and_closed_at_one(self):
+        assert Thresholds(final=1e-300, rate=1.0).rate == 1.0
+
 
 class TestCsvExport:
     def test_columns_and_rows(self):
