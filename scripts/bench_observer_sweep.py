@@ -6,8 +6,11 @@ trees in which follower i reads one random node in [0, i), dwell 2, a
 planar constant-velocity leader with q = 4, double-integrator followers)
 and records, in both observer modes:
 
-- ``_observer_update`` per call and ``run`` per call, each the best of
-  ``--repeats`` timed runs;
+- ``_observer_update`` per call, the plant/control step of one time step
+  (``_control_and_plant_step``: u and x+ of every follower) per call, and
+  ``run`` per call, each the best of ``--repeats`` timed runs;
+- the number of plant classes, which sets how many GEMM groups that step
+  runs;
 - which neighbour-mix form each mode's adjacency selected (edge table or
   dense Omega) and its largest in-degree k_max;
 - the traced peak memory (tracemalloc) of building the scenario and one run.
@@ -51,6 +54,8 @@ from coopreg.simkit import (  # noqa: E402
     AssumptionChecks,
     FollowerSpec,
     Scenario,
+    _control_and_plant_step,
+    _step_groups,
     run,
     synthesize_gains,
 )
@@ -131,6 +136,13 @@ def sweep_entry(n: int, mode: str, horizon: int, repeats: int) -> dict:
     def step():
         _observer_update(LEADER_S, next(cycle), v, bank.eta, bank.s_est)
 
+    groups = _step_groups(sc, gains)
+    x = np.stack([f.x0 for f in sc.followers])
+    u_out, x_out = np.empty((n, sc.followers[0].plant.m)), np.empty_like(x)
+
+    def plant_step():
+        _control_and_plant_step(groups, x, bank.eta, v, u_out, x_out)
+
     return {
         "N": n,
         "mode": mode,
@@ -138,7 +150,9 @@ def sweep_entry(n: int, mode: str, horizon: int, repeats: int) -> dict:
         "horizon": horizon,
         "mix_forms": [{"form": "dense" if a._edges is None else "table",
                        "k_max": len(topology._in_edge_table(a.omega))} for a in adjs],
+        "plant_classes": len(sc._classes),
         "observer_update_us": best_per_call(step, repeats) * 1e6,
+        "plant_step_us": best_per_call(plant_step, repeats) * 1e6,
         "run_ms": best_per_call(lambda: run(sc, gains), repeats, min_seconds=0.1) * 1e3,
         "peak_traced_mb": peak / 1e6,
         "omega_mb_per_mode": adjs[0].omega.nbytes / 1e6,
@@ -212,10 +226,12 @@ def main() -> int:
 
     sweep = [sweep_entry(n, mode, args.horizon, args.repeats)
              for n in args.sizes for mode in MODES]
-    print(f"{'N':>5} {'mode':>11} {'forms':>12} {'update us':>10} {'run ms':>9} {'peak MB':>8}")
+    print(f"{'N':>5} {'mode':>11} {'forms':>12} {'classes':>7} {'update us':>10} "
+          f"{'plant us':>9} {'run ms':>9} {'peak MB':>8}")
     for e in sweep:
         forms = ",".join(sorted({f["form"] for f in e["mix_forms"]}))
-        print(f"{e['N']:>5} {e['mode']:>11} {forms:>12} {e['observer_update_us']:>10.1f} "
+        print(f"{e['N']:>5} {e['mode']:>11} {forms:>12} {e['plant_classes']:>7} "
+              f"{e['observer_update_us']:>10.1f} {e['plant_step_us']:>9.1f} "
               f"{e['run_ms']:>9.2f} {e['peak_traced_mb']:>8.2f}")
     cross = crossover(args.crossover_nodes, args.repeats)
     for c in cross:

@@ -6,27 +6,32 @@ and strictly in this order, (1) the observer bank, (2) the control inputs,
 (3) the plants and the leader, with every right-hand side evaluated on
 time-t values and the time-t graph, so the semantics are synchronous.
 
-Each tick is a fixed number of array operations, however many followers
-there are.  Before the first tick, ``run`` checks the gain shapes once and
-stacks every follower's A..F, K_x and K_v along axis 0 in one stack,
-zero-padded to the largest (n, m, p) of the team; the control law
-u = K_x x + K_v eta and the plant step run as one batched matmul each.
-Padding is exact: the padded rows and columns are zero, so padded states
-stay exactly zero and no real entry changes; the logs hold N max(n) state
-entries per step instead of the sum of the n_i, which costs memory only
-when the team mixes plant dimensions.  The preallocated logs are
-the state: step t reads row t and writes row t + 1, and the observer update
-is the array-level one that the public ``observer_step`` uses after its
-checks, so nothing is validated per tick.  The observer's neighbour mix
-sum_j omega_ij (eta_j - eta_i) reads the active mode's adjacency: a sparse
-one sums over its in-neighbour edge table in O(edges), and a small or dense
-one computes (Omega eta)_i - eta_i, valid because Omega is row-stochastic;
-neither builds an (N+1) x (N+1) difference tensor.
-The regulated outputs and the norm series are computed after the last
-tick, as whole-array expressions.  In distributed mode the closed loop is a
-switched linear system, but no dense closed-loop matrix per mode is built:
-with N followers it has (q + N (q + n))^2 entries, 134 MB at N = 512 and
-n = q = 4, where the batched step needs only the stacked blocks.
+Followers whose plant matrices and gain directive are equal by value form
+one plant class (``Scenario`` finds the classes once, when it is built), and
+share every matrix of their closed loop.  Each tick is a fixed number of
+array operations per class, however many followers there are.  Before the
+first tick, ``run`` splits each class by gain object into step groups and
+checks each group's gain shapes once; per tick, each group computes the
+control law u = x K_x^T + eta K_v^T and the plant step
+x+ = x A^T + u B^T + E v as GEMMs over its rows of the logs (a strided view
+when its members are evenly spaced, an index array otherwise).  The logs
+are zero-padded to the largest (n, m, p) of the team and a group touches
+only its own (n, m, p) columns, so padded entries stay exactly zero; the
+logs hold N max(n) state entries per step instead of the sum of the n_i,
+which costs memory only when the team mixes plant dimensions.  The
+preallocated logs are the state: step t reads row t and writes row t + 1,
+and the observer update is the array-level one that the public
+``observer_step`` uses after its checks, so nothing is validated per tick.
+The observer's neighbour mix sum_j omega_ij (eta_j - eta_i) reads the
+active mode's adjacency: a sparse one sums over its in-neighbour edge table
+in O(edges), and a small or dense one computes (Omega eta)_i - eta_i, valid
+because Omega is row-stochastic; neither builds an (N+1) x (N+1) difference
+tensor.  The regulated outputs, per group, and the norm series are computed
+after the last tick, as whole-array expressions.  In distributed mode the
+closed loop is a switched linear system, but no dense closed-loop matrix per
+mode is built: with N followers it has (q + N (q + n))^2 entries, 134 MB at
+N = 512 and n = q = 4, where the grouped step needs only each class's
+blocks.
 
 Runs are deterministic: identical scenarios produce identical trajectory
 logs, and the CSV export is byte-stable.  A magnitude guard aborts a run as
@@ -40,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,6 +156,10 @@ class Scenario:
 
     An adaptive scenario without ``s0`` starts every follower's estimate of
     the leader matrix at zero; a distributed one must not set ``s0``.
+
+    ``_classes`` holds the plant classes, found once, here: the 0-based
+    indices of followers with equal ``_solve_key``, classes in order of their
+    first member.  ``prepare`` solves and ``run`` steps once per class.
     """
 
     name: str
@@ -164,6 +173,7 @@ class Scenario:
     checks: AssumptionChecks = field(default_factory=AssumptionChecks)
     thresholds: Thresholds = field(default_factory=Thresholds)
     regulator_tol: float = 1e-9
+    _classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.observer_mode not in ("distributed", "adaptive"):
@@ -190,6 +200,10 @@ class Scenario:
                     f"leader has q={q}"
                 )
         object.__setattr__(self, "followers", followers)
+        classes: dict[tuple, list[int]] = {}
+        for i, f in enumerate(followers):
+            classes.setdefault(_solve_key(f), []).append(i)
+        object.__setattr__(self, "_classes", tuple(map(tuple, classes.values())))
         if self.eta0 is not None:
             eta0 = tuple(_readonly(np.asarray(e, dtype=float).reshape(-1)) for e in self.eta0)
             if len(eta0) != len(followers) or any(e.shape[0] != q for e in eta0):
@@ -259,14 +273,15 @@ def _solve_key(f: FollowerSpec) -> tuple:
     """Equal for followers whose plant matrices and gain directive are equal by value."""
     g = f.gain
     arrays = [getattr(f.plant, k) for k in "ABCDEF"] + [g.K_x, g.Q, g.R]
+    # adding +0.0 turns -0.0 into 0.0, so the bytes of equal values are equal
     return (g.method,) + tuple(
-        None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
+        None if a is None else (np.shape(a), (np.asarray(a, dtype=float) + 0.0).tobytes())
         for a in arrays
     )
 
 
 def _solve_followers(scenario: Scenario, keep: tuple = ()) -> list[_SharedSolve]:
-    """One regulator solve and one gain synthesis per distinct follower class.
+    """One regulator solve and one gain synthesis per plant class.
 
     Returns the shared solve of every follower, in follower order.  Classes
     are solved in order of their first follower, regulator before gain, so
@@ -274,26 +289,25 @@ def _solve_followers(scenario: Scenario, keep: tuple = ()) -> list[_SharedSolve]
     loop would raise; errors of the ``keep`` types are kept instead.
     """
     S = scenario.leader.S
-    shared: dict[tuple, _SharedSolve] = {}
-    out = []
-    for k, f in enumerate(scenario.followers, start=1):
-        key = _solve_key(f)
-        if key not in shared:
-            try:
-                regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
-            except keep as exc:
-                regulator = exc
-            try:
-                gain = synthesize_stabilizing_gain(
-                    f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
-                    label=f"follower {k}",
-                )
-            except keep as exc:
-                gain = exc
-            failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
-            controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
-            shared[key] = _SharedSolve(k, regulator, gain, controller)
-        out.append(shared[key])
+    out: list[_SharedSolve] = [None] * scenario.n_followers
+    for members in scenario._classes:
+        k, f = members[0] + 1, scenario.followers[members[0]]
+        try:
+            regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
+        except keep as exc:
+            regulator = exc
+        try:
+            gain = synthesize_stabilizing_gain(
+                f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
+                label=f"follower {k}",
+            )
+        except keep as exc:
+            gain = exc
+        failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
+        controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
+        solve = _SharedSolve(k, regulator, gain, controller)
+        for i in members:
+            out[i] = solve
     return out
 
 
@@ -390,34 +404,65 @@ class TrajectoryLog:
         return self.eta.shape[1]
 
 
-def _follower_stack(scenario: Scenario,
-                    gains: Sequence[ControllerGains]) -> dict[str, np.ndarray]:
-    """Check every follower's gain shapes once and stack A..F, K_x and K_v
-    along axis 0, zero-padded to the largest (n, m, p) of the team."""
+class _StepGroup(NamedTuple):
+    """The followers of one plant class that share one gain object, as their
+    rows of the (T+1, N, .) logs: a slice when they are evenly spaced, an
+    index array otherwise."""
+
+    rows: slice | np.ndarray
+    plant: PlantModel
+    gain: ControllerGains
+
+
+def _rows(members: Sequence[int]) -> slice | np.ndarray:
+    """Increasing follower indices as a slice if evenly spaced, else an index array."""
+    first, last = members[0], members[-1]
+    step = members[1] - first if len(members) > 1 else 1
+    if tuple(members) == tuple(range(first, last + 1, step)):
+        return slice(first, last + 1, step)
+    return np.array(members)
+
+
+def _step_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_StepGroup]:
+    """Split every plant class by gain object and check each group's gain
+    shapes once; a bad shape names the first follower that has it."""
     followers, q = scenario.followers, scenario.leader.q
     if len(gains) != len(followers):
         raise DimensionError(f"{len(gains)} controller gains for {len(followers)} followers")
-    for i, (f, g) in enumerate(zip(followers, gains)):
-        n, m = f.plant.n, f.plant.m
-        if g.K_x.shape != (m, n) or g.K_v.shape != (m, q):
-            raise DimensionError(
-                f"follower {i + 1}: gains K_x{g.K_x.shape}, K_v{g.K_v.shape} do not "
-                f"match plant (m, n, q) = ({m}, {n}, {q})"
-            )
-    n, m, p = (max(getattr(f.plant, d) for f in followers) for d in "nmp")
-    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (n, q),
-              "F": (p, q), "K_x": (m, n), "K_v": (m, q)}
-    stack = {name: np.zeros((len(followers),) + shape) for name, shape in shapes.items()}
-    for i, (f, g) in enumerate(zip(followers, gains)):
-        for name, out in stack.items():
-            M = getattr(g if name.startswith("K") else f.plant, name)
-            out[i, :M.shape[0], :M.shape[1]] = M
-    return stack
+    groups, bad = [], []
+    for members in scenario._classes:
+        by_gain: dict[int, list[int]] = {}
+        for i in members:
+            by_gain.setdefault(id(gains[i]), []).append(i)
+        plant = followers[members[0]].plant
+        for rows in by_gain.values():
+            g = gains[rows[0]]
+            if g.K_x.shape != (plant.m, plant.n) or g.K_v.shape != (plant.m, q):
+                bad.append(rows[0])
+            groups.append(_StepGroup(_rows(rows), plant, g))
+    if bad:
+        i = min(bad)
+        g, plant = gains[i], followers[i].plant
+        raise DimensionError(
+            f"follower {i + 1}: gains K_x{g.K_x.shape}, K_v{g.K_v.shape} do not "
+            f"match plant (m, n, q) = ({plant.m}, {plant.n}, {q})"
+        )
+    return groups
 
 
-def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M @ x over the (broadcast) leading axes of (..., a, b) matrices and (..., b) vectors."""
-    return (M @ x[..., None])[..., 0]
+def _control_and_plant_step(groups: Sequence[_StepGroup], x: np.ndarray, eta: np.ndarray,
+                            v: np.ndarray, u_out: np.ndarray,
+                            x_out: np.ndarray | None) -> None:
+    """Write u = K_x x + K_v eta of every follower into ``u_out`` and, unless
+    ``x_out`` is None, x+ = A x + B u + E v into ``x_out``: one GEMM per
+    group and product, on the (N, .) rows of one time step."""
+    for rows, plant, g in groups:
+        n = plant.n
+        x_g = x[rows, :n]
+        u_g = x_g @ g.K_x.T + eta[rows] @ g.K_v.T
+        u_out[rows, :plant.m] = u_g
+        if x_out is not None:
+            x_out[rows, :n] = x_g @ plant.A.T + u_g @ plant.B.T + plant.E @ v
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -451,10 +496,13 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
     passed in); this function checks the gain shapes once, before the first
     step (DimensionError), and only refuses to continue when states
     overflow or turn non-finite, or when gain synthesis itself fails.
+
+    Each step runs u and x+ as GEMMs per plant class and gain object, over
+    the group's rows of the logs; e follows per group after the last step.
     """
     if gains is None:
         gains = synthesize_gains(scenario)
-    P = _follower_stack(scenario, gains)
+    groups = _step_groups(scenario, gains)
     S = scenario.leader.S
     topology = scenario.topology
     horizon = scenario.horizon
@@ -462,11 +510,13 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
     bank = scenario.initial_bank()
 
     sigma = topology.signal.modes(0, horizon + 1)
+    n, m, p = (max(getattr(g.plant, d) for g in groups) for d in "nmp")
     v_log = np.empty((horizon + 1, q))
     eta_log = np.empty((horizon + 1, n_followers, q))
     s_log = None if bank.s_est is None else np.empty((horizon + 1, n_followers, q, q))
-    x_log = np.zeros((horizon + 1, n_followers, P["A"].shape[1]))
-    u_log = np.empty((horizon + 1, n_followers, P["B"].shape[2]))
+    # zeros: a group writes only its own (n, m, p) columns, the padding stays 0
+    x_log = np.zeros((horizon + 1, n_followers, n))
+    u_log = np.zeros((horizon + 1, n_followers, m))
     v_log[0], eta_log[0] = scenario.leader.v0, bank.eta
     if s_log is not None:
         s_log[0] = bank.s_est
@@ -480,11 +530,12 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
         # a NaN fails every comparison, so the inverted test aborts on NaN as well as on +-inf
         if not all(np.abs(a[t]).max() <= OVERFLOW_LIMIT for a in state.values()):
             raise _overflow(t, {name: a[t] for name, a in state.items()})
-        v, eta, x = v_log[t], eta_log[t], x_log[t]
-        u_log[t] = _matvec(P["K_x"], x) + _matvec(P["K_v"], eta)
-        if t == horizon:
+        v, eta = v_log[t], eta_log[t]
+        last = t == horizon
+        _control_and_plant_step(groups, x_log[t], eta, v, u_log[t],
+                                None if last else x_log[t + 1])
+        if last:
             break
-        x_log[t + 1] = _matvec(P["A"], x) + _matvec(P["B"], u_log[t]) + P["E"] @ v
         eta_log[t + 1], s_next = _observer_update(
             S, topology.adjacency_of_mode(mode), v, eta,
             None if s_log is None else s_log[t])
@@ -492,7 +543,11 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
             s_log[t + 1] = s_next
         v_log[t + 1] = S @ v
 
-    e_log = _matvec(P["C"], x_log) + _matvec(P["D"], u_log) + _matvec(P["F"], v_log[:, None])
+    e_log = np.zeros((horizon + 1, n_followers, p))
+    for rows, plant, _ in groups:
+        e_log[:, rows, :plant.p] = (x_log[:, rows, :plant.n] @ plant.C.T
+                                    + u_log[:, rows, :plant.m] @ plant.D.T
+                                    + (v_log @ plant.F.T)[:, None])
     plants = [f.plant for f in scenario.followers]
     return TrajectoryLog(
         scenario_name=scenario.name,

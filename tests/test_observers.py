@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopreg.observers import (
@@ -25,6 +25,20 @@ from coopreg.topology import DimensionError, WeightedDigraph, normalize_adjacenc
 
 def single_link_adjacency():
     return normalize_adjacency(WeightedDigraph.from_edges(2, [(0, 1)]))
+
+
+def error_magnitude(topo, leader, bank, horizon):
+    """Largest |eta_tilde| or |S_tilde| entry of the run that
+    ``bank_vs_error_form`` compares, its initial errors included."""
+    v = leader.v0.copy()
+    top = 0.0
+    for t in range(horizon + 1):
+        err = ErrorState.from_bank(bank, v, leader)
+        top = max(top, float(np.abs(err.eta_tilde).max()), float(np.abs(err.s_tilde).max()))
+        if t < horizon:
+            bank = observer_step(leader, v, bank, topo.adjacency_at(t))
+            v = leader.advance(v)
+    return top
 
 
 class TestSpectralRadius:
@@ -210,6 +224,8 @@ class TestErrorFormEquivalence:
             assert bank_vs_error_form(topo, leader, bank, 1) < 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(1459)  # the error grows to 2.5e4: 7.7e-10 apart
+    @example(4313)  # the error grows to 1.0e7: 7.1e-7 apart
     @settings(max_examples=30, deadline=None)
     def test_full_trajectories_match(self, seed):
         rng = np.random.default_rng(seed)
@@ -220,7 +236,15 @@ class TestErrorFormEquivalence:
             eta=rng.normal(size=(n, q)),
             s_est=leader.S[None] + rng.uniform(-0.3, 0.3, size=(n, q, q)),
         )
-        assert bank_vs_error_form(topo, leader, bank, 100) < 1e-10
+        # Each step, both routes round every entry from at most (N + 2) q
+        # products (N <= 6, q <= 4): a few 1e-15 of the magnitudes entering
+        # the step, which are the error entries and the leader state, of order
+        # one in this family.  Over 100 steps that stays below about 1e-12 of
+        # max(1, largest error entry); the bound leaves a factor 100 over that,
+        # and is the old absolute 1e-10 wherever the errors stay <= 1.  A scan
+        # of seeds 0-10,000 found at most 7.1e-14 of it (seed 4313).
+        scale = max(1.0, error_magnitude(topo, leader, bank, 100))
+        assert bank_vs_error_form(topo, leader, bank, 100) < 1e-10 * scale
 
 
 class TestKronFactorization:

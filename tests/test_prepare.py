@@ -184,3 +184,44 @@ def test_default_fig2_document_unchanged(seed):
         f.pop("x0")
     formation["observer"].pop("eta0", None)
     assert doc == formation
+
+
+def test_plant_classes_are_found_when_the_scenario_is_built():
+    assert build_builtin("formation-sec5")._classes == ((0, 1, 2, 3),)
+    # follower i gets plant i mod 4, each built as its own arrays
+    team = star_scenario([double_integrator(h) for h in (1.0, 0.5, 0.25, 2.0) * 3])
+    assert len({id(f.plant) for f in team.followers}) == 12
+    assert team._classes == ((0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11))
+    # the classes follow the followers when a scenario is rebuilt from another
+    assert dataclasses.replace(team, followers=team.followers[:4] * 3)._classes == \
+        team._classes
+    assert dataclasses.replace(team, horizon=5)._classes == team._classes
+
+
+def test_signed_zeros_do_not_split_a_class(solve_counts):
+    plant = double_integrator(1.0)
+    def negative_zeros(a):
+        return int(np.signbit(a[a == 0]).sum())
+
+    assert negative_zeros(plant.F) == 6  # F = -C
+    unsigned = dataclasses.replace(plant, F=plant.F + 0.0)
+    assert negative_zeros(unsigned.F) == 0 and np.array_equal(unsigned.F, plant.F)
+    scenario = star_scenario([plant, unsigned, plant])
+    assert scenario._classes == ((0, 1, 2),)
+    assert all(prepare(scenario).checks)
+    assert solve_counts == {"solve_regulator_equations": 1, "synthesize_stabilizing_gain": 1}
+
+
+def test_prepare_solves_per_class_without_rehashing(monkeypatch, solve_counts):
+    scenario = star_scenario([double_integrator(h) for h in (1.0, 0.5, 0.25, 2.0) * 16])
+    assert scenario.n_followers == 64 and len(scenario._classes) == 4
+    keys = []
+    solve_key = simkit._solve_key
+    monkeypatch.setattr(simkit, "_solve_key", lambda f: (keys.append(f), solve_key(f))[1])
+    prep = prepare(scenario)
+    assert all(prep.checks)
+    assert solve_counts == {"solve_regulator_equations": 4, "synthesize_stabilizing_gain": 4}
+    assert keys == []
+    # every member of a class gets its class's gain object
+    assert [len({id(prep.gains[i]) for i in members}) for members in scenario._classes] == \
+        [1] * 4

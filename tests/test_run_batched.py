@@ -26,7 +26,14 @@ from coopreg.observers import (
     observer_step,
 )
 from coopreg.properties import bank_vs_error_form, random_leader
-from coopreg.regulation import ControllerGains, PlantModel, control_input, plant_step
+from coopreg.regulation import (
+    ControllerGains,
+    PlantModel,
+    build_controller,
+    control_input,
+    plant_step,
+    synthesize_stabilizing_gain,
+)
 from coopreg.scenarios import BUILTINS, build_builtin, formation_scenario
 from coopreg.simkit import (
     AssumptionChecks,
@@ -323,6 +330,97 @@ def test_nan_in_a_padded_follower_aborts_at_step_zero():
     with pytest.raises(OverflowAbort) as exc_info:
         run(dataclasses.replace(base, followers=followers))
     assert (exc_info.value.t, exc_info.value.follower, exc_info.value.series) == (0, 4, "x")
+
+
+def interleaved_scenario(observer_mode: str, horizon: int = 60, seed: int = 5) -> Scenario:
+    """Two plant classes whose members are unevenly spaced and two of one
+    member, so that the step groups read both index arrays and slices; one
+    class feels the leader state through a nonzero E."""
+    base = mixed_scenario(observer_mode, horizon, seed)
+    rng = np.random.default_rng(seed)
+    user_int = GainDirective(method="user", K_x=-0.5 * np.eye(2))
+
+    def pushed():
+        return dataclasses.replace(integrator(2), E=0.1 * np.eye(2, 4))
+
+    kinds = [double_integrator(), double_integrator(), pushed(), double_integrator(),
+             integrator(1), pushed(), pushed(), integrator(1)]
+    followers = tuple(
+        FollowerSpec(plant, rng.normal(size=plant.n), user_int if i == 7 else GainDirective())
+        for i, plant in enumerate(kinds)
+    )
+    n = len(followers)
+    graphs = tuple(
+        WeightedDigraph.from_edges(n + 1, [(int(rng.integers(0, i)), i) for i in range(1, n + 1)])
+        for _ in range(3)
+    )
+    s0 = (tuple(base.leader.S + 0.3 * rng.normal(size=(4, 4)) for _ in range(n))
+          if observer_mode == "adaptive" else None)
+    return dataclasses.replace(
+        base, name=f"interleaved-{observer_mode}", followers=followers,
+        topology=SwitchingTopology(graphs=graphs,
+                                   signal=SwitchingSignal.periodic([(1, 2), (2, 1), (3, 3)])),
+        eta0=tuple(rng.normal(size=4) for _ in range(n)), s0=s0,
+    )
+
+
+def group_rows(scenario: Scenario, gains) -> list:
+    """Each step group's rows, as a slice or as a list of indices."""
+    return [g.rows if isinstance(g.rows, slice) else g.rows.tolist()
+            for g in coopreg.simkit._step_groups(scenario, gains)]
+
+
+def assert_run_matches_reference(scenario: Scenario, gains) -> None:
+    log, ref = run(scenario, gains), reference_run(scenario, gains)
+    for key in ("v", "eta", "eta_tilde_norm", "e_norms") + (
+            ("s_est", "s_tilde_norm") if scenario.observer_mode == "adaptive" else ()):
+        assert np.abs(getattr(log, key) - ref[key]).max() <= TOL, key
+    for key in ("x", "u", "e"):
+        for i, (got, want) in enumerate(zip(getattr(log, key), ref[key])):
+            assert got.shape == want.shape, (key, i)
+            assert np.abs(got - want).max() <= TOL, (key, i)
+    assert log.e_norms[0].min() > 1e-3
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+@pytest.mark.parametrize("build, rows", [
+    # every follower is its own class: one single-row slice each
+    (mixed_scenario, [slice(i, i + 1, 1) for i in range(5)]),
+    # the user-gain integrator(1) at 7 is its own class, so the Riccati one at
+    # 4 is too; the double integrators and the pushed integrators are index arrays
+    (interleaved_scenario, [[0, 1, 3], [2, 5, 6], slice(4, 5, 1), slice(7, 8, 1)]),
+])
+def test_step_groups_match_the_reference_loop(build, rows, mode):
+    scenario = build(mode)
+    gains = prepare(scenario).gains
+    assert group_rows(scenario, gains) == rows
+    assert_run_matches_reference(scenario, gains)
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_distinct_gain_objects_split_a_class(mode):
+    scenario = formation_scenario(horizon=120, observer_mode=mode)
+    assert len(scenario._classes) == 1
+    g = prepare(scenario).gains[0]
+    plant = scenario.followers[2].plant
+    K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B, Q=10.0 * np.eye(plant.n))
+    assert not np.allclose(K_x, g.K_x)
+    other = build_controller(plant, scenario.leader.S, K_x)
+    copy = ControllerGains(g.K_x.copy(), g.K_v.copy(), g.closed_loop_radius)
+    gains = [g, copy, other, g]
+    # followers 1 and 4 share the gain object: one strided slice
+    assert group_rows(scenario, gains) == [slice(0, 4, 3), slice(1, 2, 1), slice(2, 3, 1)]
+    assert_run_matches_reference(scenario, gains)
+
+
+def test_misshaped_gains_name_the_first_follower_across_classes(no_steps):
+    scenario = interleaved_scenario("distributed", horizon=5)
+    gains = list(prepare(scenario).gains)
+    # class order visits follower 6 (pushed) before follower 5 (integrator(1))
+    for i in (4, 5):
+        gains[i] = reshaped(gains[i], K_v=gains[i].K_v[:, :3])
+    with pytest.raises(DimensionError, match="follower 5:"):
+        run(scenario, gains)
 
 
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])

@@ -35,6 +35,8 @@ def test_bench_observer_sweep_writes_its_record(tmp_path):
         (3, "distributed"), (3, "adaptive"), (70, "distributed"), (70, "adaptive")]
     for e in doc["sweep"]:
         assert e["observer_update_us"] > 0 and e["run_ms"] > 0 and e["peak_traced_mb"] > 0
+        # every sweep follower is the same double integrator: one class
+        assert e["plant_step_us"] > 0 and e["plant_classes"] == 1
         # a tree row reads one node: dense Omega at N=3, the edge table at N=70
         assert {f["form"] for f in e["mix_forms"]} == {"dense" if e["N"] == 3 else "table"}
     assert {(c["k"], c["columns"]) for c in doc["crossover"]} == {(2, 4), (2, 16), (1, 4), (1, 16)}
