@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Time the observer step and the closed loop over the follower count N.
 
-For each N, builds a swarm-like scenario (four modes of random spanning
+For each N, builds swarm-like scenarios (four modes of random spanning
 trees in which follower i reads one random node in [0, i), dwell 2, a
 planar constant-velocity leader with q = 4, double-integrator followers)
-and records, in both observer modes:
+for three teams: ``shared`` (every follower samples its plant with step 1),
+``mod4`` (follower i with the i mod 4-th of four steps, as the perfbench
+swarm does) and ``distinct`` (every follower with its own step).  For each
+team it records, in both observer modes:
 
 - ``_observer_update`` per call, the plant/control step of one time step
   (``_control_and_plant_step``: u and x+ of every follower) per call, and
   ``run`` per call, each the best of ``--repeats`` timed runs;
-- the number of plant classes, which sets how many GEMM groups that step
-  runs;
+- the number of plant classes (1, 4 and N for the three teams) and the
+  number of step groups they stack into, which sets how many stacked
+  products that step runs;
 - which neighbour-mix form each mode's adjacency selected (edge table or
   dense Omega) and its largest in-degree k_max;
 - the traced peak memory (tracemalloc) of building the scenario and one run.
@@ -67,16 +71,22 @@ from coopreg.topology import (  # noqa: E402
 )
 
 MODES = ("distributed", "adaptive")
+# follower i samples its double integrator with step TEAMS[team](i, N)
+TEAMS = {
+    "shared": lambda i, n: 1.0,
+    "mod4": lambda i, n: (0.5, 0.75, 1.0, 1.25)[i % 4],
+    "distinct": lambda i, n: 0.5 + i / n,
+}
 LEADER_S = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 SEED = 0
 TUNING = ("none: no CPU pinning, affinity, frequency or priority setting; "
           "wall-clock best of the repeats on a machine shared with other work")
 
 
-def double_integrator() -> PlantModel:
+def double_integrator(h: float) -> PlantModel:
     c = np.kron(np.array([[1.0, 0.0]]), np.eye(2))
-    return PlantModel(A=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
-                      B=np.kron(np.array([[0.5], [1.0]]), np.eye(2)),
+    return PlantModel(A=np.kron(np.array([[1.0, h], [0.0, 1.0]]), np.eye(2)),
+                      B=np.kron(np.array([[h * h / 2], [h]]), np.eye(2)),
                       C=c, D=np.zeros((2, 2)), E=np.zeros((4, 4)), F=-c)
 
 
@@ -89,13 +99,15 @@ def tree_topology(n: int, rng: np.random.Generator) -> SwitchingTopology:
                              signal=SwitchingSignal.periodic([(m, 2) for m in range(1, 5)]))
 
 
-def scenario(n: int, mode: str, horizon: int) -> Scenario:
+def scenario(n: int, mode: str, horizon: int, team: str = "shared") -> Scenario:
     rng = np.random.default_rng(SEED)
+    step = TEAMS[team]
     return Scenario(
-        name=f"sweep-{n}-{mode}",
+        name=f"sweep-{n}-{mode}-{team}",
         leader=LeaderModel(S=LEADER_S, v0=np.array([0.0, 0.0, 1.0, 1.0])),
         topology=tree_topology(n, rng),
-        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
+        followers=tuple(FollowerSpec(double_integrator(step(i, n)), rng.normal(size=4))
+                        for i in range(n)),
         observer_mode=mode,
         eta0=tuple(rng.normal(size=4) for _ in range(n)),
         horizon=horizon,
@@ -119,10 +131,10 @@ def best_per_call(fn, repeats: int, min_seconds: float = 0.05) -> float:
     return best
 
 
-def sweep_entry(n: int, mode: str, horizon: int, repeats: int) -> dict:
+def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dict:
     tracemalloc.start()
     try:
-        sc = scenario(n, mode, horizon)
+        sc = scenario(n, mode, horizon, team)
         gains = synthesize_gains(sc)
         run(sc, gains)
         _, peak = tracemalloc.get_traced_memory()
@@ -146,11 +158,13 @@ def sweep_entry(n: int, mode: str, horizon: int, repeats: int) -> dict:
     return {
         "N": n,
         "mode": mode,
+        "team": team,
         "q": 4,
         "horizon": horizon,
         "mix_forms": [{"form": "dense" if a._edges is None else "table",
                        "k_max": len(topology._in_edge_table(a.omega))} for a in adjs],
         "plant_classes": len(sc._classes),
+        "step_groups": len(groups),
         "observer_update_us": best_per_call(step, repeats) * 1e6,
         "plant_step_us": best_per_call(plant_step, repeats) * 1e6,
         "run_ms": best_per_call(lambda: run(sc, gains), repeats, min_seconds=0.1) * 1e3,
@@ -224,20 +238,21 @@ def main() -> int:
     if args.repeats < 3 or min(args.sizes) < 1 or args.horizon < 0:
         ap.error("need --repeats >= 3, sizes >= 1 and --horizon >= 0")
 
-    sweep = [sweep_entry(n, mode, args.horizon, args.repeats)
-             for n in args.sizes for mode in MODES]
-    print(f"{'N':>5} {'mode':>11} {'forms':>12} {'classes':>7} {'update us':>10} "
-          f"{'plant us':>9} {'run ms':>9} {'peak MB':>8}")
+    sweep = [sweep_entry(n, mode, team, args.horizon, args.repeats)
+             for n in args.sizes for mode in MODES for team in TEAMS]
+    print(f"{'N':>5} {'mode':>11} {'team':>8} {'forms':>12} {'classes':>7} {'groups':>6} "
+          f"{'update us':>10} {'plant us':>9} {'run ms':>9} {'peak MB':>8}")
     for e in sweep:
         forms = ",".join(sorted({f["form"] for f in e["mix_forms"]}))
-        print(f"{e['N']:>5} {e['mode']:>11} {forms:>12} {e['plant_classes']:>7} "
-              f"{e['observer_update_us']:>10.1f} {e['plant_step_us']:>9.1f} "
-              f"{e['run_ms']:>9.2f} {e['peak_traced_mb']:>8.2f}")
+        print(f"{e['N']:>5} {e['mode']:>11} {e['team']:>8} {forms:>12} {e['plant_classes']:>7} "
+              f"{e['step_groups']:>6} {e['observer_update_us']:>10.1f} "
+              f"{e['plant_step_us']:>9.1f} {e['run_ms']:>9.2f} {e['peak_traced_mb']:>8.2f}")
     cross = crossover(args.crossover_nodes, args.repeats)
     for c in cross:
         print(f"crossover nodes {c['nodes']:>5} k {c['k']:>4} columns {c['columns']:>2}: "
               f"dense {c['dense_us']:8.1f} us, table {c['table_us']:8.1f} us")
-    per_call = {(e["N"], e["mode"]): e["observer_update_us"] for e in sweep}
+    per_call = {(e["N"], e["mode"]): e["observer_update_us"] for e in sweep
+                if e["team"] == "shared"}
     growth = [{"from_N": a, "to_N": b, **{m: per_call[b, m] / per_call[a, m] for m in MODES}}
               for a, b in zip(args.sizes, args.sizes[1:])]
     doc = {

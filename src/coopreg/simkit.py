@@ -8,15 +8,18 @@ time-t values and the time-t graph, so the semantics are synchronous.
 
 Followers whose plant matrices and gain directive are equal by value form
 one plant class (``Scenario`` finds the classes once, when it is built), and
-share every matrix of their closed loop.  Each tick is a fixed number of
-array operations per class, however many followers there are.  Before the
-first tick, ``run`` splits each class by gain object into step groups and
-checks each group's gain shapes once; per tick, each group computes the
-control law u = x K_x^T + eta K_v^T and the plant step
-x+ = x A^T + u B^T + E v as GEMMs over its rows of the logs (a strided view
-when its members are evenly spaced, an index array otherwise).  The logs
-are zero-padded to the largest (n, m, p) of the team and a group touches
-only its own (n, m, p) columns, so padded entries stay exactly zero; the
+share every matrix of their closed loop.  Before the first tick, ``run``
+splits each class by gain object into member sets, checks each set's gain
+shapes once, and stacks the sets of equal size and equal (n, m, p) into one
+step group.  Per tick, each group gathers its rows of the logs and computes
+the control law u = x K_x^T + eta K_v^T and the plant step
+x+ = x A^T + u B^T + E v as one stacked product per term: a GEMM per class
+when the classes are large, one batched matrix-vector product when every
+follower is its own class.  So each tick is a fixed number of array
+operations per group, however many followers there are, and a team has at
+most as many groups as distinct (class size, n, m, p).  The logs are
+zero-padded to the largest (n, m, p) of the team and a group touches only
+its own (n, m, p) columns, so padded entries stay exactly zero; the
 logs hold N max(n) state entries per step instead of the sum of the n_i,
 which costs memory only when the team mixes plant dimensions.  The
 preallocated logs are the state: step t reads row t and writes row t + 1,
@@ -30,7 +33,7 @@ tensor.  The regulated outputs, per group, and the norm series are computed
 after the last tick, as whole-array expressions.  In distributed mode the
 closed loop is a switched linear system, but no dense closed-loop matrix per
 mode is built: with N followers it has (q + N (q + n))^2 entries, 134 MB at
-N = 512 and n = q = 4, where the grouped step needs only each class's
+N = 512 and n = q = 4, where the grouped step needs only each set's
 blocks.
 
 Runs are deterministic: identical scenarios produce identical trajectory
@@ -405,31 +408,43 @@ class TrajectoryLog:
 
 
 class _StepGroup(NamedTuple):
-    """The followers of one plant class that share one gain object, as their
-    rows of the (T+1, N, .) logs: a slice when they are evenly spaced, an
-    index array otherwise."""
+    """The member sets of one size and one plant shape, stacked.
 
-    rows: slice | np.ndarray
-    plant: PlantModel
-    gain: ControllerGains
+    A member set is the followers of one plant class that share one gain
+    object; the sets of equal size k and equal (n, m, p) are stacked along
+    axis 0.  ``rows`` holds the (G, k) follower indices, and each matrix
+    field the (G, b, a) transposes of the sets' (a, b) matrices, so that a
+    (G, k, b) gather of the logs times it is the (G, k, a) product: one GEMM
+    of k rows when G = 1, one batched matrix-vector product when k = 1.
+    ``u_at`` and ``x_at`` are the flat indices of the group's (G, k, m) and
+    (G, k, n) entries in one time step's zero-padded (N, .) rows of the u
+    and x logs, where the step writes them with ``put``."""
 
-
-def _rows(members: Sequence[int]) -> slice | np.ndarray:
-    """Increasing follower indices as a slice if evenly spaced, else an index array."""
-    first, last = members[0], members[-1]
-    step = members[1] - first if len(members) > 1 else 1
-    if tuple(members) == tuple(range(first, last + 1, step)):
-        return slice(first, last + 1, step)
-    return np.array(members)
+    rows: np.ndarray
+    u_at: np.ndarray
+    x_at: np.ndarray
+    n: int
+    m: int
+    p: int
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    E: np.ndarray
+    F: np.ndarray
+    K_x: np.ndarray
+    K_v: np.ndarray
 
 
 def _step_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_StepGroup]:
-    """Split every plant class by gain object and check each group's gain
-    shapes once; a bad shape names the first follower that has it."""
+    """Split every plant class by gain object, check each set's gain shapes
+    once (a bad shape names the first follower that has it) and stack the
+    sets of equal size and equal (n, m, p), in order of their first set."""
     followers, q = scenario.followers, scenario.leader.q
     if len(gains) != len(followers):
         raise DimensionError(f"{len(gains)} controller gains for {len(followers)} followers")
-    groups, bad = [], []
+    stacks: dict[tuple, list[tuple[list[int], PlantModel, ControllerGains]]] = {}
+    bad = []
     for members in scenario._classes:
         by_gain: dict[int, list[int]] = {}
         for i in members:
@@ -439,7 +454,7 @@ def _step_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_
             g = gains[rows[0]]
             if g.K_x.shape != (plant.m, plant.n) or g.K_v.shape != (plant.m, q):
                 bad.append(rows[0])
-            groups.append(_StepGroup(_rows(rows), plant, g))
+            stacks.setdefault((plant.n, plant.m, plant.p, len(rows)), []).append((rows, plant, g))
     if bad:
         i = min(bad)
         g, plant = gains[i], followers[i].plant
@@ -447,6 +462,15 @@ def _step_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_
             f"follower {i + 1}: gains K_x{g.K_x.shape}, K_v{g.K_v.shape} do not "
             f"match plant (m, n, q) = ({plant.m}, {plant.n}, {q})"
         )
+    n_pad, m_pad = (max(getattr(f.plant, d) for f in followers) for d in "nm")
+    groups = []
+    for (n, m, p, _), sets in stacks.items():
+        idx = np.array([rows for rows, _, _ in sets])
+        groups.append(_StepGroup(
+            idx, idx[..., None] * m_pad + np.arange(m), idx[..., None] * n_pad + np.arange(n),
+            n, m, p,
+            *(np.stack([getattr(plant, k).T for _, plant, _ in sets]) for k in "ABCDEF"),
+            *(np.stack([getattr(g, k).T for _, _, g in sets]) for k in ("K_x", "K_v"))))
     return groups
 
 
@@ -454,15 +478,15 @@ def _control_and_plant_step(groups: Sequence[_StepGroup], x: np.ndarray, eta: np
                             v: np.ndarray, u_out: np.ndarray,
                             x_out: np.ndarray | None) -> None:
     """Write u = K_x x + K_v eta of every follower into ``u_out`` and, unless
-    ``x_out`` is None, x+ = A x + B u + E v into ``x_out``: one GEMM per
-    group and product, on the (N, .) rows of one time step."""
-    for rows, plant, g in groups:
-        n = plant.n
-        x_g = x[rows, :n]
-        u_g = x_g @ g.K_x.T + eta[rows] @ g.K_v.T
-        u_out[rows, :plant.m] = u_g
+    ``x_out`` is None, x+ = A x + B u + E v into ``x_out``: one stacked
+    product per group and term, on the C-contiguous, zero-padded (N, .)
+    rows of one time step."""
+    for g in groups:
+        x_g = x.take(g.rows, axis=0)[..., :g.n]
+        u_g = x_g @ g.K_x + eta.take(g.rows, axis=0) @ g.K_v
+        u_out.put(g.u_at, u_g)
         if x_out is not None:
-            x_out[rows, :n] = x_g @ plant.A.T + u_g @ plant.B.T + plant.E @ v
+            x_out.put(g.x_at, x_g @ g.A + u_g @ g.B + v[None] @ g.E)
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -497,8 +521,9 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
     step (DimensionError), and only refuses to continue when states
     overflow or turn non-finite, or when gain synthesis itself fails.
 
-    Each step runs u and x+ as GEMMs per plant class and gain object, over
-    the group's rows of the logs; e follows per group after the last step.
+    Each step runs u and x+ as stacked products per step group (the
+    (class, gain object) member sets of one size and shape), over the
+    group's rows of the logs; e follows per group after the last step.
     """
     if gains is None:
         gains = synthesize_gains(scenario)
@@ -510,7 +535,7 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
     bank = scenario.initial_bank()
 
     sigma = topology.signal.modes(0, horizon + 1)
-    n, m, p = (max(getattr(g.plant, d) for g in groups) for d in "nmp")
+    n, m, p = (max(getattr(g, d) for g in groups) for d in "nmp")
     v_log = np.empty((horizon + 1, q))
     eta_log = np.empty((horizon + 1, n_followers, q))
     s_log = None if bank.s_est is None else np.empty((horizon + 1, n_followers, q, q))
@@ -544,10 +569,10 @@ def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> T
         v_log[t + 1] = S @ v
 
     e_log = np.zeros((horizon + 1, n_followers, p))
-    for rows, plant, _ in groups:
-        e_log[:, rows, :plant.p] = (x_log[:, rows, :plant.n] @ plant.C.T
-                                    + u_log[:, rows, :plant.m] @ plant.D.T
-                                    + (v_log @ plant.F.T)[:, None])
+    for g in groups:
+        e_log[:, g.rows, :g.p] = (x_log.take(g.rows, axis=1)[..., :g.n] @ g.C
+                                  + u_log.take(g.rows, axis=1)[..., :g.m] @ g.D
+                                  + (v_log @ g.F).transpose(1, 0, 2)[:, :, None])
     plants = [f.plant for f in scenario.followers]
     return TrajectoryLog(
         scenario_name=scenario.name,

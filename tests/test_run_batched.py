@@ -332,22 +332,25 @@ def test_nan_in_a_padded_follower_aborts_at_step_zero():
     assert (exc_info.value.t, exc_info.value.follower, exc_info.value.series) == (0, 4, "x")
 
 
-def interleaved_scenario(observer_mode: str, horizon: int = 60, seed: int = 5) -> Scenario:
-    """Two plant classes whose members are unevenly spaced and two of one
-    member, so that the step groups read both index arrays and slices; one
-    class feels the leader state through a nonzero E."""
+def sampled_double_integrator(h: float) -> PlantModel:
+    """The planar double integrator sampled with step h."""
+    C = np.kron(np.array([[1.0, 0.0]]), np.eye(2))
+    return PlantModel(A=np.kron(np.array([[1.0, h], [0.0, 1.0]]), np.eye(2)),
+                      B=np.kron(np.array([[h * h / 2], [h]]), np.eye(2)),
+                      C=C, D=np.zeros((2, 2)), E=np.zeros((4, 4)), F=-C)
+
+
+def team_scenario(observer_mode: str, plants, user=(), horizon: int = 60,
+                  seed: int = 5) -> Scenario:
+    """The given plants over three random spanning trees; the followers at
+    the 0-based indices in ``user`` get a user gain K_x = -0.5 I, the others
+    a Riccati directive."""
     base = mixed_scenario(observer_mode, horizon, seed)
     rng = np.random.default_rng(seed)
-    user_int = GainDirective(method="user", K_x=-0.5 * np.eye(2))
-
-    def pushed():
-        return dataclasses.replace(integrator(2), E=0.1 * np.eye(2, 4))
-
-    kinds = [double_integrator(), double_integrator(), pushed(), double_integrator(),
-             integrator(1), pushed(), pushed(), integrator(1)]
+    user_gain = GainDirective(method="user", K_x=-0.5 * np.eye(2))
     followers = tuple(
-        FollowerSpec(plant, rng.normal(size=plant.n), user_int if i == 7 else GainDirective())
-        for i, plant in enumerate(kinds)
+        FollowerSpec(plant, rng.normal(size=plant.n), user_gain if i in user else GainDirective())
+        for i, plant in enumerate(plants)
     )
     n = len(followers)
     graphs = tuple(
@@ -357,17 +360,38 @@ def interleaved_scenario(observer_mode: str, horizon: int = 60, seed: int = 5) -
     s0 = (tuple(base.leader.S + 0.3 * rng.normal(size=(4, 4)) for _ in range(n))
           if observer_mode == "adaptive" else None)
     return dataclasses.replace(
-        base, name=f"interleaved-{observer_mode}", followers=followers,
+        base, name=f"team-{observer_mode}", followers=followers,
         topology=SwitchingTopology(graphs=graphs,
                                    signal=SwitchingSignal.periodic([(1, 2), (2, 1), (3, 3)])),
         eta0=tuple(rng.normal(size=4) for _ in range(n)), s0=s0,
     )
 
 
+def interleaved_scenario(observer_mode: str, horizon: int = 60) -> Scenario:
+    """Two plant classes of three unevenly spaced members and two classes of
+    one; one class feels the leader state through a nonzero E."""
+    def pushed():
+        return dataclasses.replace(integrator(2), E=0.1 * np.eye(2, 4))
+
+    plants = [double_integrator(), double_integrator(), pushed(), double_integrator(),
+              integrator(1), pushed(), pushed(), integrator(1)]
+    return team_scenario(observer_mode, plants, user=(7,), horizon=horizon)
+
+
+def distinct_scenario(observer_mode: str) -> Scenario:
+    """Twelve double integrators, each sampled with its own step: twelve classes."""
+    return team_scenario(observer_mode, [sampled_double_integrator(1.0 + i / 8) for i in range(12)])
+
+
+def cyclic_scenario(observer_mode: str) -> Scenario:
+    """Eight followers whose plant is one of three, in turn: classes of 3, 3 and 2."""
+    return team_scenario(observer_mode,
+                         [sampled_double_integrator((1.0, 0.5, 2.0)[i % 3]) for i in range(8)])
+
+
 def group_rows(scenario: Scenario, gains) -> list:
-    """Each step group's rows, as a slice or as a list of indices."""
-    return [g.rows if isinstance(g.rows, slice) else g.rows.tolist()
-            for g in coopreg.simkit._step_groups(scenario, gains)]
+    """Each step group's (G, k) follower indices, as nested lists."""
+    return [g.rows.tolist() for g in coopreg.simkit._step_groups(scenario, gains)]
 
 
 def assert_run_matches_reference(scenario: Scenario, gains) -> None:
@@ -384,11 +408,15 @@ def assert_run_matches_reference(scenario: Scenario, gains) -> None:
 
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
 @pytest.mark.parametrize("build, rows", [
-    # every follower is its own class: one single-row slice each
-    (mixed_scenario, [slice(i, i + 1, 1) for i in range(5)]),
+    # every follower is its own class; the classes of equal (n, m, p) stack
+    (mixed_scenario, [[[0], [2]], [[1], [4]], [[3]]]),
     # the user-gain integrator(1) at 7 is its own class, so the Riccati one at
-    # 4 is too; the double integrators and the pushed integrators are index arrays
-    (interleaved_scenario, [[0, 1, 3], [2, 5, 6], slice(4, 5, 1), slice(7, 8, 1)]),
+    # 4 is too, and the two stack; the classes of three members are one set each
+    (interleaved_scenario, [[[0, 1, 3]], [[2, 5, 6]], [[4], [7]]]),
+    # twelve one-member classes of one shape: one group, however many plants
+    (distinct_scenario, [[[i] for i in range(12)]]),
+    # the two classes of three members stack; the class of two is its own group
+    (cyclic_scenario, [[[0, 3, 6], [1, 4, 7]], [[2, 5]]]),
 ])
 def test_step_groups_match_the_reference_loop(build, rows, mode):
     scenario = build(mode)
@@ -408,8 +436,9 @@ def test_distinct_gain_objects_split_a_class(mode):
     other = build_controller(plant, scenario.leader.S, K_x)
     copy = ControllerGains(g.K_x.copy(), g.K_v.copy(), g.closed_loop_radius)
     gains = [g, copy, other, g]
-    # followers 1 and 4 share the gain object: one strided slice
-    assert group_rows(scenario, gains) == [slice(0, 4, 3), slice(1, 2, 1), slice(2, 3, 1)]
+    # followers 1 and 4 share the gain object; the equal copy and the other
+    # gain are one-member sets, stacked
+    assert group_rows(scenario, gains) == [[[0, 3]], [[1], [2]]]
     assert_run_matches_reference(scenario, gains)
 
 

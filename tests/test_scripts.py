@@ -31,12 +31,18 @@ def test_bench_observer_sweep_writes_its_record(tmp_path):
     doc = json.loads(out.read_text())
     assert {"python", "numpy", "git_sha", "machine_tuning", "edge_table_factor",
             "observer_update_growth"} <= doc.keys()
-    assert [(e["N"], e["mode"]) for e in doc["sweep"]] == [
-        (3, "distributed"), (3, "adaptive"), (70, "distributed"), (70, "adaptive")]
+    assert [(e["N"], e["mode"], e["team"]) for e in doc["sweep"]] == [
+        (n, mode, team) for n in (3, 70) for mode in ("distributed", "adaptive")
+        for team in ("shared", "mod4", "distinct")]
     for e in doc["sweep"]:
         assert e["observer_update_us"] > 0 and e["run_ms"] > 0 and e["peak_traced_mb"] > 0
-        # every sweep follower is the same double integrator: one class
-        assert e["plant_step_us"] > 0 and e["plant_classes"] == 1
+        assert e["plant_step_us"] > 0
+        # one plant, four plants in turn, one plant per follower; classes of
+        # one shape stack into one step group per class size (mod4 at N=70:
+        # classes of 18 and of 17 followers)
+        classes, groups = {"shared": (1, 1), "mod4": (min(4, e["N"]), 1 + (e["N"] == 70)),
+                           "distinct": (e["N"], 1)}[e["team"]]
+        assert (e["plant_classes"], e["step_groups"]) == (classes, groups)
         # a tree row reads one node: dense Omega at N=3, the edge table at N=70
         assert {f["form"] for f in e["mix_forms"]} == {"dense" if e["N"] == 3 else "table"}
     assert {(c["k"], c["columns"]) for c in doc["crossover"]} == {(2, 4), (2, 16), (1, 4), (1, 16)}
