@@ -466,11 +466,10 @@ def _step_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_
     groups = []
     for (n, m, p, _), sets in stacks.items():
         idx = np.array([rows for rows, _, _ in sets])
-        groups.append(_StepGroup(
-            idx, idx[..., None] * m_pad + np.arange(m), idx[..., None] * n_pad + np.arange(n),
-            n, m, p,
-            *(np.stack([getattr(plant, k).T for _, plant, _ in sets]) for k in "ABCDEF"),
-            *(np.stack([getattr(g, k).T for _, _, g in sets]) for k in ("K_x", "K_v"))))
+        mats = {k: np.stack([getattr(plant, k).T for _, plant, _ in sets]) for k in "ABCDEF"}
+        mats.update((k, np.stack([getattr(g, k).T for _, _, g in sets])) for k in ("K_x", "K_v"))
+        groups.append(_StepGroup(idx, idx[..., None] * m_pad + np.arange(m),
+                                 idx[..., None] * n_pad + np.arange(n), n, m, p, **mats))
     return groups
 
 
