@@ -478,8 +478,8 @@ def _control_and_plant_step(groups: Sequence[_StepGroup], x: np.ndarray, eta: np
                             x_out: np.ndarray | None) -> None:
     """Write u = K_x x + K_v eta of every follower into ``u_out`` and, unless
     ``x_out`` is None, x+ = A x + B u + E v into ``x_out``: one stacked
-    product per group and term, on the C-contiguous, zero-padded (N, .)
-    rows of one time step."""
+    product per group and term, on the zero-padded (N, .) rows of one time
+    step."""
     for g in groups:
         x_g = x.take(g.rows, axis=0)[..., :g.n]
         u_g = x_g @ g.K_x + eta.take(g.rows, axis=0) @ g.K_v
