@@ -17,7 +17,9 @@ team it records, in both observer modes:
   products that step runs;
 - which neighbour-mix form each mode's adjacency selected (edge table or
   dense Omega) and its largest in-degree k_max;
-- the traced peak memory (tracemalloc) of building the scenario and one run.
+- the traced memory (tracemalloc) that the four-mode topology keeps once
+  built, the memory that one run's trajectory log keeps, and the traced
+  peak of building the scenario and one run.
 
 A second table, ``crossover``, times the two mix forms against each other
 on graphs whose follower rows all have in-degree k, over the (N+1) / k
@@ -28,7 +30,7 @@ runs on one thread unless the environment says otherwise.
 
 Usage:
     python scripts/bench_observer_sweep.py --out BENCH.json \
-        [--sizes 4 32 128 512 2048] [--repeats 5] [--horizon 100]
+        [--sizes 4 32 128 512 2048 8192] [--repeats 5] [--horizon 100]
 """
 
 import os
@@ -131,15 +133,29 @@ def best_per_call(fn, repeats: int, min_seconds: float = 0.05) -> float:
     return best
 
 
+def topology_bytes(n: int) -> int:
+    """Traced memory that the sweep's four-mode topology keeps once built."""
+    tracemalloc.start()
+    try:
+        topo = tree_topology(n, np.random.default_rng(SEED))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert topo.n_modes == 4
+    return kept
+
+
 def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dict:
     tracemalloc.start()
     try:
         sc = scenario(n, mode, horizon, team)
         gains = synthesize_gains(sc)
-        run(sc, gains)
-        _, peak = tracemalloc.get_traced_memory()
+        before, _ = tracemalloc.get_traced_memory()
+        log = run(sc, gains)
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    del log
     adjs = [sc.topology.adjacency_of_mode(m) for m in range(1, sc.topology.n_modes + 1)]
     bank = sc.initial_bank()
     v = sc.leader.v0
@@ -162,14 +178,15 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
         "q": 4,
         "horizon": horizon,
         "mix_forms": [{"form": "dense" if a._edges is None else "table",
-                       "k_max": len(topology._in_edge_table(a.omega))} for a in adjs],
+                       "k_max": len(topology._in_edge_table(a))} for a in adjs],
         "plant_classes": len(sc._classes),
         "step_groups": len(groups),
         "observer_update_us": best_per_call(step, repeats) * 1e6,
         "plant_step_us": best_per_call(plant_step, repeats) * 1e6,
         "run_ms": best_per_call(lambda: run(sc, gains), repeats, min_seconds=0.1) * 1e3,
         "peak_traced_mb": peak / 1e6,
-        "omega_mb_per_mode": adjs[0].omega.nbytes / 1e6,
+        "topology_mb": topology_bytes(n) / 1e6,
+        "log_mb": (after - before) / 1e6,
     }
 
 
@@ -185,7 +202,7 @@ def in_degree_adjacency(n: int, k: int, rng: np.random.Generator) -> NormalizedA
 def with_form(adj: NormalizedAdjacency, table: bool) -> NormalizedAdjacency:
     """A twin of ``adj`` that mixes with the given form, whatever it selects."""
     twin = NormalizedAdjacency(adj.omega)
-    object.__setattr__(twin, "_edges", topology._in_edge_table(adj.omega) if table else None)
+    object.__setattr__(twin, "_edges", topology._in_edge_table(adj) if table else None)
     return twin
 
 
@@ -228,7 +245,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[4, 32, 128, 512, 2048])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[4, 32, 128, 512, 2048, 8192])
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--horizon", type=int, default=100)
     ap.add_argument("--crossover-nodes", type=int, nargs="*",
@@ -241,12 +258,14 @@ def main() -> int:
     sweep = [sweep_entry(n, mode, team, args.horizon, args.repeats)
              for n in args.sizes for mode in MODES for team in TEAMS]
     print(f"{'N':>5} {'mode':>11} {'team':>8} {'forms':>12} {'classes':>7} {'groups':>6} "
-          f"{'update us':>10} {'plant us':>9} {'run ms':>9} {'peak MB':>8}")
+          f"{'update us':>10} {'plant us':>9} {'run ms':>9} {'peak MB':>8} {'topo MB':>8} "
+          f"{'log MB':>8}")
     for e in sweep:
         forms = ",".join(sorted({f["form"] for f in e["mix_forms"]}))
         print(f"{e['N']:>5} {e['mode']:>11} {e['team']:>8} {forms:>12} {e['plant_classes']:>7} "
               f"{e['step_groups']:>6} {e['observer_update_us']:>10.1f} "
-              f"{e['plant_step_us']:>9.1f} {e['run_ms']:>9.2f} {e['peak_traced_mb']:>8.2f}")
+              f"{e['plant_step_us']:>9.1f} {e['run_ms']:>9.2f} {e['peak_traced_mb']:>8.2f} "
+              f"{e['topology_mb']:>8.3f} {e['log_mb']:>8.2f}")
     cross = crossover(args.crossover_nodes, args.repeats)
     for c in cross:
         print(f"crossover nodes {c['nodes']:>5} k {c['k']:>4} columns {c['columns']:>2}: "

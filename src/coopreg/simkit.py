@@ -163,6 +163,9 @@ class Scenario:
     ``_classes`` holds the plant classes, found once, here: the 0-based
     indices of followers with equal ``_solve_key``, classes in order of their
     first member.  ``prepare`` solves and ``run`` steps once per class.
+    ``_solves`` caches those solves on first use, so ``validate_scenario``
+    followed by ``run`` solves each class once; ``dataclasses.replace``
+    builds a scenario with an empty cache.
     """
 
     name: str
@@ -177,6 +180,7 @@ class Scenario:
     thresholds: Thresholds = field(default_factory=Thresholds)
     regulator_tol: float = 1e-9
     _classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _solves: tuple[_SharedSolve, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.observer_mode not in ("distributed", "adaptive"):
@@ -283,42 +287,57 @@ def _solve_key(f: FollowerSpec) -> tuple:
     )
 
 
-def _solve_followers(scenario: Scenario, keep: tuple = ()) -> list[_SharedSolve]:
-    """One regulator solve and one gain synthesis per plant class.
+def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
+    """One regulator solve and one gain synthesis per plant class, cached on
+    the scenario.
 
-    Returns the shared solve of every follower, in follower order.  Classes
-    are solved in order of their first follower, regulator before gain, so
-    with ``keep`` empty the first error raised is the one a per-follower
-    loop would raise; errors of the ``keep`` types are kept instead.
+    Returns the shared solve of every follower, in follower order.  A failed
+    solve keeps its exception, whatever its type, in place of its result;
+    ``_solve_errors`` hands them to the callers, which raise or report them.
     """
-    S = scenario.leader.S
-    out: list[_SharedSolve] = [None] * scenario.n_followers
+    if scenario._solves is None:
+        S = scenario.leader.S
+        out: list[_SharedSolve] = [None] * scenario.n_followers
+        for members in scenario._classes:
+            k, f = members[0] + 1, scenario.followers[members[0]]
+            try:
+                regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
+            except Exception as exc:
+                regulator = exc
+            try:
+                gain = synthesize_stabilizing_gain(
+                    f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
+                    label=f"follower {k}",
+                )
+            except Exception as exc:
+                gain = exc
+            failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
+            controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
+            solve = _SharedSolve(k, regulator, gain, controller)
+            for i in members:
+                out[i] = solve
+        object.__setattr__(scenario, "_solves", tuple(out))
+    return scenario._solves
+
+
+def _solve_errors(scenario: Scenario):
+    """The errors of the failed solves in the order a per-follower loop meets
+    them: classes in order of their first follower, regulator before gain."""
+    solves = _solve_followers(scenario)
     for members in scenario._classes:
-        k, f = members[0] + 1, scenario.followers[members[0]]
-        try:
-            regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
-        except keep as exc:
-            regulator = exc
-        try:
-            gain = synthesize_stabilizing_gain(
-                f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
-                label=f"follower {k}",
-            )
-        except keep as exc:
-            gain = exc
-        failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
-        controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
-        solve = _SharedSolve(k, regulator, gain, controller)
-        for i in members:
-            out[i] = solve
-    return out
+        for result in (solves[members[0]].regulator, solves[members[0]].gain):
+            if isinstance(result, Exception):
+                yield result
 
 
 def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
     """Solve the regulator equations and certify a gain for every follower.
 
-    Followers with equal plants and gain directives share one solve.
+    Followers with equal plants and gain directives share one solve, and a
+    scenario is solved once, however often it is asked.
     """
+    for exc in _solve_errors(scenario):
+        raise exc
     return [s.controller for s in _solve_followers(scenario)]
 
 
@@ -354,7 +373,10 @@ def prepare(scenario: Scenario) -> Preparation:
         except (np.linalg.LinAlgError, ValueError) as exc:
             passed, detail = False, f"rho(S): {exc}"
         results.append(CheckResult("leader_spectral_radius", passed, detail))
-    solves = _solve_followers(scenario, keep=_REPORTED_ERRORS)
+    for exc in _solve_errors(scenario):
+        if not isinstance(exc, _REPORTED_ERRORS):
+            raise exc
+    solves = _solve_followers(scenario)
     if checks.stabilizability:
         for k, s in enumerate(solves, start=1):
             ok = not isinstance(s.gain, Exception)
@@ -742,5 +764,5 @@ def report_to_dict(report: ConvergenceReport, scenario_name: str = "",
 
 
 def write_report_json(report_dict: dict, fh: IO[str]) -> None:
-    json.dump(report_dict, fh, indent=2, sort_keys=False)
-    fh.write("\n")
+    # one write: json.dump would write every encoder chunk separately
+    fh.write(json.dumps(report_dict, indent=2) + "\n")

@@ -2,7 +2,7 @@
 weighted adjacency matrices.
 
 Node 0 is always the leader; nodes 1..N are followers.  A weighted digraph
-stores entry ``weights[i, j] = a_ij``, the weight of the edge from node j to
+has entry ``weights[i, j] = a_ij``, the weight of the edge from node j to
 node i (information flows j -> i).  Normalization produces the row-stochastic
 matrix with
 
@@ -13,6 +13,10 @@ whose lower-right N x N sub-block (the follower block) drives every
 convergence argument in this toolkit: under joint connectivity, products of
 follower blocks contract to zero at a geometric rate.
 
+Both are stored as their edges: (source, receiver, weight) arrays sorted by
+receiver, then source, so memory is linear in the number of edges.  A dense
+matrix is built only when asked for.
+
 All types are immutable after construction and all operations are pure,
 so concurrent read access is safe.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -38,45 +43,89 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _square_edges(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(source, receiver) of the nonzero entries of a square matrix, receiver-sorted."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {a.shape}")
+    dst, src = np.divmod(np.flatnonzero(a), a.shape[0])  # row-major: by receiver, then source
+    return src, dst
+
+
+def _in_sums(n: int, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-receiver sums of the edge weights, added in edge (source) order,
+    with no edge-length temporary."""
+    out = np.zeros(n)
+    np.add.at(out, dst, w)
+    return out
+
+
+def _dense(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    out = np.zeros((n, n))
+    out[dst, src] = w
+    return out
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class WeightedDigraph:
     """Weighted digraph over nodes {0, .., N} with leader node 0.
 
-    ``weights[i, j]`` is the weight of the edge (j, i), i.e. of the link that
-    lets node i read node j.  Weights are nonnegative and the diagonal is
-    zero (no self-loops).
+    Built from the dense ``weights`` (``weights[i, j]`` is the weight of the
+    edge (j, i), i.e. of the link that lets node i read node j) or from
+    edges; either way it keeps only its edges, as read-only (source,
+    receiver, weight) arrays sorted by receiver, then source.  Weights are
+    finite and positive on an edge, and there are no self-loops.
     """
 
-    weights: np.ndarray
+    node_count: int
+    _src: np.ndarray = field(repr=False)
+    _dst: np.ndarray = field(repr=False)
+    _w: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionError(f"weight matrix must be square, got shape {w.shape}")
-        if w.shape[0] < 1:
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
+        src, dst = _square_edges(w, "weight matrix")
+        self._adopt(w.shape[0], src, dst, w[dst, src])
+
+    @classmethod
+    def _of_edges(cls, n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+        g = cls.__new__(cls)
+        g._adopt(n, src, dst, w)
+        return g
+
+    def _adopt(self, n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
+        if n < 1:
             raise DimensionError("graph needs at least the leader node")
         # a NaN fails every comparison, so each test is inverted to catch it
         if not np.isfinite(w).all():
             raise ValueError("edge weights must be finite")
         if not (w >= 0).all():
             raise ValueError("edge weights must be nonnegative")
-        if np.any(np.diag(w) != 0):
+        if (src == dst).any():
             raise ValueError("diagonal weights (self-loops) must be zero")
-        object.__setattr__(self, "weights", _readonly(w))
-
-    @property
-    def node_count(self) -> int:
-        return self.weights.shape[0]
+        _frozen(src, dst, w)
+        for name, value in (("node_count", n), ("_src", src), ("_dst", dst), ("_w", w)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_followers(self) -> int:
         return self.node_count - 1
 
     @property
+    def weights(self) -> np.ndarray:
+        """The dense (N+1, N+1) weight matrix, rebuilt (read-only) on each call."""
+        w = _dense(self.node_count, self._src, self._dst, self._w)
+        w.setflags(write=False)
+        return w
+
+    @property
     def edges(self) -> list[tuple[int, int]]:
         """Present edges as (source, receiver) pairs, sorted."""
-        ii, jj = np.nonzero(self.weights)
-        return sorted((int(j), int(i)) for i, j in zip(ii, jj))
+        return sorted(zip(self._src.tolist(), self._dst.tolist()))
 
     @classmethod
     def from_edges(
@@ -86,108 +135,123 @@ class WeightedDigraph:
         weight: float = 1.0,
     ) -> "WeightedDigraph":
         """Build a digraph from (source, receiver) pairs with uniform weight."""
-        w = np.zeros((node_count, node_count))
+        pairs = []
         for j, i in edges:
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise ValueError(f"edge ({j}, {i}) outside node range 0..{node_count - 1}")
             if i == j:
                 raise ValueError(f"self-loop ({j}, {i}) not allowed")
-            w[i, j] = weight
-        return cls(w)
+            pairs.append((j, i))
+        src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        if weight == 0:  # a zero weight is no edge
+            src = dst = src[:0]
+        return cls._of_edges(node_count, *_merged(node_count, src, dst,
+                                                  np.full(src.shape, float(weight))))
+
+
+def _merged(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """Edges sorted by receiver, then source; a repeated edge keeps its
+    largest weight."""
+    key = dst * n + src
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    w = np.maximum.reduceat(w[order], first) if first.size else w[order]
+    return src[order][first], dst[order][first], w
 
 
 # An adjacency mixes over its in-neighbour edge table when
+# EDGE_TABLE_FACTOR * max(k_max, 8) <= N + 1, that is when N + 1 >= 256 and
 # EDGE_TABLE_FACTOR * k_max <= N + 1, k_max being the largest off-diagonal
 # in-degree of a follower row, and over the dense Omega otherwise.  The
 # gather costs O(N k_max) per mixed column and the matmul O((N+1)^2), but the
 # gather pays four numpy calls per table column, so it loses on small or
 # dense graphs.  Measured with scripts/bench_observer_sweep.py (the
-# "crossover" table of BENCH_8.json: 4 and 16 columns, one BLAS thread,
-# 2-vCPU VM): from N+1 = 512 to 2048 the gather wins at (N+1) / k_max = 32
-# (by 1.1-4.2x), and at 16 it loses or ties in 5 of 6 cases.  Below 512
-# nodes, where Omega stays in cache, the crossover moves up to about 128, at
-# a few µs either way.
+# "crossover" tables of BENCH_8.json and BENCH_12.json: 4 and 16 columns,
+# one BLAS thread, 2-vCPU VM): from N+1 = 512 to 2048 the gather wins at
+# (N+1) / k_max = 32 (by 1.1-4.2x), and at 16 it loses or ties in 5 of 6
+# cases.  Below 256 nodes, where Omega stays in cache, the matmul wins or
+# ties even at one in-edge per row (64 nodes: 5.4 against 7.8 µs).
 EDGE_TABLE_FACTOR = 32
 
 
-def _in_edge_table(om: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _in_edge_table(adj: "NormalizedAdjacency") -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The follower rows' off-diagonal in-edges of Omega as k_max columns.
 
     Column k pairs an (N,) array of source nodes with an (N, 1) array of the
-    weights omega_ij, read out of Omega; a row with fewer than k_max in-edges
-    is padded with its own node and weight 0.  Built from the nonzero
-    indices alone, so no further (N+1) x (N+1) array is allocated.
+    weights omega_ij, taken from the adjacency's edge arrays bit for bit; a
+    row with fewer than k_max in-edges is padded with its own node and
+    weight 0.
     """
-    n = om.shape[0] - 1
-    rows, cols = np.nonzero(om[1:])
-    off = cols != rows + 1
-    rows, cols = rows[off], cols[off]
+    n = adj.node_count - 1
+    first = int(np.searchsorted(adj._dst, 1))  # receiver-sorted: node 0's in-edges lead
+    rows, cols = adj._dst[first:] - 1, adj._src[first:]
     degree = np.bincount(rows, minlength=n)
     k_max = int(degree.max(initial=0))
-    # np.nonzero is row-major, so an edge's rank within its row is its offset
-    # from the row's first edge
+    # an edge's rank within its row is its offset from the row's first edge
     rank = np.arange(rows.shape[0]) - (np.cumsum(degree) - degree)[rows]
     src = np.tile(np.arange(1, n + 1), (k_max, 1))
     src[rank, rows] = cols
     weight = np.zeros((k_max, n, 1))
-    weight[rank, rows, 0] = om[rows + 1, cols]
-    for a in (src, weight):
-        a.setflags(write=False)
+    weight[rank, rows, 0] = adj._w[first:]
+    _frozen(src, weight)
     return tuple(zip(src, weight))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NormalizedAdjacency:
     """Row-stochastic normalization of a weighted digraph.
 
-    ``omega`` is the (N+1, N+1) row-stochastic matrix with strictly positive
-    diagonal.  It is the only dense array stored: the follower block is a
+    Stored per edge: the off-diagonal entries omega_ij of the receiver-sorted
+    edges, and the strictly positive diagonal.  The dense (N+1, N+1)
+    ``omega`` is built on first use and cached, and ``lambda_block`` is a
     view of it, so the two cannot disagree.  A sparse adjacency also keeps
     its in-neighbour edge table, which the observer's neighbour mix reads
     in place of Omega (see ``EDGE_TABLE_FACTOR``); it is None when the
     dense Omega is used.
     """
 
-    omega: np.ndarray
-    _edges: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
-        init=False, repr=False
-    )
+    node_count: int
+    _src: np.ndarray = field(repr=False)
+    _dst: np.ndarray = field(repr=False)
+    _w: np.ndarray = field(repr=False)
+    _diag: np.ndarray = field(repr=False)
+    _edges: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(repr=False)
 
-    def __post_init__(self):
-        # the caller may still hold the array, so keep a read-only copy
-        self._adopt(_readonly(self.omega))
+    def __init__(self, omega: np.ndarray):
+        om = np.asarray(omega, dtype=float)
+        src, dst = _square_edges(om, "omega")
+        off = src != dst
+        src, dst = src[off], dst[off]
+        n = om.shape[0]
+        self._adopt(n, src, dst, om[dst, src], om[np.arange(n), np.arange(n)])
 
-    @classmethod
-    def _of_fresh(cls, omega: np.ndarray) -> "NormalizedAdjacency":
-        """Wrap an Omega that no caller holds, without copying it."""
-        adj = cls.__new__(cls)
-        omega.setflags(write=False)
-        adj._adopt(omega)
-        return adj
-
-    def _adopt(self, om: np.ndarray) -> None:
-        if om.ndim != 2 or om.shape[0] != om.shape[1]:
-            raise DimensionError(f"omega must be square, got shape {om.shape}")
+    def _adopt(self, n, src, dst, w, diag) -> None:
         # a NaN fails every comparison, so each test is inverted to catch it
-        if not np.isfinite(om).all():
+        if not (np.isfinite(w).all() and np.isfinite(diag).all()):
             raise ValueError("omega entries must be finite")
-        if not (np.abs(om.sum(axis=1) - 1.0) <= 1e-12).all():
+        if not (np.abs(diag + _in_sums(n, dst, w) - 1.0) <= 1e-12).all():
             raise ValueError("omega rows must sum to 1")
-        if not (om >= 0).all() or not (om <= 1).all():
+        if not ((w >= 0).all() and (w <= 1).all() and (diag >= 0).all() and (diag <= 1).all()):
             raise ValueError("omega entries must lie in [0, 1]")
-        if not (np.diag(om) > 0).all():
+        if not (diag > 0).all():
             raise ValueError("omega diagonal must be strictly positive")
-        # the diagonal is positive, so a row's off-diagonal in-degree is one less;
-        # a dense graph is counted, never tabled
-        k_max = int(np.count_nonzero(om[1:], axis=1).max(initial=1)) - 1
-        object.__setattr__(self, "omega", om)
+        _frozen(src, dst, w, diag)
+        for name, value in (("node_count", n), ("_src", src), ("_dst", dst), ("_w", w),
+                            ("_diag", diag)):
+            object.__setattr__(self, name, value)
+        # receiver-sorted, so a row's in-degree is the gap between its first edges
+        k_max = int(np.diff(np.searchsorted(dst, np.arange(1, n + 1))).max(initial=0))
         object.__setattr__(
-            self, "_edges", _in_edge_table(om) if EDGE_TABLE_FACTOR * k_max <= om.shape[0] else None
+            self, "_edges", _in_edge_table(self) if EDGE_TABLE_FACTOR * max(k_max, 8) <= n else None
         )
 
-    @property
-    def node_count(self) -> int:
-        return self.omega.shape[0]
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The dense read-only (N+1, N+1) Omega, built on first use."""
+        om = _dense(self.node_count, self._src, self._dst, self._w)
+        np.fill_diagonal(om, self._diag)
+        om.setflags(write=False)
+        return om
 
     @property
     def lambda_block(self) -> np.ndarray:
@@ -198,19 +262,22 @@ class NormalizedAdjacency:
 def normalize_adjacency(g: WeightedDigraph) -> NormalizedAdjacency:
     """Normalize a weighted digraph into its row-stochastic form.
 
-    Row i is divided by 1 + (sum of the in-edge weights of node i), and the
-    freed mass is placed on the diagonal, so every row sums to exactly 1 and
-    the diagonal stays strictly positive.  Raises ValueError when the in-edge
-    weights of a node, each finite, sum past the float range.
+    Row i is divided by 1 + (sum of the in-edge weights of node i, added in
+    source order), and the freed mass is placed on the diagonal, so every
+    row sums to 1 and the diagonal stays strictly positive.  Raises
+    ValueError when the in-edge weights of a node, each finite, sum past the
+    float range.
     """
-    w = g.weights
     with np.errstate(over="ignore"):
-        row = w.sum(axis=1)
+        row = _in_sums(g.node_count, g._dst, g._w)
     if not np.isfinite(row).all():
         raise ValueError("the in-edge weights of a node must have a finite sum")
-    omega = w / (1.0 + row)[:, None]
-    np.fill_diagonal(omega, 1.0 / (1.0 + row))
-    return NormalizedAdjacency._of_fresh(omega)
+    scale = 1.0 + row
+    w = scale[g._dst]
+    np.divide(g._w, w, out=w)
+    adj = NormalizedAdjacency.__new__(NormalizedAdjacency)
+    adj._adopt(g.node_count, g._src, g._dst, w, 1.0 / scale)
+    return adj
 
 
 def union_digraph(graphs: Sequence[WeightedDigraph]) -> WeightedDigraph:
@@ -227,25 +294,26 @@ def union_digraph(graphs: Sequence[WeightedDigraph]) -> WeightedDigraph:
             raise DimensionError(
                 f"union over mismatched node counts: {n} vs {g.node_count}"
             )
-    w = np.maximum.reduce([g.weights for g in graphs])
-    return WeightedDigraph(w)
+    arrays = (np.concatenate([getattr(g, a) for g in graphs]) for a in ("_src", "_dst", "_w"))
+    return WeightedDigraph._of_edges(n, *_merged(n, *arrays))
 
 
 def leader_reachable(g: WeightedDigraph) -> np.ndarray:
     """Boolean mask of nodes reachable from node 0 by directed paths (BFS)."""
-    n = g.node_count
-    seen = np.zeros(n, dtype=bool)
+    order = np.argsort(g._src, kind="stable")
+    succ = g._dst[order].tolist()
+    # the successors of node j are succ[start[j]:start[j + 1]]
+    start = np.searchsorted(g._src[order], np.arange(g.node_count + 1)).tolist()
+    seen = [False] * g.node_count
     seen[0] = True
     queue = deque([0])
-    # weights[i, j] > 0 means j -> i, so successors of j sit in column j
-    support = g.weights > 0
     while queue:
         j = queue.popleft()
-        for i in np.nonzero(support[:, j])[0]:
+        for i in succ[start[j]:start[j + 1]]:
             if not seen[i]:
                 seen[i] = True
-                queue.append(int(i))
-    return seen
+                queue.append(i)
+    return np.array(seen)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import coopreg.simkit as simkit
 from coopreg.cli import main
 from coopreg.config import load_config, save_config, scenario_to_config
 from coopreg.observers import LeaderModel
-from coopreg.regulation import PlantModel, RegulatorUnsolvableError
+from coopreg.regulation import GainSynthesisError, PlantModel, RegulatorUnsolvableError
 from coopreg.scenarios import build_builtin, formation_scenario
 from coopreg.simkit import (
     AssumptionChecks,
@@ -113,6 +113,36 @@ def test_shared_failed_solve_names_each_follower(solve_counts):
     assert solve_counts["synthesize_stabilizing_gain"] == 2
     with pytest.raises(RegulatorUnsolvableError):  # checked before the gain
         run(scenario)
+
+
+def test_validate_then_run_solves_each_class_once(solve_counts):
+    scenario = star_scenario([double_integrator(h) for h in (1.0, 0.5) * 2])
+    assert all(validate_scenario(scenario))
+    log = run(scenario)
+    synthesize_gains(scenario)
+    assert solve_counts == {"solve_regulator_equations": 2, "synthesize_stabilizing_gain": 2}
+    # a replaced scenario starts with an empty cache, and solves to the same gains
+    assert run(dataclasses.replace(scenario)).x[3].tobytes() == log.x[3].tobytes()
+    assert solve_counts == {"solve_regulator_equations": 4, "synthesize_stabilizing_gain": 4}
+
+
+def test_cached_failures_raise_in_per_follower_order(solve_counts):
+    stuck = PlantModel(
+        A=2.0 * np.eye(4), B=np.zeros((4, 2)), C=np.eye(2, 4),
+        D=np.zeros((2, 2)), E=np.zeros((4, 4)), F=-np.eye(2, 4),
+    )
+    scenario = star_scenario([double_integrator(1.0)] * 3)
+    followers = list(scenario.followers)
+    # follower 2 fails only its gain, follower 3 its regulator first
+    followers[1] = FollowerSpec(plant=followers[1].plant, x0=followers[1].x0,
+                                gain=GainDirective(method="user", K_x=np.zeros((2, 4))))
+    followers[2] = FollowerSpec(plant=stuck, x0=followers[2].x0)
+    scenario = dataclasses.replace(scenario, followers=tuple(followers))
+    assert prepare(scenario).gains is None
+    for _ in range(2):
+        with pytest.raises(GainSynthesisError, match="^follower 2: supplied gain"):
+            synthesize_gains(scenario)
+    assert solve_counts == {"solve_regulator_equations": 3, "synthesize_stabilizing_gain": 3}
 
 
 def test_force_past_failed_synthesis_reports_it(tmp_path, capsys):

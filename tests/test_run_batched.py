@@ -6,7 +6,9 @@ decay fits of ``analyze`` against a per-series ``lstsq`` fit."""
 import csv
 import dataclasses
 import io
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import coopreg.observers
 import coopreg.simkit
+import coopreg.topology
 from coopreg.observers import (
     DecayFit,
     LeaderModel,
@@ -45,7 +48,9 @@ from coopreg.simkit import (
     analyze,
     csv_columns,
     prepare,
+    report_to_dict,
     run,
+    write_report_json,
     write_trajectory_csv,
 )
 from coopreg.topology import (
@@ -190,7 +195,9 @@ SPARSE_DENSITY = {150: 0.005, 600: 0.01}
 
 @pytest.mark.parametrize("n_followers", [1, 4, 33, 150, 600])
 @pytest.mark.parametrize("shape", [(3,), (3, 3)])
-def test_neighbor_mix_matches_difference_tensor(n_followers, shape):
+def test_neighbor_mix_matches_difference_tensor(n_followers, shape, monkeypatch):
+    if n_followers == 150:  # below the table's size floor
+        tables_at_any_size(monkeypatch)
     rng = np.random.default_rng(n_followers)
     n1 = n_followers + 1
     density = SPARSE_DENSITY.get(n_followers, 0.4)
@@ -206,7 +213,13 @@ def test_neighbor_mix_matches_difference_tensor(n_followers, shape):
     assert np.abs(got - difference_tensor_mix(omega, values)).max() <= 1e-13
 
 
-# N = 79 followers, so an edge table of up to 2 columns is selected
+def tables_at_any_size(monkeypatch):
+    """Every adjacency built from here on mixes over its edge table, also
+    below the 256-node floor of the rule."""
+    monkeypatch.setattr(coopreg.topology, "EDGE_TABLE_FACTOR", 0)
+
+
+# N = 79 followers, below the floor: the tests select the table themselves
 EDGE_CASES = {
     "no edges": [],
     "leader-only rows": [(0, i) for i in range(1, 80)],
@@ -217,7 +230,8 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
 @pytest.mark.parametrize("shape", [(3,), (3, 3)])
-def test_edge_table_mix_covers_degenerate_rows(case, shape):
+def test_edge_table_mix_covers_degenerate_rows(case, shape, monkeypatch):
+    tables_at_any_size(monkeypatch)
     adj = normalize_adjacency(WeightedDigraph.from_edges(80, EDGE_CASES[case], weight=1.5))
     assert adj._edges is not None
     values = np.random.default_rng(5).normal(size=(80,) + shape)
@@ -245,7 +259,8 @@ def sparse_topology(n_followers: int, n_modes: int, seed: int) -> SwitchingTopol
 
 
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
-def test_edge_table_bank_matches_the_dense_error_form(mode):
+def test_edge_table_bank_matches_the_dense_error_form(mode, monkeypatch):
+    tables_at_any_size(monkeypatch)
     topo = sparse_topology(150, n_modes=3, seed=11)
     assert all(topo.adjacency_of_mode(m)._edges is not None for m in (1, 2, 3))
     rng = np.random.default_rng(12)
@@ -256,7 +271,8 @@ def test_edge_table_bank_matches_the_dense_error_form(mode):
 
 
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
-def test_run_on_an_edge_table_topology_is_byte_identical(mode):
+def test_run_on_an_edge_table_topology_is_byte_identical(mode, monkeypatch):
+    tables_at_any_size(monkeypatch)
     n = 64
     topo = sparse_topology(n, n_modes=4, seed=2)
     assert all(topo.adjacency_of_mode(m)._edges is not None for m in (1, 2, 3, 4))
@@ -282,6 +298,61 @@ def test_run_on_an_edge_table_topology_is_byte_identical(mode):
             assert a.tobytes() == b.tobytes(), key
     # the table carried the leader's state out to the whole tree
     assert first.eta_tilde_norm[-1] < 1e-6 and first.e_norms[-1].max() < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_a_sparse_swarm_is_validated_and_run_without_a_dense_array(mode):
+    n = 1023
+    topo = sparse_topology(n, n_modes=4, seed=3)
+    rng = np.random.default_rng(6)
+    scenario = Scenario(
+        name=f"swarm-{mode}",
+        leader=LeaderModel(S=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+                           v0=np.array([0.5, -1.0, 0.2, 0.1])),
+        topology=topo,
+        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
+        observer_mode=mode,
+        horizon=5,
+        checks=AssumptionChecks(connectivity_window=7),
+    )
+    tracemalloc.start()
+    try:
+        checks = coopreg.simkit.validate_scenario(scenario)
+        run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(checks), checks
+    # one (N+1) x (N+1) float array would be 8.4 MB
+    assert peak < 0.5 * (n + 1) ** 2 * 8
+
+
+def test_report_json_is_one_write_of_the_streamed_bytes():
+    n = 512
+    rng = np.random.default_rng(8)
+    scenario = Scenario(
+        name="report-512",
+        leader=LeaderModel(S=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+                           v0=np.array([0.5, -1.0, 0.2, 0.1])),
+        topology=sparse_topology(n, n_modes=4, seed=9),
+        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
+        horizon=40,
+        checks=AssumptionChecks(connectivity_window=7),
+    )
+    report = analyze(run(scenario), checks=prepare(scenario).checks)
+    doc = report_to_dict(report, scenario.name, scenario.observer_mode, scenario.horizon)
+    assert len(doc["series"]) > n
+    writes = []
+
+    class Sink:
+        write = writes.append
+
+    write_report_json(doc, Sink())
+    # the bytes of the chunk-by-chunk writer it replaced
+    streamed = io.StringIO()
+    json.dump(doc, streamed, indent=2)
+    streamed.write("\n")
+    assert writes == [json.dumps(doc, indent=2) + "\n"] == [streamed.getvalue()]
 
 
 def reshaped(gains: ControllerGains, K_x=None, K_v=None) -> ControllerGains:

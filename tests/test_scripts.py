@@ -36,6 +36,7 @@ def test_bench_observer_sweep_writes_its_record(tmp_path):
         for team in ("shared", "mod4", "distinct")]
     for e in doc["sweep"]:
         assert e["observer_update_us"] > 0 and e["run_ms"] > 0 and e["peak_traced_mb"] > 0
+        assert e["topology_mb"] > 0 and e["log_mb"] > 0
         assert e["plant_step_us"] > 0
         # one plant, four plants in turn, one plant per follower; classes of
         # one shape stack into one step group per class size (mod4 at N=70:
@@ -43,6 +44,7 @@ def test_bench_observer_sweep_writes_its_record(tmp_path):
         classes, groups = {"shared": (1, 1), "mod4": (min(4, e["N"]), 1 + (e["N"] == 70)),
                            "distinct": (e["N"], 1)}[e["team"]]
         assert (e["plant_classes"], e["step_groups"]) == (classes, groups)
-        # a tree row reads one node: dense Omega at N=3, the edge table at N=70
-        assert {f["form"] for f in e["mix_forms"]} == {"dense" if e["N"] == 3 else "table"}
+        # a tree row reads one node, but both sizes are under the table's
+        # 256-node floor: dense Omega
+        assert {f["form"] for f in e["mix_forms"]} == {"dense"}
     assert {(c["k"], c["columns"]) for c in doc["crossover"]} == {(2, 4), (2, 16), (1, 4), (1, 16)}

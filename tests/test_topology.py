@@ -18,6 +18,7 @@ from coopreg.topology import (
     consensus_step,
     find_connectivity_window,
     is_jointly_connected,
+    leader_reachable,
     normalize_adjacency,
     transition_product,
     union_digraph,
@@ -188,10 +189,14 @@ class TestEdgeTable:
     @pytest.mark.parametrize("graph, table", [
         (WeightedDigraph.from_edges(5, FIG2_EDGE_SETS[0]), False),  # formation size
         (complete_graph(512), False),
-        (in_degree_graph(62, 2), False),  # 32 * 2 > 63 nodes
-        (in_degree_graph(63, 2), True),   # 32 * 2 <= 64 nodes
+        (in_degree_graph(286, 9), False),  # 32 * 9 > 287 nodes
+        (in_degree_graph(287, 9), True),   # 32 * 9 <= 288 nodes
         (sparse_trees(512)[0][0], True),
-        (WeightedDigraph(np.zeros((5, 5))), True),  # no edges: an empty table
+        (WeightedDigraph(np.zeros((256, 256))), True),  # no edges: an empty table
+        (in_degree_graph(63, 2), False),   # 32 * 2 <= 64 nodes, but under the floor
+        (in_degree_graph(254, 2), False),  # 255 nodes: under the floor
+        (in_degree_graph(255, 2), True),   # 256 nodes: at the floor
+        (WeightedDigraph(np.zeros((5, 5))), False),
     ])
     def test_form_follows_the_graph_shape(self, graph, table):
         assert EDGE_TABLE_FACTOR == 32
@@ -201,8 +206,9 @@ class TestEdgeTable:
     @pytest.mark.parametrize("graph", [sparse_trees(64)[0][1], in_degree_graph(80, 3),
                                        WeightedDigraph.from_edges(40, [(0, 3), (7, 3), (2, 9)])])
     def test_table_holds_omega_in_edges_bit_for_bit(self, graph):
-        om, n = normalize_adjacency(graph).omega, graph.n_followers
-        edges = _in_edge_table(om)
+        adj = normalize_adjacency(graph)
+        om, n = adj.omega, graph.n_followers
+        edges = _in_edge_table(adj)
         assert len(edges) == max(np.count_nonzero(om[i]) - 1 for i in range(1, n + 1))
         rebuilt = np.diag(np.diag(om))
         for src, weight in edges:
@@ -212,6 +218,123 @@ class TestEdgeTable:
             rebuilt[np.arange(1, n + 1)[~pad], src[~pad]] += weight[~pad, 0]
         rebuilt[0] = om[0]
         assert rebuilt.tobytes() == om.tobytes()
+
+
+def dense_reachable(w):
+    """Leader reachability by BFS over a dense weight matrix: the reference."""
+    seen = np.zeros(w.shape[0], dtype=bool)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        j = stack.pop()
+        for i in np.flatnonzero(w[:, j] > 0):  # column j holds the successors of j
+            if not seen[i]:
+                seen[i] = True
+                stack.append(i)
+    return seen
+
+
+def dense_connectivity(mats, schedule, window):
+    """First (start, node) that no union window reaches, by dense matrices."""
+    for t in range(len(schedule) - window):
+        union = np.maximum.reduce([mats[m - 1] for m in set(schedule[t : t + window + 1])])
+        seen = dense_reachable(union)
+        if not seen.all():
+            return t, int(np.flatnonzero(~seen)[0])
+    return None
+
+
+@st.composite
+def edge_families(draw):
+    """1-7 nodes and 1-3 modes of edge lists, repeats within and across modes
+    allowed; a lone leader has no edge to draw."""
+    nodes = draw(st.integers(min_value=1, max_value=7))
+    pairs = st.just([])
+    if nodes > 1:
+        node = st.integers(min_value=0, max_value=nodes - 1)
+        pairs = st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=14)
+    return nodes, draw(st.lists(pairs, min_size=1, max_size=3))
+
+
+class TestEdgeForm:
+    @given(edge_families(), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_graph_algorithms_match_a_dense_bfs(self, family, window):
+        nodes, edge_lists = family
+        graphs = [WeightedDigraph.from_edges(nodes, e, weight=1.5 + k)
+                  for k, e in enumerate(edge_lists)]
+        mats = []
+        for k, edges in enumerate(edge_lists):
+            w = np.zeros((nodes, nodes))
+            for j, i in edges:
+                w[i, j] = 1.5 + k
+            mats.append(w)
+            assert graphs[k].weights.tobytes() == w.tobytes()
+            assert graphs[k].edges == sorted(set(edges))
+            assert np.array_equal(leader_reachable(graphs[k]), dense_reachable(w))
+        union = union_digraph(graphs)
+        assert union.weights.tobytes() == np.maximum.reduce(mats).tobytes()
+        assert np.array_equal(leader_reachable(union), dense_reachable(union.weights))
+        signal = SwitchingSignal.periodic([(m, 1 + m % 2) for m in range(1, len(graphs) + 1)])
+        topo = SwitchingTopology(graphs=tuple(graphs), signal=signal)
+        res = is_jointly_connected(topo, window)
+        schedule = topo.signal.modes(0, res.checked_up_to + 1).tolist()
+        assert res.witness == dense_connectivity(mats, schedule, window)
+        assert res.connected == (res.witness is None)
+
+    @given(weight_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_weights_round_trip_bit_for_bit(self, w):
+        assert WeightedDigraph(w).weights.tobytes() == w.tobytes()
+
+    @given(weight_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_omega_under_8_nodes_is_the_dense_formula_bit_for_bit(self, w):
+        row = w.sum(axis=1)
+        dense = w / (1.0 + row)[:, None]
+        np.fill_diagonal(dense, 1.0 / (1.0 + row))
+        assert normalize_adjacency(WeightedDigraph(w)).omega.tobytes() == dense.tobytes()
+
+    def test_omega_of_large_rows_is_the_dense_formula_to_rounding(self):
+        rng = np.random.default_rng(7)
+        w = np.where(rng.random((300, 300)) < 0.1, 10 ** rng.uniform(-3, 3, (300, 300)), 0.0)
+        np.fill_diagonal(w, 0.0)
+        row = w.sum(axis=1)
+        dense = w / (1.0 + row)[:, None]
+        np.fill_diagonal(dense, 1.0 / (1.0 + row))
+        om = normalize_adjacency(WeightedDigraph(w)).omega
+        assert np.abs(om - dense).max() <= 1e-15
+        # a row of at most two in-edges sums in one rounding either way
+        few = np.count_nonzero(w, axis=1) <= 2
+        assert om[few].tobytes() == dense[few].tobytes()
+
+    def test_a_sparse_topology_keeps_its_edges_only(self):
+        tracemalloc.start()
+        try:
+            graphs, signal = sparse_trees(2048)
+            topo = SwitchingTopology(graphs=graphs, signal=signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense (N+1) x (N+1) Omega would be 33.6 MB
+        assert topo.n_modes == 4 and peak < 2e6
+        assert all(topo.adjacency_of_mode(m)._edges is not None for m in range(1, 5))
+
+    def test_dense_omega_is_built_once_on_demand(self):
+        adj = normalize_adjacency(sparse_trees(300)[0][0])
+        assert "omega" not in vars(adj)
+        assert adj.omega is adj.omega and adj.lambda_block.base is adj.omega
+
+    def test_from_edges_refuses_bad_edges(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) outside node range 0..2"):
+            WeightedDigraph.from_edges(3, [(0, 1), (0, 3)])
+        with pytest.raises(ValueError, match=r"self-loop \(1, 1\) not allowed"):
+            WeightedDigraph.from_edges(3, [(0, 1), (1, 1)])
+        with pytest.raises(ValueError, match="finite"):
+            WeightedDigraph.from_edges(3, [(0, 1)], weight=np.nan)
+        with pytest.raises(DimensionError):
+            WeightedDigraph.from_edges(0, [])
+        assert WeightedDigraph.from_edges(3, [(0, 1)], weight=0.0).edges == []
 
 
 class TestUnionDigraph:
