@@ -16,7 +16,8 @@ a matrix consensus on per-follower copies of the leader matrix,
 so followers need not know S a priori; the state update deliberately uses
 the current estimate S_i(t), not the refreshed one.  Both sums run over the
 in-neighbours j of follower i: over the adjacency's edge table when the
-graph is sparse, otherwise as (Omega x)_i - x_i over the dense Omega.
+graph is sparse and has at least 256 nodes, otherwise as (Omega x)_i - x_i
+over the dense Omega.
 
 Each observer has a compact error-form twin acting on the stacked errors
 (`error_form_step`), used as the independent second route in equivalence

@@ -292,53 +292,49 @@ def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
     the scenario.
 
     Returns the shared solve of every follower, in follower order.  A failed
-    solve keeps its exception, whatever its type, in place of its result;
-    ``_solve_errors`` hands them to the callers, which raise or report them.
+    solve keeps its error of the types ``prepare`` reports in place of its
+    result; any other error propagates, and nothing is cached.
     """
-    if scenario._solves is None:
-        S = scenario.leader.S
-        out: list[_SharedSolve] = [None] * scenario.n_followers
-        for members in scenario._classes:
-            k, f = members[0] + 1, scenario.followers[members[0]]
-            try:
-                regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
-            except Exception as exc:
-                regulator = exc
-            try:
-                gain = synthesize_stabilizing_gain(
-                    f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
-                    label=f"follower {k}",
-                )
-            except Exception as exc:
-                gain = exc
-            failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
-            controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
-            solve = _SharedSolve(k, regulator, gain, controller)
-            for i in members:
-                out[i] = solve
-        object.__setattr__(scenario, "_solves", tuple(out))
-    return scenario._solves
-
-
-def _solve_errors(scenario: Scenario):
-    """The errors of the failed solves in the order a per-follower loop meets
-    them: classes in order of their first follower, regulator before gain."""
-    solves = _solve_followers(scenario)
+    if scenario._solves is not None:
+        return scenario._solves
+    S = scenario.leader.S
+    out: list[_SharedSolve] = [None] * scenario.n_followers
     for members in scenario._classes:
-        for result in (solves[members[0]].regulator, solves[members[0]].gain):
-            if isinstance(result, Exception):
-                yield result
+        k, f = members[0] + 1, scenario.followers[members[0]]
+        try:
+            regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
+        except _REPORTED_ERRORS as exc:
+            regulator = exc
+        try:
+            gain = synthesize_stabilizing_gain(
+                f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
+                label=f"follower {k}",
+            )
+        except _REPORTED_ERRORS as exc:
+            gain = exc
+        failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
+        controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
+        solve = _SharedSolve(k, regulator, gain, controller)
+        for i in members:
+            out[i] = solve
+    object.__setattr__(scenario, "_solves", tuple(out))
+    return scenario._solves
 
 
 def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
     """Solve the regulator equations and certify a gain for every follower.
 
     Followers with equal plants and gain directives share one solve, and a
-    scenario is solved once, however often it is asked.
+    scenario is solved once, however often it is asked.  A failed solve
+    raises the first error a per-follower loop would meet: classes in order
+    of their first follower, regulator before gain.
     """
-    for exc in _solve_errors(scenario):
-        raise exc
-    return [s.controller for s in _solve_followers(scenario)]
+    solves = _solve_followers(scenario)
+    for members in scenario._classes:
+        for result in (solves[members[0]].regulator, solves[members[0]].gain):
+            if isinstance(result, Exception):
+                raise result
+    return [s.controller for s in solves]
 
 
 def prepare(scenario: Scenario) -> Preparation:
@@ -373,9 +369,6 @@ def prepare(scenario: Scenario) -> Preparation:
         except (np.linalg.LinAlgError, ValueError) as exc:
             passed, detail = False, f"rho(S): {exc}"
         results.append(CheckResult("leader_spectral_radius", passed, detail))
-    for exc in _solve_errors(scenario):
-        if not isinstance(exc, _REPORTED_ERRORS):
-            raise exc
     solves = _solve_followers(scenario)
     if checks.stabilizability:
         for k, s in enumerate(solves, start=1):
