@@ -300,21 +300,25 @@ def test_run_on_an_edge_table_topology_is_byte_identical(mode, monkeypatch):
     assert first.eta_tilde_norm[-1] < 1e-6 and first.e_norms[-1].max() < 1e-6
 
 
+def sparse_swarm(n: int, mode: str, horizon: int, seed: int) -> Scenario:
+    """Double integrators following a planar leader over ``sparse_topology``."""
+    rng = np.random.default_rng(seed)
+    return Scenario(
+        name=f"swarm-{n}-{mode}",
+        leader=LeaderModel(S=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
+                           v0=np.array([0.5, -1.0, 0.2, 0.1])),
+        topology=sparse_topology(n, n_modes=4, seed=seed),
+        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
+        observer_mode=mode,
+        horizon=horizon,
+        checks=AssumptionChecks(connectivity_window=7),
+    )
+
+
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
 def test_a_sparse_swarm_is_validated_and_run_without_a_dense_array(mode):
     n = 1023
-    topo = sparse_topology(n, n_modes=4, seed=3)
-    rng = np.random.default_rng(6)
-    scenario = Scenario(
-        name=f"swarm-{mode}",
-        leader=LeaderModel(S=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
-                           v0=np.array([0.5, -1.0, 0.2, 0.1])),
-        topology=topo,
-        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
-        observer_mode=mode,
-        horizon=5,
-        checks=AssumptionChecks(connectivity_window=7),
-    )
+    scenario = sparse_swarm(n, mode, horizon=5, seed=3)
     tracemalloc.start()
     try:
         checks = coopreg.simkit.validate_scenario(scenario)
@@ -329,16 +333,7 @@ def test_a_sparse_swarm_is_validated_and_run_without_a_dense_array(mode):
 
 def test_report_json_is_one_write_of_the_streamed_bytes():
     n = 512
-    rng = np.random.default_rng(8)
-    scenario = Scenario(
-        name="report-512",
-        leader=LeaderModel(S=np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)),
-                           v0=np.array([0.5, -1.0, 0.2, 0.1])),
-        topology=sparse_topology(n, n_modes=4, seed=9),
-        followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
-        horizon=40,
-        checks=AssumptionChecks(connectivity_window=7),
-    )
+    scenario = sparse_swarm(n, "distributed", horizon=40, seed=9)
     report = analyze(run(scenario), checks=prepare(scenario).checks)
     doc = report_to_dict(report, scenario.name, scenario.observer_mode, scenario.horizon)
     assert len(doc["series"]) > n
