@@ -168,11 +168,11 @@ def _merged(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray):
 # dense graphs.  Measured with scripts/bench_observer_sweep.py (the
 # "crossover" tables of BENCH_8.json and BENCH_12.json: 4 and 16 columns,
 # one BLAS thread, 2-vCPU VM): from N+1 = 512 to 2048 the gather wins or
-# ties at (N+1) / k_max = 32 (by 1.0-4.5x), and at 16 it loses or ties in 5
+# ties at (N+1) / k_max = 32 (by 1.0-4.2x), and at 16 it loses or ties in 5
 # of 6 cases.  Below 256 nodes, where Omega stays in cache, either form
 # takes a few µs: the matmul wins from k_max = 2 up, and at k_max = 1 the
 # records disagree (64 nodes, 4 columns: 5.4 against 7.8 µs in BENCH_8.json,
-# 4.5 against 4.3 µs in BENCH_12.json).
+# 4.4 against 4.0 µs in BENCH_12.json).
 EDGE_TABLE_FACTOR = 32
 
 
