@@ -149,9 +149,9 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
     tracemalloc.start()
     try:
         sc = scenario(n, mode, horizon, team)
-        gains = synthesize_gains(sc)
+        synthesize_gains(sc)  # solved and cached outside the log's memory
         before, _ = tracemalloc.get_traced_memory()
-        log = run(sc, gains)
+        log = run(sc)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -164,7 +164,7 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
     def step():
         _observer_update(LEADER_S, next(cycle), v, bank.eta, bank.s_est)
 
-    groups = _step_groups(sc, gains)
+    groups = _step_groups(sc)
     x = np.stack([f.x0 for f in sc.followers])
     u_out, x_out = np.empty((n, sc.followers[0].plant.m)), np.empty_like(x)
 
@@ -183,7 +183,7 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
         "step_groups": len(groups),
         "observer_update_us": best_per_call(step, repeats) * 1e6,
         "plant_step_us": best_per_call(plant_step, repeats) * 1e6,
-        "run_ms": best_per_call(lambda: run(sc, gains), repeats, min_seconds=0.1) * 1e3,
+        "run_ms": best_per_call(lambda: run(sc), repeats, min_seconds=0.1) * 1e3,
         "peak_traced_mb": peak / 1e6,
         "topology_mb": topology_bytes(n) / 1e6,
         "log_mb": (after - before) / 1e6,

@@ -33,7 +33,6 @@ from .simkit import (
     OverflowAbort,
     Scenario,
     analyze,
-    prepare,
     report_to_dict,
     run,
     validate_scenario,
@@ -111,8 +110,7 @@ def cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
     timings: dict[str, float] = {}
     with _stage(timings, "prepare"):
-        prep = prepare(scenario)
-    checks = prep.checks
+        checks = validate_scenario(scenario)
     failed = [c for c in checks if not c.passed]
     if failed and not args.force:
         for c in failed:
@@ -121,7 +119,7 @@ def cmd_run(args) -> int:
         return 1
     try:
         with _stage(timings, "run"):
-            log = run(scenario, prep.gains)
+            log = run(scenario)
     except OverflowAbort as exc:
         print(f"aborted: {exc}")
         return 1

@@ -256,16 +256,12 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
             key: _flag(cobj.get(key, True), f"run.checks.{key}")
             for key in ("connectivity", "leader_spectral", "stabilizability", "regulator")
         }
-        checks = AssumptionChecks(
-            connectivity_window=_positive_int(
-                cobj.get("connectivity_window", 0), "run.checks.connectivity_window", 0
-            ),
-            connectivity_horizon=(
-                _positive_int(cobj["connectivity_horizon"], "run.checks.connectivity_horizon", 0)
-                if "connectivity_horizon" in cobj else None
-            ),
-            **flags,
-        )
+        windows = {key: _positive_int(cobj[key], f"run.checks.{key}", 0)
+                   for key in ("connectivity_window", "connectivity_horizon") if key in cobj}
+        try:
+            checks = AssumptionChecks(**windows, **flags)
+        except ValueError as exc:
+            raise ConfigError(f"run.{exc}") from exc
     thresholds = Thresholds()
     if "thresholds" in run_obj:
         tobj = run_obj["thresholds"]

@@ -24,6 +24,7 @@ Suites:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .topology import (
     WeightedDigraph,
     consensus_step,
     is_jointly_connected,
+    transition_product,
 )
 
 
@@ -167,13 +169,23 @@ def bank_vs_error_form(
 
 
 def consensus_trial(seed: int, horizon_factor: int = 60, n_vectors: int = 100) -> TrialResult:
+    """Averaging collapses the spread of random vectors below 1e-9 within
+    ``horizon_factor`` N (window + 1) steps, or, if longer, twice the steps
+    the Lemma 2 rate r = rho(Lambda(P-1) .. Lambda(0))^(1/P) over one period
+    P needs for that, so a slowly contracting topology gets the time it needs.
+    Lambda has a positive diagonal and the schedule is jointly connected, so
+    0 < r < 1."""
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     window = connectivity_window(topo)
     if not is_jointly_connected(topo, window):
         return TrialResult(seed, False, "generated topology failed connectivity")
     x = rng.normal(size=(topo.node_count, n_vectors))
-    horizon = horizon_factor * topo.n_followers * (window + 1)
+    period = topo.signal.period
+    rate = spectral_radius(transition_product(topo, 0, period)) ** (1 / period)
+    spread0 = float(np.max(x.max(axis=0) - x.min(axis=0)))
+    needed = math.ceil(2 * math.log(1e-9 / spread0) / math.log(rate))
+    horizon = max(horizon_factor * topo.n_followers * (window + 1), needed)
     for t in range(horizon):
         x = consensus_step(topo.adjacency_at(t), x)
     spread = float(np.max(x.max(axis=0) - x.min(axis=0)))

@@ -8,9 +8,9 @@ time-t values and the time-t graph, so the semantics are synchronous.
 
 Followers whose plant matrices and gain directive are equal by value form
 one plant class (``Scenario`` finds the classes once, when it is built), and
-share every matrix of their closed loop.  Before the first tick, ``run``
-splits each class by gain object into member sets, checks each set's gain
-shapes once, and stacks the sets of equal size and equal (n, m, p) into one
+share every matrix of their closed loop, their gains included: the gains are
+the scenario's own, solved once per class and cached on it.  Before the first
+tick, ``run`` stacks the classes of equal size and equal (n, m, p) into one
 step group.  Per tick, each group gathers its rows of the logs and computes
 the control law u = x K_x^T + eta K_v^T and the plant step
 x+ = x A^T + u B^T + E v as one stacked product per term: a GEMM per class
@@ -33,7 +33,7 @@ tensor.  The regulated outputs, per group, and the norm series are computed
 after the last tick, as whole-array expressions.  In distributed mode the
 closed loop is a switched linear system, but no dense closed-loop matrix per
 mode is built: with N followers it has (q + N (q + n))^2 entries, 134 MB at
-N = 512 and n = q = 4, where the grouped step needs only each set's
+N = 512 and n = q = 4, where the grouped step needs only each class's
 blocks.
 
 Runs are deterministic: identical scenarios produce identical trajectory
@@ -109,7 +109,8 @@ class GainDirective:
 
 @dataclass(frozen=True)
 class AssumptionChecks:
-    """Which validation checks to run and their parameters."""
+    """Which validation checks to run and their parameters; the window must
+    be >= 0 and a connectivity horizon, when given, at least the window."""
 
     connectivity: bool = True
     connectivity_window: int = 0
@@ -117,6 +118,14 @@ class AssumptionChecks:
     leader_spectral: bool = True
     stabilizability: bool = True
     regulator: bool = True
+
+    def __post_init__(self):
+        window, horizon = self.connectivity_window, self.connectivity_horizon
+        if window < 0:
+            raise ValueError(f"checks.connectivity_window must be >= 0, got {window}")
+        if horizon is not None and horizon < window:
+            raise ValueError(f"checks.connectivity_horizon must be >= connectivity_window "
+                             f"({window}), got {horizon}")
 
 
 @dataclass(frozen=True)
@@ -140,16 +149,24 @@ class Thresholds:
 
 @dataclass(frozen=True, eq=False)
 class FollowerSpec:
+    """One follower.  Its gain directive is checked against the plant as
+    ``synthesize_stabilizing_gain`` reads it (after ``np.atleast_2d``): K_x
+    must be (m, n), Q (n, n) and R (m, m)."""
+
     plant: PlantModel
     x0: np.ndarray
     gain: GainDirective = field(default_factory=GainDirective)
 
     def __post_init__(self):
+        n, m = self.plant.n, self.plant.m
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if x0.shape[0] != self.plant.n:
-            raise DimensionError(
-                f"initial state has dim {x0.shape[0]}, plant expects {self.plant.n}"
-            )
+        if x0.shape[0] != n:
+            raise DimensionError(f"initial state has dim {x0.shape[0]}, plant expects {n}")
+        for key, shape in (("K_x", (m, n)), ("Q", (n, n)), ("R", (m, m))):
+            value = getattr(self.gain, key)
+            if value is not None and np.atleast_2d(value).shape != shape:
+                raise DimensionError(f"gain {key} has shape {np.atleast_2d(value).shape}, "
+                                     f"expected {shape} for a plant with (m, n) = ({m}, {n})")
         object.__setattr__(self, "x0", _readonly(x0))
 
 
@@ -162,10 +179,10 @@ class Scenario:
 
     ``_classes`` holds the plant classes, found once, here: the 0-based
     indices of followers with equal ``_solve_key``, classes in order of their
-    first member.  ``prepare`` solves and ``run`` steps once per class.
-    ``_solves`` caches those solves on first use, so ``validate_scenario``
-    followed by ``run`` solves each class once; ``dataclasses.replace``
-    builds a scenario with an empty cache.
+    first member.  Each class is solved once and ``run`` steps it as one
+    block.  ``_solves`` caches those solves on first use, so
+    ``validate_scenario`` followed by ``run`` solves each class once;
+    ``dataclasses.replace`` builds a scenario with an empty cache.
     """
 
     name: str
@@ -248,15 +265,6 @@ class CheckResult:
 
 
 @dataclass(frozen=True, eq=False)
-class Preparation:
-    """Assumption checks and certified gains of one scenario, from one pass;
-    ``gains`` is None when any follower's regulator or gain solve failed."""
-
-    checks: tuple[CheckResult, ...]
-    gains: tuple[ControllerGains, ...] | None
-
-
-@dataclass(frozen=True, eq=False)
 class _SharedSolve:
     """Regulator solution and certified gain of one (plant, gain directive)
     class; a failed solve keeps its exception in place of the result."""
@@ -271,7 +279,7 @@ class _SharedSolve:
         return str(exc).replace(f"follower {self.first}:", f"follower {k}:", 1)
 
 
-# errors that prepare() reports as failed checks instead of raising
+# errors that validate_scenario reports as failed checks instead of raising
 _REPORTED_ERRORS = (RegulatorUnsolvableError, GainSynthesisError, np.linalg.LinAlgError,
                     ValueError)
 
@@ -292,8 +300,8 @@ def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
     the scenario.
 
     Returns the shared solve of every follower, in follower order.  A failed
-    solve keeps its error of the types ``prepare`` reports in place of its
-    result; any other error propagates, and nothing is cached.
+    solve keeps its error of the types ``validate_scenario`` reports in place
+    of its result; any other error propagates, and nothing is cached.
     """
     if scenario._solves is not None:
         return scenario._solves
@@ -337,9 +345,8 @@ def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
     return [s.controller for s in solves]
 
 
-def prepare(scenario: Scenario) -> Preparation:
-    """Run the requested assumption checks and synthesize every gain in one
-    pass; reports, never raises.
+def validate_scenario(scenario: Scenario) -> list[CheckResult]:
+    """Run the requested assumption checks; reports, never raises.
 
     Checks, in order: joint connectivity of the switching topology,
     leader spectral radius <= 1, per-follower stabilizability (gain
@@ -380,13 +387,7 @@ def prepare(scenario: Scenario) -> Preparation:
             ok = not isinstance(s.regulator, Exception)
             detail = f"residual {s.regulator.residual:.3e}" if ok else s.detail(s.regulator, k)
             results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, detail))
-    gains = tuple(s.controller for s in solves)
-    return Preparation(tuple(results), None if any(g is None for g in gains) else gains)
-
-
-def validate_scenario(scenario: Scenario) -> list[CheckResult]:
-    """The checks of ``prepare``; reports, never raises."""
-    return list(prepare(scenario).checks)
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,12 +424,11 @@ class TrajectoryLog:
 
 
 class _StepGroup(NamedTuple):
-    """The member sets of one size and one plant shape, stacked.
+    """The plant classes of one size and one plant shape, stacked.
 
-    A member set is the followers of one plant class that share one gain
-    object; the sets of equal size k and equal (n, m, p) are stacked along
-    axis 0.  ``rows`` holds the (G, k) follower indices, and each matrix
-    field the (G, b, a) transposes of the sets' (a, b) matrices, so that a
+    The classes of equal size k and equal (n, m, p) are stacked along axis 0.
+    ``rows`` holds the (G, k) follower indices, and each matrix field the
+    (G, b, a) transposes of the classes' (a, b) matrices, so that a
     (G, k, b) gather of the logs times it is the (G, k, a) product: one GEMM
     of k rows when G = 1, one batched matrix-vector product when k = 1.
     ``u_at`` and ``x_at`` are the flat indices of the group's (G, k, m) and
@@ -451,38 +451,23 @@ class _StepGroup(NamedTuple):
     K_v: np.ndarray
 
 
-def _step_groups(scenario: Scenario, gains: Sequence[ControllerGains]) -> list[_StepGroup]:
-    """Split every plant class by gain object, check each set's gain shapes
-    once (a bad shape names the first follower that has it) and stack the
-    sets of equal size and equal (n, m, p), in order of their first set."""
-    followers, q = scenario.followers, scenario.leader.q
-    if len(gains) != len(followers):
-        raise DimensionError(f"{len(gains)} controller gains for {len(followers)} followers")
-    stacks: dict[tuple, list[tuple[list[int], PlantModel, ControllerGains]]] = {}
-    bad = []
+def _step_groups(scenario: Scenario) -> list[_StepGroup]:
+    """Stack the plant classes of equal size and equal (n, m, p), in order of
+    their first class, with each class's gains from ``synthesize_gains``
+    (which raises the first failed solve)."""
+    gains, followers = synthesize_gains(scenario), scenario.followers
+    stacks: dict[tuple, list[tuple[tuple[int, ...], PlantModel, ControllerGains]]] = {}
     for members in scenario._classes:
-        by_gain: dict[int, list[int]] = {}
-        for i in members:
-            by_gain.setdefault(id(gains[i]), []).append(i)
         plant = followers[members[0]].plant
-        for rows in by_gain.values():
-            g = gains[rows[0]]
-            if g.K_x.shape != (plant.m, plant.n) or g.K_v.shape != (plant.m, q):
-                bad.append(rows[0])
-            stacks.setdefault((plant.n, plant.m, plant.p, len(rows)), []).append((rows, plant, g))
-    if bad:
-        i = min(bad)
-        g, plant = gains[i], followers[i].plant
-        raise DimensionError(
-            f"follower {i + 1}: gains K_x{g.K_x.shape}, K_v{g.K_v.shape} do not "
-            f"match plant (m, n, q) = ({plant.m}, {plant.n}, {q})"
-        )
+        stacks.setdefault((plant.n, plant.m, plant.p, len(members)), []).append(
+            (members, plant, gains[members[0]]))
     n_pad, m_pad = (max(getattr(f.plant, d) for f in followers) for d in "nm")
     groups = []
-    for (n, m, p, _), sets in stacks.items():
-        idx = np.array([rows for rows, _, _ in sets])
-        mats = {k: np.stack([getattr(plant, k).T for _, plant, _ in sets]) for k in "ABCDEF"}
-        mats.update((k, np.stack([getattr(g, k).T for _, _, g in sets])) for k in ("K_x", "K_v"))
+    for (n, m, p, _), classes in stacks.items():
+        idx = np.array([rows for rows, _, _ in classes])
+        mats = {k: np.stack([getattr(plant, k).T for _, plant, _ in classes]) for k in "ABCDEF"}
+        mats.update((k, np.stack([getattr(g, k).T for _, _, g in classes]))
+                    for k in ("K_x", "K_v"))
         groups.append(_StepGroup(idx, idx[..., None] * m_pad + np.arange(m),
                                  idx[..., None] * n_pad + np.arange(n), n, m, p, **mats))
     return groups
@@ -527,21 +512,20 @@ def _overflow(t: int, rows: dict[str, np.ndarray]) -> OverflowAbort:
     raise AssertionError("no entry beyond the overflow limit")
 
 
-def run(scenario: Scenario, gains: Sequence[ControllerGains] | None = None) -> TrajectoryLog:
+def run(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop and log every series.
 
-    Validation is the caller's concern (see prepare, whose ``gains`` can be
-    passed in); this function checks the gain shapes once, before the first
-    step (DimensionError), and only refuses to continue when states
-    overflow or turn non-finite, or when gain synthesis itself fails.
+    Validation is the caller's concern (see validate_scenario).  The gains
+    are the scenario's own (``synthesize_gains``, solved once per scenario),
+    so a failed solve raises before the first step; after that, this
+    function only refuses to continue when states overflow or turn
+    non-finite.
 
-    Each step runs u and x+ as stacked products per step group (the
-    (class, gain object) member sets of one size and shape), over the
-    group's rows of the logs; e follows per group after the last step.
+    Each step runs u and x+ as stacked products per step group (the plant
+    classes of one size and shape), over the group's rows of the logs; e
+    follows per group after the last step.
     """
-    if gains is None:
-        gains = synthesize_gains(scenario)
-    groups = _step_groups(scenario, gains)
+    groups = _step_groups(scenario)
     S = scenario.leader.S
     topology = scenario.topology
     horizon = scenario.horizon

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopreg import observers, topology
+from coopreg import observers, properties, topology
 from coopreg.cli import main
 from coopreg.observers import (
     ErrorState,
@@ -25,12 +25,14 @@ from coopreg.observers import (
 )
 from coopreg.properties import (
     SUITES,
+    consensus_trial,
     follower_product_norms,
     lemma2_trial,
     lemma3_trial,
     lemma4_trial,
     random_leader,
     random_topology,
+    run_suite,
 )
 from coopreg.topology import (
     ConnectivityResult,
@@ -240,3 +242,16 @@ def test_props_stdout_matches_the_recorded_output(suite, capsys):
     assert main(["props", suite, "--trials", "30", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (PROPS_DATA / f"{suite}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [408, 1675])
+def test_slowly_contracting_consensus_trials_get_the_steps_they_need(seed):
+    # still contracting, but too slowly to reach 1e-9 within 60 N (window + 1) steps
+    result = consensus_trial(seed)
+    assert result.passed, result.detail
+
+
+def test_consensus_suite_fails_when_nothing_averages(monkeypatch):
+    monkeypatch.setattr(properties, "consensus_step", lambda adj, x: x)
+    results = run_suite("consensus", 10, 400)
+    assert results and not any(r.passed for r in results)

@@ -1,4 +1,4 @@
-"""One prepare pass per scenario: shared solves, per-follower checks, builders."""
+"""One solve per plant class and scenario: shared solves, per-follower checks, builders."""
 
 import dataclasses
 import json
@@ -18,7 +18,6 @@ from coopreg.simkit import (
     FollowerSpec,
     GainDirective,
     Scenario,
-    prepare,
     run,
     synthesize_gains,
     validate_scenario,
@@ -87,12 +86,14 @@ def test_config_loaded_classes_are_solved_once_each(tmp_path, solve_counts):
 
 
 def test_prepare_gains_match_synthesize_gains():
+    # the gains a validated scenario runs with are those of a fresh solve
     scenario = star_scenario([double_integrator(h) for h in (1.0, 0.5, 1.0)])
-    prep = prepare(scenario)
-    assert prep.checks and all(prep.checks)
-    for a, b in zip(prep.gains, synthesize_gains(scenario)):
+    checks = validate_scenario(scenario)
+    assert checks and all(checks)
+    fresh = dataclasses.replace(scenario)
+    for a, b in zip(synthesize_gains(scenario), synthesize_gains(fresh)):
         assert np.array_equal(a.K_x, b.K_x) and np.array_equal(a.K_v, b.K_v)
-    log_a, log_b = run(scenario, prep.gains), run(scenario)
+    log_a, log_b = run(scenario), run(fresh)
     assert all(np.array_equal(x, y) for x, y in zip(log_a.x, log_b.x))
 
 
@@ -102,9 +103,7 @@ def test_shared_failed_solve_names_each_follower(solve_counts):
         D=np.zeros((2, 2)), E=np.zeros((4, 4)), F=-np.eye(2, 4),
     )
     scenario = star_scenario([double_integrator(1.0), stuck, stuck])
-    prep = prepare(scenario)
-    assert prep.gains is None
-    by_name = {c.name: c for c in prep.checks}
+    by_name = {c.name: c for c in validate_scenario(scenario)}
     assert by_name["stabilizable_follower_1"].passed
     for k in (2, 3):
         check = by_name[f"stabilizable_follower_{k}"]
@@ -138,7 +137,7 @@ def test_cached_failures_raise_in_per_follower_order(solve_counts):
                                 gain=GainDirective(method="user", K_x=np.zeros((2, 4))))
     followers[2] = FollowerSpec(plant=stuck, x0=followers[2].x0)
     scenario = dataclasses.replace(scenario, followers=tuple(followers))
-    assert prepare(scenario).gains is None
+    assert not all(validate_scenario(scenario))
     for _ in range(2):
         with pytest.raises(GainSynthesisError, match="^follower 2: supplied gain"):
             synthesize_gains(scenario)
@@ -238,7 +237,7 @@ def test_signed_zeros_do_not_split_a_class(solve_counts):
     assert negative_zeros(unsigned.F) == 0 and np.array_equal(unsigned.F, plant.F)
     scenario = star_scenario([plant, unsigned, plant])
     assert scenario._classes == ((0, 1, 2),)
-    assert all(prepare(scenario).checks)
+    assert all(validate_scenario(scenario))
     assert solve_counts == {"solve_regulator_equations": 1, "synthesize_stabilizing_gain": 1}
 
 
@@ -248,10 +247,9 @@ def test_prepare_solves_per_class_without_rehashing(monkeypatch, solve_counts):
     keys = []
     solve_key = simkit._solve_key
     monkeypatch.setattr(simkit, "_solve_key", lambda f: (keys.append(f), solve_key(f))[1])
-    prep = prepare(scenario)
-    assert all(prep.checks)
+    assert all(validate_scenario(scenario))
+    gains = synthesize_gains(scenario)
     assert solve_counts == {"solve_regulator_equations": 4, "synthesize_stabilizing_gain": 4}
     assert keys == []
     # every member of a class gets its class's gain object
-    assert [len({id(prep.gains[i]) for i in members}) for members in scenario._classes] == \
-        [1] * 4
+    assert [len({id(gains[i]) for i in members}) for members in scenario._classes] == [1] * 4

@@ -12,8 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from coopreg.cli import main
 from coopreg.config import ConfigError, load_config, save_config, scenario_to_config
-from coopreg.scenarios import formation_scenario
-from coopreg.simkit import FollowerSpec, OverflowAbort, analyze, run
+from coopreg.observers import LeaderModel
+from coopreg.regulation import PlantModel
+from coopreg.scenarios import build_builtin, formation_scenario
+from coopreg.simkit import (
+    FollowerSpec,
+    GainDirective,
+    OverflowAbort,
+    Scenario,
+    analyze,
+    run,
+    validate_scenario,
+)
+from coopreg.topology import DimensionError, SwitchingSignal, SwitchingTopology, WeightedDigraph
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -115,6 +126,47 @@ def test_any_non_finite_config_entry_is_named(path, bad):
         with pytest.raises(ConfigError) as exc_info:
             load_config(cfg)
     assert path in str(exc_info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), key=st.sampled_from(["K_x", "Q", "R"]),
+       shape=st.lists(st.integers(1, 3), max_size=3), b=st.floats(-2.0, 2.0),
+       value=st.floats(-2.0, 2.0))
+def test_gain_shapes_are_checked_when_the_follower_is_built(n, m, key, shape, b, value):
+    # a stable plant, so that a gain of the right shape reaches every solve
+    plant = PlantModel(A=0.5 * np.eye(n), B=np.full((n, m), b), C=np.eye(1, n),
+                       D=np.zeros((1, m)), E=np.zeros((n, 1)), F=-np.eye(1))
+    # Q and R stay nonnegative, so the Riccati recursion ends within a few steps
+    matrix = np.full(shape, value if key == "K_x" else abs(value))
+    gain = GainDirective(method="user" if key == "K_x" else "riccati", **{key: matrix})
+    expected = {"K_x": (m, n), "Q": (n, n), "R": (m, m)}[key]
+    if np.atleast_2d(matrix).shape != expected:
+        with pytest.raises(DimensionError, match=f"gain {key} has shape"):
+            FollowerSpec(plant, np.ones(n), gain)
+        return
+    scenario = Scenario(
+        name="one", leader=LeaderModel(S=np.eye(1), v0=np.ones(1)),
+        topology=SwitchingTopology(graphs=(WeightedDigraph.from_edges(2, [(0, 1)]),),
+                                   signal=SwitchingSignal.periodic([(1, 1)])),
+        followers=(FollowerSpec(plant, np.ones(n), gain),), horizon=3,
+    )
+    results = validate_scenario(scenario)
+    assert [r.name for r in results] == ["jointly_connected", "leader_spectral_radius",
+                                         "stabilizable_follower_1", "regulator_solvable_follower_1"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_misshaped_user_gain_in_a_config_exits_2(command, tmp_path, capsys):
+    # with a stable plant this K_x passed the gain check, then raised in build_controller
+    doc = scenario_to_config(build_builtin("single-follower"))
+    doc["followers"][0]["A"] = (0.5 * np.eye(2)).tolist()
+    doc["gains"][0] = {"method": "user", "K_x": [[0.0], [0.0]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, str(path), *out]) == 2
+    assert "followers[0]: gain K_x has shape (2, 1), expected (2, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_signal_segment_rejected(tmp_path):

@@ -29,14 +29,7 @@ from coopreg.observers import (
     observer_step,
 )
 from coopreg.properties import bank_vs_error_form, random_leader
-from coopreg.regulation import (
-    ControllerGains,
-    PlantModel,
-    build_controller,
-    control_input,
-    plant_step,
-    synthesize_stabilizing_gain,
-)
+from coopreg.regulation import PlantModel, control_input, plant_step
 from coopreg.scenarios import BUILTINS, build_builtin, formation_scenario
 from coopreg.simkit import (
     AssumptionChecks,
@@ -47,14 +40,14 @@ from coopreg.simkit import (
     Thresholds,
     analyze,
     csv_columns,
-    prepare,
     report_to_dict,
     run,
+    synthesize_gains,
+    validate_scenario,
     write_report_json,
     write_trajectory_csv,
 )
 from coopreg.topology import (
-    DimensionError,
     NormalizedAdjacency,
     SwitchingSignal,
     SwitchingTopology,
@@ -159,10 +152,8 @@ def reference_run(scenario: Scenario, gains) -> dict:
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
 def test_run_matches_reference_loop(mode):
     scenario = mixed_scenario(mode)
-    prep = prepare(scenario)
-    assert prep.gains is not None
-    log = run(scenario, prep.gains)
-    ref = reference_run(scenario, prep.gains)
+    log = run(scenario)
+    ref = reference_run(scenario, synthesize_gains(scenario))
     assert np.array_equal(log.sigma, ref["sigma"])
     assert np.array_equal(log.t, np.arange(scenario.horizon + 1))
     for key in ("v", "eta", "eta_tilde_norm", "e_norms"):
@@ -288,8 +279,7 @@ def test_run_on_an_edge_table_topology_is_byte_identical(mode, monkeypatch):
         eta0=tuple(rng.normal(size=4) for _ in range(n)),
         horizon=300,
     )
-    gains = prepare(scenario).gains
-    first, second = run(scenario, gains), run(scenario, gains)
+    first, second = run(scenario), run(scenario)
     for key in ("v", "eta", "s_est", "eta_tilde_norm", "s_tilde_norm", "e_norms"):
         a, b = getattr(first, key), getattr(second, key)
         assert (a is None and b is None) or a.tobytes() == b.tobytes(), key
@@ -334,7 +324,7 @@ def test_a_sparse_swarm_is_validated_and_run_without_a_dense_array(mode):
 def test_report_json_is_one_write_of_the_streamed_bytes():
     n = 512
     scenario = sparse_swarm(n, "distributed", horizon=40, seed=9)
-    report = analyze(run(scenario), checks=prepare(scenario).checks)
+    report = analyze(run(scenario), checks=validate_scenario(scenario))
     doc = report_to_dict(report, scenario.name, scenario.observer_mode, scenario.horizon)
     assert len(doc["series"]) > n
     writes = []
@@ -348,43 +338,6 @@ def test_report_json_is_one_write_of_the_streamed_bytes():
     json.dump(doc, streamed, indent=2)
     streamed.write("\n")
     assert writes == [json.dumps(doc, indent=2) + "\n"] == [streamed.getvalue()]
-
-
-def reshaped(gains: ControllerGains, K_x=None, K_v=None) -> ControllerGains:
-    return ControllerGains(
-        K_x=gains.K_x if K_x is None else K_x,
-        K_v=gains.K_v if K_v is None else K_v,
-        closed_loop_radius=gains.closed_loop_radius,
-    )
-
-
-@pytest.fixture
-def no_steps(monkeypatch):
-    """Fail the test if run advances the observer bank."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a step ran before the gain shapes were checked")
-
-    monkeypatch.setattr(coopreg.observers, "_neighbor_mix", refuse)
-
-
-@pytest.mark.parametrize("bad", ["K_x rows", "K_x cols", "K_v cols", "missing"])
-def test_misshaped_gains_raise_before_any_step(bad, no_steps):
-    scenario = mixed_scenario("distributed", horizon=5)
-    gains = list(prepare(scenario).gains)
-    g = gains[3]  # integrator(1): m=2, n=2, q=4
-    if bad == "K_x rows":
-        gains[3] = reshaped(g, K_x=np.vstack([g.K_x, g.K_x[:1]]),
-                            K_v=np.vstack([g.K_v, g.K_v[:1]]))
-    elif bad == "K_x cols":
-        gains[3] = reshaped(g, K_x=np.hstack([g.K_x, np.zeros((2, 1))]))
-    elif bad == "K_v cols":
-        gains[3] = reshaped(g, K_v=g.K_v[:, :3])
-    else:
-        gains.pop()
-    with pytest.raises(DimensionError) as exc_info:
-        run(scenario, gains)
-    if bad != "missing":
-        assert "follower 4" in str(exc_info.value)
 
 
 def test_nan_in_a_padded_follower_aborts_at_step_zero():
@@ -455,13 +408,13 @@ def cyclic_scenario(observer_mode: str) -> Scenario:
                          [sampled_double_integrator((1.0, 0.5, 2.0)[i % 3]) for i in range(8)])
 
 
-def group_rows(scenario: Scenario, gains) -> list:
+def group_rows(scenario: Scenario) -> list:
     """Each step group's (G, k) follower indices, as nested lists."""
-    return [g.rows.tolist() for g in coopreg.simkit._step_groups(scenario, gains)]
+    return [g.rows.tolist() for g in coopreg.simkit._step_groups(scenario)]
 
 
-def assert_run_matches_reference(scenario: Scenario, gains) -> None:
-    log, ref = run(scenario, gains), reference_run(scenario, gains)
+def assert_run_matches_reference(scenario: Scenario) -> None:
+    log, ref = run(scenario), reference_run(scenario, synthesize_gains(scenario))
     for key in ("v", "eta", "eta_tilde_norm", "e_norms") + (
             ("s_est", "s_tilde_norm") if scenario.observer_mode == "adaptive" else ()):
         assert np.abs(getattr(log, key) - ref[key]).max() <= TOL, key
@@ -477,7 +430,7 @@ def assert_run_matches_reference(scenario: Scenario, gains) -> None:
     # every follower is its own class; the classes of equal (n, m, p) stack
     (mixed_scenario, [[[0], [2]], [[1], [4]], [[3]]]),
     # the user-gain integrator(1) at 7 is its own class, so the Riccati one at
-    # 4 is too, and the two stack; the classes of three members are one set each
+    # 4 is too, and the two stack; each class of three members is its own group
     (interleaved_scenario, [[[0, 1, 3]], [[2, 5, 6]], [[4], [7]]]),
     # twelve one-member classes of one shape: one group, however many plants
     (distinct_scenario, [[[i] for i in range(12)]]),
@@ -486,36 +439,8 @@ def assert_run_matches_reference(scenario: Scenario, gains) -> None:
 ])
 def test_step_groups_match_the_reference_loop(build, rows, mode):
     scenario = build(mode)
-    gains = prepare(scenario).gains
-    assert group_rows(scenario, gains) == rows
-    assert_run_matches_reference(scenario, gains)
-
-
-@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
-def test_distinct_gain_objects_split_a_class(mode):
-    scenario = formation_scenario(horizon=120, observer_mode=mode)
-    assert len(scenario._classes) == 1
-    g = prepare(scenario).gains[0]
-    plant = scenario.followers[2].plant
-    K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B, Q=10.0 * np.eye(plant.n))
-    assert not np.allclose(K_x, g.K_x)
-    other = build_controller(plant, scenario.leader.S, K_x)
-    copy = ControllerGains(g.K_x.copy(), g.K_v.copy(), g.closed_loop_radius)
-    gains = [g, copy, other, g]
-    # followers 1 and 4 share the gain object; the equal copy and the other
-    # gain are one-member sets, stacked
-    assert group_rows(scenario, gains) == [[[0, 3]], [[1], [2]]]
-    assert_run_matches_reference(scenario, gains)
-
-
-def test_misshaped_gains_name_the_first_follower_across_classes(no_steps):
-    scenario = interleaved_scenario("distributed", horizon=5)
-    gains = list(prepare(scenario).gains)
-    # class order visits follower 6 (pushed) before follower 5 (integrator(1))
-    for i in (4, 5):
-        gains[i] = reshaped(gains[i], K_v=gains[i].K_v[:, :3])
-    with pytest.raises(DimensionError, match="follower 5:"):
-        run(scenario, gains)
+    assert group_rows(scenario) == rows
+    assert_run_matches_reference(scenario)
 
 
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
@@ -716,7 +641,7 @@ def test_analyze_verdicts_match_the_per_series_fit(name, mode, horizon):
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
 def test_analyze_verdicts_match_the_per_series_fit_on_a_sparse_swarm(mode):
     scenario = sparse_scenario(mode)
-    log = run(scenario, prepare(scenario).gains)
+    log = run(scenario)
     got = analyze(log, scenario.thresholds).series
     want = per_series_analyze(log, scenario.thresholds)
     assert len(got) == len(want) == 150 + (2 if mode == "adaptive" else 1)
