@@ -10,8 +10,9 @@ swarm does) and ``distinct`` (every follower with its own step).  For each
 team it records, in both observer modes:
 
 - ``_observer_update`` per call, the plant/control step of one time step
-  (``_control_and_plant_step``: u and x+ of every follower) per call, and
-  ``run`` per call, each the best of ``--repeats`` timed runs;
+  (``_plant_trajectory`` of every step group over the horizon, divided by
+  the horizon: u and x+ of every follower) and ``run`` per call, each the
+  best of ``--repeats`` timed runs;
 - the number of plant classes (1, 4 and N for the three teams) and the
   number of step groups they stack into, which sets how many stacked
   products that step runs;
@@ -60,7 +61,7 @@ from coopreg.simkit import (  # noqa: E402
     AssumptionChecks,
     FollowerSpec,
     Scenario,
-    _control_and_plant_step,
+    _plant_trajectory,
     _step_groups,
     run,
     synthesize_gains,
@@ -155,6 +156,7 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    eta_log, v_log = log.eta, log.v
     del log
     adjs = [sc.topology.adjacency_of_mode(m) for m in range(1, sc.topology.n_modes + 1)]
     bank = sc.initial_bank()
@@ -165,11 +167,10 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
         _observer_update(LEADER_S, next(cycle), v, bank.eta, bank.s_est)
 
     groups = _step_groups(sc)
-    x = np.stack([f.x0 for f in sc.followers])
-    u_out, x_out = np.empty((n, sc.followers[0].plant.m)), np.empty_like(x)
 
-    def plant_step():
-        _control_and_plant_step(groups, x, bank.eta, v, u_out, x_out)
+    def plant_trajectories():
+        for g in groups:
+            _plant_trajectory(g, eta_log, v_log)
 
     return {
         "N": n,
@@ -182,7 +183,7 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
         "plant_classes": len(sc._classes),
         "step_groups": len(groups),
         "observer_update_us": best_per_call(step, repeats) * 1e6,
-        "plant_step_us": best_per_call(plant_step, repeats) * 1e6,
+        "plant_step_us": best_per_call(plant_trajectories, repeats) / horizon * 1e6,
         "run_ms": best_per_call(lambda: run(sc), repeats, min_seconds=0.1) * 1e3,
         "peak_traced_mb": peak / 1e6,
         "topology_mb": topology_bytes(n) / 1e6,
@@ -252,8 +253,8 @@ def main() -> int:
                     default=[64, 128, 256, 512, 1024, 2048],
                     help="node counts N+1 of the crossover table")
     args = ap.parse_args()
-    if args.repeats < 3 or min(args.sizes) < 1 or args.horizon < 0:
-        ap.error("need --repeats >= 3, sizes >= 1 and --horizon >= 0")
+    if args.repeats < 3 or min(args.sizes) < 1 or args.horizon < 1:
+        ap.error("need --repeats >= 3, sizes >= 1 and --horizon >= 1")
 
     sweep = [sweep_entry(n, mode, team, args.horizon, args.repeats)
              for n in args.sizes for mode in MODES for team in TEAMS]

@@ -1,46 +1,28 @@
 """Closed-loop scenario orchestration.
 
 A Scenario bundles the leader, the switching topology, per-follower plants
-with gain directives, and observer settings.  Running it advances, per tick
-and strictly in this order, (1) the observer bank, (2) the control inputs,
-(3) the plants and the leader, with every right-hand side evaluated on
-time-t values and the time-t graph, so the semantics are synchronous.
+with gain directives, and observer settings.  Follower i's controller reads
+only its own state and its estimate eta_i, and no observer reads a plant
+state, so ``run`` simulates the closed loop as the cascade it is: the
+leader trajectory v, then the observer bank (eta and, in adaptive mode,
+S_i) driven by v over the switching graph, then the plants driven by their
+logged estimates.  Every right-hand side uses time-t values and the time-t
+graph.
 
 Followers whose plant matrices and gain directive are equal by value form
-one plant class (``Scenario`` finds the classes once, when it is built), and
-share every matrix of their closed loop, their gains included: the gains are
-the scenario's own, solved once per class and cached on it.  Before the first
-tick, ``run`` stacks the classes of equal size and equal (n, m, p) into one
-step group.  Per tick, each group gathers its rows of the logs and computes
-the control law u = x K_x^T + eta K_v^T and the plant step
-x+ = x A^T + u B^T + E v as one stacked product per term: a GEMM per class
-when the classes are large, one batched matrix-vector product when every
-follower is its own class.  So each tick is a fixed number of array
-operations per group, however many followers there are, and a team has at
-most as many groups as distinct (class size, n, m, p).  The logs are
-zero-padded to the largest (n, m, p) of the team and a group touches only
-its own (n, m, p) columns, so padded entries stay exactly zero; the
-logs hold N max(n) state entries per step instead of the sum of the n_i,
-which costs memory only when the team mixes plant dimensions.  The
-preallocated logs are the state: step t reads row t and writes row t + 1,
-and the observer update is the array-level one that the public
-``observer_step`` uses after its checks, so nothing is validated per tick.
-The observer's neighbour mix sum_j omega_ij (eta_j - eta_i) reads the
-active mode's adjacency: a sparse one sums over its in-neighbour edge table
-in O(edges), and a small or dense one computes (Omega eta)_i - eta_i, valid
-because Omega is row-stochastic; neither builds an (N+1) x (N+1) difference
-tensor.  The regulated outputs, per group, and the norm series are computed
-after the last tick, as whole-array expressions.  In distributed mode the
-closed loop is a switched linear system, but no dense closed-loop matrix per
-mode is built: with N followers it has (q + N (q + n))^2 entries, 134 MB at
-N = 512 and n = q = 4, where the grouped step needs only each class's
-blocks.
+one plant class, solved once per scenario.  The classes of equal size and
+equal (n, m, p) form one step group, which owns its state and input logs
+and runs each step's control law and plant step as one stacked product per
+term.  The observer update and its neighbour mix (an in-neighbour edge
+table on sparse graphs, dense Omega otherwise) run on raw arrays, with no
+per-step checks, no (N+1) x (N+1) difference tensor and no dense
+closed-loop matrix per mode.
 
 Runs are deterministic: identical scenarios produce identical trajectory
-logs, and the CSV export is byte-stable.  A magnitude guard aborts a run as
-soon as any state exceeds 1e12 in absolute value or is not finite, naming
-the first offending series and follower; a non-contracting leader grows at
-most polynomially, so only genuine divergence trips it.
+logs, and the CSV export is byte-stable.  A run aborts when any state
+exceeds 1e12 in absolute value or is not finite, naming the first offending
+time step, series and follower; a non-contracting leader grows at most
+polynomially, so only genuine divergence trips it.
 """
 
 from __future__ import annotations
@@ -93,7 +75,7 @@ class OverflowAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class GainDirective:
-    """Per-follower gain choice: a user-supplied K_x or Riccati synthesis."""
+    """Per-follower gain choice: a user K_x, or Riccati synthesis with weights Q and R."""
 
     method: str = "riccati"
     K_x: np.ndarray | None = None
@@ -105,6 +87,8 @@ class GainDirective:
             raise ValueError(f"unknown gain method {self.method!r}")
         if (self.method == "user") != (self.K_x is not None):
             raise ValueError("user method requires K_x; riccati must not set it")
+        if self.K_x is not None and (self.Q is not None or self.R is not None):
+            raise ValueError("Q and R only apply to the riccati method; a user K_x ignores them")
 
 
 @dataclass(frozen=True)
@@ -395,9 +379,8 @@ class TrajectoryLog:
     """Time-indexed record of one run; horizon + 1 records.
 
     Per-follower series are lists indexed by follower (dims may differ),
-    whose entries are the [:, :n_i] views of one (T+1, N, max n) array
-    (likewise for u and e), zero-padded for mixed plant dimensions; the
-    derived norm series stack all followers.
+    whose entries are views into their step group's (T+1, G, k, n_i) array
+    (likewise for u and e); the derived norm series stack all followers.
     """
 
     scenario_name: str
@@ -427,20 +410,14 @@ class _StepGroup(NamedTuple):
     """The plant classes of one size and one plant shape, stacked.
 
     The classes of equal size k and equal (n, m, p) are stacked along axis 0.
-    ``rows`` holds the (G, k) follower indices, and each matrix field the
-    (G, b, a) transposes of the classes' (a, b) matrices, so that a
-    (G, k, b) gather of the logs times it is the (G, k, a) product: one GEMM
-    of k rows when G = 1, one batched matrix-vector product when k = 1.
-    ``u_at`` and ``x_at`` are the flat indices of the group's (G, k, m) and
-    (G, k, n) entries in one time step's zero-padded (N, .) rows of the u
-    and x logs, where the step writes them with ``put``."""
+    ``rows`` holds the (G, k) follower indices, ``x0`` their (G, k, n)
+    initial states and each matrix field the (G, b, a) transposes of the
+    classes' (a, b) matrices, so that a (G, k, b) block times it is the
+    (G, k, a) product: one GEMM of k rows when G = 1, one batched
+    matrix-vector product when k = 1."""
 
     rows: np.ndarray
-    u_at: np.ndarray
-    x_at: np.ndarray
-    n: int
-    m: int
-    p: int
+    x0: np.ndarray
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
@@ -461,131 +438,124 @@ def _step_groups(scenario: Scenario) -> list[_StepGroup]:
         plant = followers[members[0]].plant
         stacks.setdefault((plant.n, plant.m, plant.p, len(members)), []).append(
             (members, plant, gains[members[0]]))
-    n_pad, m_pad = (max(getattr(f.plant, d) for f in followers) for d in "nm")
     groups = []
-    for (n, m, p, _), classes in stacks.items():
+    for classes in stacks.values():
         idx = np.array([rows for rows, _, _ in classes])
         mats = {k: np.stack([getattr(plant, k).T for _, plant, _ in classes]) for k in "ABCDEF"}
         mats.update((k, np.stack([getattr(g, k).T for _, _, g in classes]))
                     for k in ("K_x", "K_v"))
-        groups.append(_StepGroup(idx, idx[..., None] * m_pad + np.arange(m),
-                                 idx[..., None] * n_pad + np.arange(n), n, m, p, **mats))
+        x0 = np.array([[followers[i].x0 for i in rows] for rows in idx.tolist()])
+        groups.append(_StepGroup(idx, x0, **mats))
     return groups
 
 
-def _control_and_plant_step(groups: Sequence[_StepGroup], x: np.ndarray, eta: np.ndarray,
-                            v: np.ndarray, u_out: np.ndarray,
-                            x_out: np.ndarray | None) -> None:
-    """Write u = K_x x + K_v eta of every follower into ``u_out`` and, unless
-    ``x_out`` is None, x+ = A x + B u + E v into ``x_out``: one stacked
-    product per group and term, on the zero-padded (N, .) rows of one time
-    step."""
-    for g in groups:
-        x_g = x.take(g.rows, axis=0)[..., :g.n]
-        u_g = x_g @ g.K_x + eta.take(g.rows, axis=0) @ g.K_v
-        u_out.put(g.u_at, u_g)
-        if x_out is not None:
-            x_out.put(g.x_at, x_g @ g.A + u_g @ g.B + v[None] @ g.E)
+def _plant_trajectory(g: _StepGroup, eta_log: np.ndarray,
+                      v_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The group's (T+1, G, k, n) states and (T+1, G, k, m) inputs, driven by
+    the logged estimates and leader states: per step u = x K_x + eta K_v and
+    x+ = x A + u B + v E, one stacked product per term."""
+    x = np.empty((len(v_log),) + g.x0.shape)
+    u = np.empty(x.shape[:-1] + g.K_x.shape[-1:])
+    x[0] = g.x0
+    for t in range(len(x)):
+        u[t] = x[t] @ g.K_x + eta_log[t].take(g.rows, axis=0) @ g.K_v
+        if t + 1 < len(x):
+            x[t + 1] = x[t] @ g.A + u[t] @ g.B + v_log[t][None] @ g.E
+    return x, u
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every a[t]: one dot per t, as np.linalg.norm(a[t]) computes it
-    (a sum of squares along an axis rounds differently)."""
-    flat = a.reshape(a.shape[0], -1)
-    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+def _by_follower(groups: Sequence[_StepGroup], logs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each follower's (T+1, .) view into its group's (T+1, G, k, .) log."""
+    views = {i: log[:, a, b]
+             for g, log in zip(groups, logs) for (a, b), i in np.ndenumerate(g.rows)}
+    return [views[i] for i in range(len(views))]
 
 
-def _beyond_limit(a: np.ndarray) -> np.ndarray:
+def _error_norms(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every a[t] - ref[t]: one dot per t, as np.linalg.norm
+    computes it (a sum of squares along an axis rounds differently), over
+    blocks of time steps, so that no difference of the whole logs is held."""
+    out, block = np.empty(len(a)), 16  # time steps per block
+    for t in range(0, len(a), block):
+        d = (a[t:t + block] - ref[t:t + block]).reshape(-1, a[0].size)
+        out[t:t + block] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return out
+
+
+def _overflow(t: int, rows: dict[str, Sequence[np.ndarray]]) -> OverflowAbort:
+    """Name the first offending entry of the time-t ``rows`` (per series, the
+    leader's row of v or one row per follower), in the order v, eta, s_est,
+    x and by follower within each series.  Failure path only."""
+    peaks = [(series, i, np.abs(r).max()) for series, a in rows.items() for i, r in enumerate(a)]
     # a NaN fails every comparison, so the inverted test flags NaN as well as +-inf
-    return ~(np.abs(a) <= OVERFLOW_LIMIT)
-
-
-def _overflow(t: int, rows: dict[str, np.ndarray]) -> OverflowAbort:
-    """Name the first offending entry of the time-t ``rows``, in the order
-    v, eta, s_est, x and by follower within each series.  Failure path only."""
-    magnitude = float(np.max([np.abs(a).max() for a in rows.values()]))
-    for series, a in rows.items():
-        bad = _beyond_limit(a).reshape(len(a), -1).any(axis=1)
-        if bad.any():
-            follower = None if series == "v" else int(np.argmax(bad)) + 1
-            return OverflowAbort(t, magnitude, series, follower)
-    raise AssertionError("no entry beyond the overflow limit")
+    series, i, _ = next(peak for peak in peaks if not peak[2] <= OVERFLOW_LIMIT)
+    magnitude = float(np.max([peak for _, _, peak in peaks]))
+    return OverflowAbort(t, magnitude, series, None if series == "v" else i + 1)
 
 
 def run(scenario: Scenario) -> TrajectoryLog:
-    """Simulate the closed loop and log every series.
+    """Simulate the closed loop as the cascade leader, observers, plants and
+    log every series.
 
-    Validation is the caller's concern (see validate_scenario).  The gains
-    are the scenario's own (``synthesize_gains``, solved once per scenario),
-    so a failed solve raises before the first step; after that, this
-    function only refuses to continue when states overflow or turn
-    non-finite.
-
-    Each step runs u and x+ as stacked products per step group (the plant
-    classes of one size and shape), over the group's rows of the logs; e
-    follows per group after the last step.
+    Validation is the caller's concern (see validate_scenario); the gains
+    are the scenario's own (``synthesize_gains``), so a failed solve raises
+    before the first step.  A diverging run computes up to its horizon, then
+    raises ``OverflowAbort`` for the first time step at which a state (v,
+    eta, s_est or x) exceeds 1e12 in magnitude or is not finite.
     """
     groups = _step_groups(scenario)
-    S = scenario.leader.S
-    topology = scenario.topology
-    horizon = scenario.horizon
-    n_followers, q = scenario.n_followers, scenario.leader.q
+    S, topology, horizon = scenario.leader.S, scenario.topology, scenario.horizon
     bank = scenario.initial_bank()
-
     sigma = topology.signal.modes(0, horizon + 1)
-    n, m, p = (max(getattr(g, d) for g in groups) for d in "nmp")
-    v_log = np.empty((horizon + 1, q))
-    eta_log = np.empty((horizon + 1, n_followers, q))
-    s_log = None if bank.s_est is None else np.empty((horizon + 1, n_followers, q, q))
-    # zeros: a group writes only its own (n, m, p) columns, the padding stays 0
-    x_log = np.zeros((horizon + 1, n_followers, n))
-    u_log = np.zeros((horizon + 1, n_followers, m))
-    v_log[0], eta_log[0] = scenario.leader.v0, bank.eta
+    eta_log, s_log = (None if a is None else np.empty((horizon + 1,) + a.shape)
+                      for a in (bank.eta, bank.s_est))
+    eta_log[0] = bank.eta
     if s_log is not None:
         s_log[0] = bank.s_est
-    for i, f in enumerate(scenario.followers):
-        x_log[0, i, :f.plant.n] = f.x0
 
-    # the logs are the state: step t reads row t and writes row t + 1
-    state = {name: a for name, a in (("v", v_log), ("eta", eta_log), ("s_est", s_log),
-                                     ("x", x_log)) if a is not None}
-    for t, mode in enumerate(sigma.tolist()):
-        # a NaN fails every comparison, so the inverted test aborts on NaN as well as on +-inf
-        if not all(np.abs(a[t]).max() <= OVERFLOW_LIMIT for a in state.values()):
-            raise _overflow(t, {name: a[t] for name, a in state.items()})
-        v, eta = v_log[t], eta_log[t]
-        last = t == horizon
-        _control_and_plant_step(groups, x_log[t], eta, v, u_log[t],
-                                None if last else x_log[t + 1])
-        if last:
-            break
-        eta_log[t + 1], s_next = _observer_update(
-            S, topology.adjacency_of_mode(mode), v, eta,
-            None if s_log is None else s_log[t])
-        if s_log is not None:
-            s_log[t + 1] = s_next
-        v_log[t + 1] = S @ v
+    # a diverging run overflows to inf and NaN; the scan below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_log = scenario.leader.trajectory(horizon)
+        for t, mode in enumerate(sigma[:-1].tolist()):
+            eta_log[t + 1], s_next = _observer_update(
+                S, topology.adjacency_of_mode(mode), v_log[t], eta_log[t],
+                None if s_log is None else s_log[t])
+            if s_log is not None:
+                s_log[t + 1] = s_next
+        xs, us = zip(*(_plant_trajectory(g, eta_log, v_log) for g in groups))
+        states = {"v": v_log[:, None], "eta": eta_log,
+                  **({} if s_log is None else {"s_est": s_log})}
+        bad = np.zeros(horizon + 1, dtype=bool)
+        for a in [*states.values(), *xs]:
+            flat = a.reshape(horizon + 1, -1)
+            # max and min propagate NaN, which fails both inverted tests
+            bad |= ~((flat.max(axis=1) <= OVERFLOW_LIMIT) & (flat.min(axis=1) >= -OVERFLOW_LIMIT))
+    x = _by_follower(groups, xs)
+    if bad.any():
+        t = int(bad.argmax())
+        raise _overflow(t, {**{series: a[t] for series, a in states.items()},
+                            "x": [x_i[t] for x_i in x]})
 
-    e_log = np.zeros((horizon + 1, n_followers, p))
-    for g in groups:
-        e_log[:, g.rows, :g.p] = (x_log.take(g.rows, axis=1)[..., :g.n] @ g.C
-                                  + u_log.take(g.rows, axis=1)[..., :g.m] @ g.D
-                                  + (v_log @ g.F).transpose(1, 0, 2)[:, :, None])
-    plants = [f.plant for f in scenario.followers]
+    e_logs = [x_g @ g.C + u_g @ g.D + (v_log @ g.F).transpose(1, 0, 2)[:, :, None]
+              for g, x_g, u_g in zip(groups, xs, us)]
+    e_norms = np.empty((horizon + 1, scenario.n_followers))
+    for g, e_g in zip(groups, e_logs):
+        e_norms[:, g.rows] = np.linalg.norm(e_g, axis=-1)
     return TrajectoryLog(
         scenario_name=scenario.name,
         observer_mode=scenario.observer_mode,
         t=np.arange(horizon + 1),
         sigma=sigma,
         v=v_log,
-        x=[x_log[:, i, :plant.n] for i, plant in enumerate(plants)],
+        x=x,
         eta=eta_log,
         s_est=s_log,
-        u=[u_log[:, i, :plant.m] for i, plant in enumerate(plants)],
-        e=[e_log[:, i, :plant.p] for i, plant in enumerate(plants)],
-        eta_tilde_norm=_norms(eta_log - v_log[:, None, :]),
-        s_tilde_norm=None if s_log is None else _norms(s_log - S),
-        e_norms=np.linalg.norm(e_log, axis=2),
+        u=_by_follower(groups, us),
+        e=_by_follower(groups, e_logs),
+        eta_tilde_norm=_error_norms(eta_log, v_log[:, None, :]),
+        s_tilde_norm=(None if s_log is None
+                      else _error_norms(s_log, np.broadcast_to(S, s_log.shape))),
+        e_norms=e_norms,
     )
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from coopreg.cli import main
 from coopreg.config import ConfigError, load_config, save_config, scenario_to_config
-from coopreg.observers import LeaderModel
-from coopreg.regulation import PlantModel
+from coopreg.observers import LeaderModel, observer_step
+from coopreg.regulation import PlantModel, control_input, plant_step
 from coopreg.scenarios import build_builtin, formation_scenario
 from coopreg.simkit import (
     FollowerSpec,
@@ -22,6 +22,7 @@ from coopreg.simkit import (
     Scenario,
     analyze,
     run,
+    synthesize_gains,
     validate_scenario,
 )
 from coopreg.topology import DimensionError, SwitchingSignal, SwitchingTopology, WeightedDigraph
@@ -84,6 +85,97 @@ def test_abort_names_the_leader():
     exc = exc_info.value
     assert (exc.t, exc.follower, exc.series, exc.magnitude) == (0, None, "v", 1e13)
     assert "v of the leader" in str(exc)
+
+
+def reference_abort(scenario: Scenario) -> OverflowAbort | None:
+    """The abort a per-step guard calls for: the closed loop one follower at
+    a time, from the public step functions, with every step's states scanned
+    before the next step, in the order v, eta, s_est, x and by follower
+    within each series."""
+    leader, gains = scenario.leader, synthesize_gains(scenario)
+    bank, v, x = scenario.initial_bank(), leader.v0, [f.x0 for f in scenario.followers]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(scenario.horizon + 1):
+            rows = [("v", None, v)] + [("eta", k, e) for k, e in enumerate(bank.eta, 1)]
+            if bank.s_est is not None:
+                rows += [("s_est", k, s) for k, s in enumerate(bank.s_est, 1)]
+            rows += [("x", k, x_k) for k, x_k in enumerate(x, 1)]
+            bad = [(series, k) for series, k, r in rows if not np.abs(r).max() <= 1e12]
+            if bad:
+                magnitude = float(np.max([np.abs(r).max() for _, _, r in rows]))
+                return OverflowAbort(t, magnitude, *bad[0])
+            x = [plant_step(f.plant, x_k, control_input(g, x_k, e), v)[0]
+                 for f, g, x_k, e in zip(scenario.followers, gains, x, bank.eta)]
+            bank = observer_step(leader, v, bank, scenario.topology.adjacency_at(t))
+            v = leader.advance(v)
+    return None
+
+
+def huge_coupling_scenario() -> Scenario:
+    """Formation follower 2 swapped for an identity plant whose leader
+    coupling E = 1e13 I lifts x past the guard at step 1 (X = I solves its
+    regulator equations for any E, to a residual of about eps |E|); the
+    leader stays finite."""
+    base = formation_scenario(horizon=30)
+    plant = PlantModel(A=np.eye(4), B=np.eye(4), C=np.eye(4), D=np.zeros((4, 4)),
+                       E=1e13 * np.eye(4), F=-np.eye(4))
+    follower = FollowerSpec(plant, np.zeros(4), GainDirective(method="user", K_x=-0.5 * np.eye(4)))
+    return dataclasses.replace(base, followers=(base.followers[0], follower) + base.followers[2:],
+                               regulator_tol=1e-2)
+
+
+def nan_eta0_scenario() -> Scenario:
+    base = formation_scenario(horizon=30)
+    eta0 = [np.zeros(4) for _ in base.followers]
+    eta0[2][1] = math.nan
+    return dataclasses.replace(base, eta0=tuple(eta0))
+
+
+def nan_s0_scenario() -> Scenario:
+    base = formation_scenario(horizon=30, observer_mode="adaptive")
+    s0 = [np.zeros((4, 4)) for _ in base.followers]
+    s0[3][2, 2] = math.nan
+    return dataclasses.replace(base, s0=tuple(s0))
+
+
+def growing_leader_scenario(scale: float) -> Scenario:
+    """An adaptive formation whose leader S = scale I grows past the guard
+    mid-run; at scale 10 it overflows to inf and NaN before the horizon."""
+    base = formation_scenario(horizon=400, observer_mode="adaptive")
+    return dataclasses.replace(base, leader=LeaderModel(S=scale * np.eye(4), v0=np.ones(4)))
+
+
+@pytest.mark.parametrize("build, want", [
+    (huge_coupling_scenario, (1, "x", 2)),
+    (nan_eta0_scenario, (0, "eta", 3)),
+    (nan_s0_scenario, (0, "s_est", 4)),
+    (lambda: growing_leader_scenario(1.5), (69, "v", None)),
+    (lambda: growing_leader_scenario(10.0), (12, "x", 1)),
+])
+def test_abort_matches_a_per_step_scan_of_the_reference_loop(build, want):
+    scenario = build()
+    expected = reference_abort(scenario)
+    # the run simulates to its horizon first; no RuntimeWarning may escape it
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(scenario)
+    exc = exc_info.value
+    assert (exc.t, exc.series, exc.follower) == want
+    assert (exc.t, exc.series, exc.follower) == (expected.t, expected.series, expected.follower)
+    assert str(exc) == str(expected)
+    assert exc.magnitude == expected.magnitude or (math.isnan(exc.magnitude)
+                                                   and math.isnan(expected.magnitude))
+
+
+@pytest.mark.parametrize("key", ["Q", "R"])
+@pytest.mark.parametrize("fill", [1.0, math.nan])
+def test_a_user_gain_refuses_the_riccati_weights(key, fill):
+    # a user K_x ignores Q and R: an unused Q split formation-sec5's one
+    # plant class in two, and an all-NaN one passed every check
+    base = build_builtin("formation-sec5")
+    assert base._classes == ((0, 1, 2, 3),)
+    gain = base.followers[0].gain
+    with pytest.raises(ValueError, match="Q and R only apply to the riccati method"):
+        dataclasses.replace(gain, **{key: np.full((4, 4) if key == "Q" else (2, 2), fill)})
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

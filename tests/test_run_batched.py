@@ -342,7 +342,7 @@ def test_report_json_is_one_write_of_the_streamed_bytes():
 
 def test_nan_in_a_padded_follower_aborts_at_step_zero():
     base = mixed_scenario("distributed", horizon=5)
-    f = base.followers[3]  # integrator(1): n=2 in a stack padded to n=4
+    f = base.followers[3]  # integrator(1): n=2, its own step group in a team with n=4 plants
     x0 = f.x0.copy()
     x0[1] = np.nan
     followers = base.followers[:3] + (FollowerSpec(f.plant, x0, f.gain),) + base.followers[4:]

@@ -175,6 +175,14 @@ class TestRun:
         # 1.2**t crosses 1e12 around t = 152
         assert 100 < exc_info.value.t < 200
         assert str(exc_info.value.t) in str(exc_info.value)
+        # the leader is the first state past the guard: per-step scan of v
+        v, t = scenario.leader.v0, 0
+        while np.abs(v).max() <= 1e12:
+            v, t = scenario.leader.advance(v), t + 1
+        exc = exc_info.value
+        assert (exc.t, exc.series, exc.follower, exc.magnitude) == (t, "v", None, np.abs(v).max())
+        assert str(exc) == (f"state magnitude {np.abs(v).max():.3e} exceeded 1e+12 "
+                            f"in v of the leader at time step {t}")
 
     def test_determinism_identical_logs(self):
         a, b = run(formation_scenario(horizon=80)), run(formation_scenario(horizon=80))
