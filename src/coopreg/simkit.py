@@ -465,10 +465,11 @@ def _plant_trajectory(g: _StepGroup, eta_log: np.ndarray,
 
 
 def _by_follower(groups: Sequence[_StepGroup], logs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each follower's (T+1, .) view into its group's (T+1, G, k, .) log."""
-    views = {i: log[:, a, b]
-             for g, log in zip(groups, logs) for (a, b), i in np.ndenumerate(g.rows)}
-    return [views[i] for i in range(len(views))]
+    """Each follower's (T+1, .) view into its group's (T+1, G, k, .) log, in follower order."""
+    views = [view for log in logs
+             for view in log.reshape(len(log), -1, log.shape[-1]).swapaxes(0, 1)]
+    order = np.argsort(np.concatenate([g.rows.ravel() for g in groups]))
+    return [views[i] for i in order.tolist()]
 
 
 def _error_norms(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -483,9 +484,8 @@ def _error_norms(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _overflow(t: int, rows: dict[str, Sequence[np.ndarray]]) -> OverflowAbort:
-    """Name the first offending entry of the time-t ``rows`` (per series, the
-    leader's row of v or one row per follower), in the order v, eta, s_est,
-    x and by follower within each series.  Failure path only."""
+    """Name the first offending entry of the time-t ``rows`` (per series, one row
+    per owner), in the order v, eta, s_est, x and by follower.  Failure path only."""
     peaks = [(series, i, np.abs(r).max()) for series, a in rows.items() for i, r in enumerate(a)]
     # a NaN fails every comparison, so the inverted test flags NaN as well as +-inf
     series, i, _ = next(peak for peak in peaks if not peak[2] <= OVERFLOW_LIMIT)
