@@ -113,9 +113,9 @@ def reference_abort(scenario: Scenario) -> OverflowAbort | None:
 
 def huge_coupling_scenario() -> Scenario:
     """Formation follower 2 swapped for an identity plant whose leader
-    coupling E = 1e13 I lifts x past the guard at step 1 (X = I solves its
-    regulator equations for any E, to a residual of about eps |E|); the
-    leader stays finite."""
+    coupling E = 1e13 I lifts x past the guard at step 1 while the leader
+    stays finite.  X = I solves its regulator equations for any E, to a
+    residual of about eps |E|, hence the loose regulator_tol."""
     base = formation_scenario(horizon=30)
     plant = PlantModel(A=np.eye(4), B=np.eye(4), C=np.eye(4), D=np.zeros((4, 4)),
                        E=1e13 * np.eye(4), F=-np.eye(4))
