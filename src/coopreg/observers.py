@@ -207,7 +207,7 @@ def _observer_update(
     the leader's S; otherwise the adaptive one, whose state update uses the
     current S_i(t) and whose refreshed S_i(t+1) is returned for the next call.
     """
-    mixed = eta + _neighbor_mix(adj, np.vstack([v[None, :], eta]))
+    mixed = eta + _neighbor_mix(adj, np.concatenate([v[None, :], eta]))
     if s_est is None:
         return mixed @ S.T, None
     new_s = s_est + _neighbor_mix(adj, np.concatenate([S[None, :, :], s_est], axis=0))
@@ -283,16 +283,17 @@ def error_form_step(
     if err.s_tilde is None:
         return ErrorState(eta_tilde=gamma1 @ err.eta_tilde)
 
-    s_blocks = [err.s_tilde[i * q : (i + 1) * q, :] for i in range(n)]
-    s_diag = np.zeros((n * q, n * q))
-    for i, blk in enumerate(s_blocks):
-        s_diag[i * q : (i + 1) * q, i * q : (i + 1) * q] = blk
+    # as (n, q, n, q) arrays, block (i, j) of a matrix is [i, :, j, :]
+    s_blocks = err.s_tilde.reshape(n, q, q)
+    s_diag = np.zeros((n, q, n, q))
+    diag = np.arange(n)
+    s_diag[diag, :, diag, :] = s_blocks
+    s_diag = s_diag.reshape(n * q, n * q)
+    # row block i is (Lambda - I)[i, :] kron s_tilde_i, each entry one product as in _kron
     lam_min_i = lam - np.eye(n)
-    coupling = np.vstack(
-        [_kron(lam_min_i[i : i + 1, :], s_blocks[i]) for i in range(n)]
-    )
+    coupling = (lam_min_i[:, None, :, None] * s_blocks[:, :, None, :]).reshape(n * q, n * q)
     gamma2 = s_diag + coupling
-    gamma3 = s_diag @ np.tile(np.asarray(v, dtype=float), n)
+    gamma3 = s_diag @ np.broadcast_to(np.asarray(v, dtype=float), (n, q)).reshape(-1)
     new_eta = (gamma1 + gamma2) @ err.eta_tilde + gamma3
     new_s = _kron(lam, np.eye(q)) @ err.s_tilde
     return ErrorState(eta_tilde=new_eta, s_tilde=new_s)
@@ -315,11 +316,11 @@ def kron_factorization_check(
     q = leader.q
     direct = np.eye(n * q)
     lam_prod = np.eye(n)
-    for s in range(t):
-        lam = topo.adjacency_at(s).lambda_block
-        direct = np.kron(lam, leader.S) @ direct
+    for mode in topo.signal.modes(0, t).tolist():
+        lam = topo.adjacency_of_mode(mode).lambda_block
+        direct = _kron(lam, leader.S) @ direct
         lam_prod = lam @ lam_prod
-    factored = np.kron(lam_prod, np.linalg.matrix_power(leader.S, t))
+    factored = _kron(lam_prod, np.linalg.matrix_power(leader.S, t))
     return float(np.max(np.abs(direct - factored)))
 
 

@@ -156,8 +156,8 @@ def bank_vs_error_form(
     v = leader.v0.copy()
     err = ErrorState.from_bank(bank, v, leader)
     dev = 0.0
-    for t in range(horizon):
-        adj = topo.adjacency_at(t)
+    for mode in topo.signal.modes(0, horizon).tolist():
+        adj = topo.adjacency_of_mode(mode)
         bank = observer_step(leader, v, bank, adj)
         err = error_form_step(err, adj, leader, v)
         v = leader.advance(v)
@@ -186,13 +186,19 @@ def consensus_trial(seed: int, horizon_factor: int = 60, n_vectors: int = 100) -
     spread0 = float(np.max(x.max(axis=0) - x.min(axis=0)))
     needed = math.ceil(2 * math.log(1e-9 / spread0) / math.log(rate))
     horizon = max(horizon_factor * topo.n_followers * (window + 1), needed)
-    for t in range(horizon):
-        x = consensus_step(topo.adjacency_at(t), x)
+    for mode in topo.signal.modes(0, horizon).tolist():
+        x = consensus_step(topo.adjacency_of_mode(mode), x)
     spread = float(np.max(x.max(axis=0) - x.min(axis=0)))
     return TrialResult(
         seed, spread < 1e-9,
         f"spread {spread:.3e} after {horizon} steps ({n_vectors} initial vectors)",
     )
+
+
+def _spectral_norm(m: np.ndarray) -> float:
+    """The largest singular value of a 2-D array: the LAPACK call that
+    ``np.linalg.norm(m, 2)`` makes, without its per-call axis handling."""
+    return np.linalg.svd(m, compute_uv=False)[0]
 
 
 def follower_product_norms(topo: SwitchingTopology, horizon: int) -> np.ndarray:
@@ -204,10 +210,10 @@ def follower_product_norms(topo: SwitchingTopology, horizon: int) -> np.ndarray:
     """
     prod = np.eye(topo.n_followers)
     norms = np.empty(horizon + 1)
-    norms[0] = np.linalg.norm(prod, 2)
+    norms[0] = _spectral_norm(prod)
     for k, mode in enumerate(topo.signal.modes(0, horizon).tolist(), start=1):
         prod = topo.adjacency_of_mode(mode).lambda_block @ prod
-        norms[k] = np.linalg.norm(prod, 2)
+        norms[k] = _spectral_norm(prod)
     return norms
 
 
@@ -230,9 +236,10 @@ def lemma3_trial(seed: int, horizon: int = 240) -> TrialResult:
     err = ErrorState(eta_tilde=z)
     norms = np.empty(horizon + 1)
     norms[0] = np.linalg.norm(z)
-    for t in range(horizon):
-        err = error_form_step(err, topo.adjacency_at(t), leader, np.zeros(leader.q))
-        norms[t + 1] = np.linalg.norm(err.eta_tilde)
+    v = np.zeros(leader.q)
+    for t, mode in enumerate(topo.signal.modes(0, horizon).tolist(), start=1):
+        err = error_form_step(err, topo.adjacency_of_mode(mode), leader, v)
+        norms[t] = np.linalg.norm(err.eta_tilde)
     fit = fit_decay(norms)
     return TrialResult(
         seed, fit.decaying,

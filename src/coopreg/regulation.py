@@ -112,6 +112,28 @@ class ControllerGains:
         object.__setattr__(self, "K_v", _readonly(np.atleast_2d(self.K_v)))
 
 
+def _residuals(plant: PlantModel, S: np.ndarray, sol: np.ndarray):
+    """(X, U) from the stacked solution, each equation's max-abs residual and
+    each equation's scale max(1, its largest max-abs term)."""
+    n, m, q = plant.n, plant.m, plant.q
+    X = sol[: n * q].reshape((n, q), order="F")
+    U = sol[n * q :].reshape((m, q), order="F")
+    first = (X @ S, plant.A @ X, plant.B @ U, plant.E)
+    second = (plant.C @ X, plant.D @ U, plant.F)
+    r = (np.max(np.abs(first[0] - first[1] - first[2] - first[3])),
+         np.max(np.abs(second[0] + second[1] + second[2])))
+    scale = tuple(max(1.0, *(float(np.max(np.abs(t), initial=0.0)) for t in terms))
+                  for terms in (first, second))
+    return X, U, r, scale
+
+
+def _certified(r, scale, tol: float) -> bool:
+    # a sum rounds at about eps times its largest term, so each equation is
+    # held to tol relative to its largest term (absolute below 1); the
+    # inverted test refuses a NaN
+    return all(ri <= tol * si for ri, si in zip(r, scale))
+
+
 def solve_regulator_equations(
     plant: PlantModel,
     S: np.ndarray,
@@ -122,11 +144,19 @@ def solve_regulator_equations(
     Both equations are vectorized with vec(M Y K) = (K^T kron M) vec(Y) into
     a single dense linear system in (vec X, vec U) and solved by
     rank-revealing least squares; when the system is underdetermined the
-    minimum-norm pair is returned.  The max-abs residual of the two
-    equations, recomputed from the returned pair, certifies the solution.
+    minimum-norm pair is returned.  The max-abs residual of each equation,
+    recomputed from the returned pair, certifies the solution when it is at
+    most ``tol`` times max(1, the largest max-abs entry of that equation's
+    terms: X S, A X, B U, E or C X, D U, F).  ``residual`` is the larger of
+    the two absolute residuals.  The least-squares pair is accurate to about
+    eps times the whole solution, so a large U can leave an error in X that
+    an equation with small terms refuses.  A pair that fails but is within
+    ``tol`` times the largest term of either equation gets one step of
+    iterative refinement, which removes that error, and is checked again.
 
     Raises RegulatorUnsolvableError when S or a plant matrix is not finite,
-    or when the residual is not at most ``tol`` (so a NaN ``tol`` fails).
+    or when an equation's residual exceeds its bound (so a NaN ``tol``
+    fails).
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, m, p, q = plant.n, plant.m, plant.p, plant.q
@@ -140,16 +170,17 @@ def solve_regulator_equations(
     bot = np.hstack([np.kron(iq, plant.C), np.kron(iq, plant.D)])
     lhs = np.vstack([top, bot])
     rhs = np.concatenate([plant.E.flatten(order="F"), -plant.F.flatten(order="F")])
-    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    X = sol[: n * q].reshape((n, q), order="F")
-    U = sol[n * q :].reshape((m, q), order="F")
-    r1 = np.max(np.abs(X @ S - plant.A @ X - plant.B @ U - plant.E))
-    r2 = np.max(np.abs(plant.C @ X + plant.D @ U + plant.F))
-    residual = float(max(r1, r2))
-    if not residual <= tol:
+    sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    X, U, r, scale = _residuals(plant, S, sol)
+    if not _certified(r, scale, tol) and max(r) <= tol * max(scale):
+        sol = sol + np.linalg.lstsq(lhs, rhs - lhs @ sol, rcond=None)[0]
+        X, U, r, scale = _residuals(plant, S, sol)
+    residual = float(max(r))
+    if not _certified(r, scale, tol):
         raise RegulatorUnsolvableError(
             f"regulator equations unsolvable for this plant/leader pair "
-            f"(residual {residual:.3e} > tol {tol:.1e})"
+            f"(residual {residual:.3e} > tol {tol:.1e} relative to terms up to "
+            f"{max(scale):.3e})"
         )
     return RegulatorSolution(X=X, U=U, residual=residual)
 

@@ -19,12 +19,14 @@ from coopreg import observers, properties, topology
 from coopreg.cli import main
 from coopreg.observers import (
     ErrorState,
+    ObserverBank,
     error_form_step,
     kron_factorization_check,
     observer_step,
 )
 from coopreg.properties import (
     SUITES,
+    bank_vs_error_form,
     consensus_trial,
     follower_product_norms,
     lemma2_trial,
@@ -38,8 +40,10 @@ from coopreg.topology import (
     ConnectivityResult,
     SwitchingSignal,
     SwitchingTopology,
+    WeightedDigraph,
     is_jointly_connected,
     leader_reachable,
+    normalize_adjacency,
     transition_product,
     union_digraph,
 )
@@ -195,6 +199,121 @@ def test_error_form_step_matches_the_kron_reference_bitwise(seed, adaptive):
         else:
             assert fast.s_tilde is None
         v = leader.advance(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), q=st.integers(1, 4), adaptive=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_error_form_step_matches_the_kron_reference_at_every_shape(n, q, adaptive, seed):
+    # n = 1 and q = 1 leave a singleton axis in every broadcast of Gamma2
+    rng = np.random.default_rng(seed)
+    w = np.where(rng.random((n + 1, n + 1)) < 0.4, rng.uniform(0.5, 1.5, (n + 1, n + 1)), 0.0)
+    np.fill_diagonal(w, 0.0)
+    adj = normalize_adjacency(WeightedDigraph(w))
+    leader = random_leader(rng, q=q)
+    s_tilde = rng.normal(size=(n * q, q)) if adaptive else None
+    err = ErrorState(eta_tilde=rng.normal(size=n * q), s_tilde=s_tilde)
+    v = rng.normal(size=q)
+    fast = error_form_step(err, adj, leader, v)
+    ref = kron_error_form_step(err, adj, leader, v)
+    assert fast.eta_tilde.tobytes() == ref.eta_tilde.tobytes()
+    assert (fast.s_tilde is None) == (not adaptive)
+    if adaptive:
+        assert fast.s_tilde.tobytes() == ref.s_tilde.tobytes()
+
+
+# The oracle loops read their schedule once with signal.modes; each reference
+# below is the same loop with one adjacency_at(t) per step and np.kron.
+
+def per_step_bank_vs_error_form(topo, leader, bank, horizon):
+    v = leader.v0.copy()
+    err = ErrorState.from_bank(bank, v, leader)
+    dev = 0.0
+    for t in range(horizon):
+        adj = topo.adjacency_at(t)
+        bank = observer_step(leader, v, bank, adj)
+        err = kron_error_form_step(err, adj, leader, v)
+        v = leader.advance(v)
+        direct = ErrorState.from_bank(bank, v, leader)
+        dev = max(dev, float(np.max(np.abs(direct.eta_tilde - err.eta_tilde))))
+        if err.s_tilde is not None:
+            dev = max(dev, float(np.max(np.abs(direct.s_tilde - err.s_tilde))))
+    return dev
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bank_vs_error_form_matches_the_per_step_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    n, q = topo.n_followers, leader.q
+    banks = (
+        ObserverBank(eta=rng.normal(size=(n, q))),
+        ObserverBank(eta=rng.normal(size=(n, q)),
+                     s_est=leader.S + rng.uniform(-0.3, 0.3, size=(n, q, q))),
+    )
+    for bank in banks:
+        got = bank_vs_error_form(topo, leader, bank, 100)
+        assert got == per_step_bank_vs_error_form(topo, leader, bank, 100)
+        assert 0 < got < 1e-10
+
+
+def record_calls(monkeypatch, name):
+    """Record the (arguments, result) of every call to properties.<name>."""
+    calls = []
+    original = getattr(properties, name)
+
+    def recording(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(properties, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_consensus_trial_matches_the_per_step_reference_bitwise(seed, monkeypatch):
+    steps = record_calls(monkeypatch, "consensus_step")
+    result = consensus_trial(seed)
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    x = rng.normal(size=(topo.node_count, 100))
+    for t in range(len(steps)):
+        x = topo.adjacency_at(t).omega @ x
+    assert steps[-1][1].tobytes() == x.tobytes()
+    spread = float(np.max(x.max(axis=0) - x.min(axis=0)))
+    assert result.passed and f"spread {spread:.3e} after {len(steps)} steps" in result.detail
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lemma3_norms_match_the_per_step_reference_bitwise(seed, monkeypatch):
+    fits = record_calls(monkeypatch, "fit_decay")
+    assert lemma3_trial(seed).passed
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    z = rng.normal(size=topo.n_followers * leader.q)
+    norms = [np.linalg.norm(z)]
+    for t in range(240):
+        z = np.kron(topo.adjacency_at(t).lambda_block, leader.S) @ z
+        norms.append(np.linalg.norm(z))
+    assert fits[-1][0][0].tobytes() == np.array(norms).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kron_factorization_matches_the_per_step_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    n, q = topo.n_followers, leader.q
+    direct, lam_prod = np.eye(n * q), np.eye(n)
+    for t in range(40):
+        lam = topo.adjacency_at(t).lambda_block
+        direct = np.kron(lam, leader.S) @ direct
+        lam_prod = lam @ lam_prod
+    factored = np.kron(lam_prod, np.linalg.matrix_power(leader.S, 40))
+    assert kron_factorization_check(topo, leader, 40) == float(np.max(np.abs(direct - factored)))
 
 
 class UnreadableTable(tuple):

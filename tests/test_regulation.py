@@ -72,6 +72,37 @@ class TestRegulatorEquations:
         with pytest.raises(RegulatorUnsolvableError):
             solve_regulator_equations(plant, np.eye(2))
 
+    def test_large_coupling_is_solvable(self):
+        # X = I, U = S - I - E solve it exactly.  The first least-squares pair
+        # carries an error of about eps |U| = 2e-3 in X as well, which the
+        # output equation C X + F, with terms of size 1, refuses; one step of
+        # iterative refinement removes it
+        S = planar_leader_matrix()
+        plant = PlantModel(A=np.eye(4), B=np.eye(4), C=np.eye(4), D=np.zeros((4, 4)),
+                           E=1e13 * np.eye(4), F=-np.eye(4))
+        sol = solve_regulator_equations(plant, S)
+        assert np.abs(sol.X - np.eye(4)).max() < 1e-12
+        assert np.abs(sol.U - (S - np.eye(4) - plant.E)).max() <= 1e-9 * 1e13
+
+    def test_large_solutions_are_certified_relative_to_their_terms(self):
+        # each sum rounds at eps times its terms, about 1e-3 here, so no
+        # absolute bound of 1e-9 could certify these pairs
+        for seed in range(10):
+            plant, S, X, U = random_solvable_plant(np.random.default_rng(seed))
+            big = PlantModel(A=plant.A, B=plant.B, C=plant.C, D=plant.D,
+                             E=1e12 * plant.E, F=1e12 * plant.F)
+            sol = solve_regulator_equations(big, S)
+            assert np.abs(sol.X - 1e12 * X).max() < 1e-9 * 1e12
+            assert np.abs(sol.U - 1e12 * U).max() < 1e-9 * 1e12
+            assert 1e-9 < sol.residual < 1e-9 * 1e12
+
+    def test_large_terms_do_not_loosen_the_other_equation(self):
+        # E is huge but the output equation C X + D U + F = F cannot vanish
+        plant = PlantModel(A=np.eye(2), B=np.eye(2), C=np.zeros((1, 2)), D=np.zeros((1, 2)),
+                           E=1e13 * np.eye(2), F=np.ones((1, 2)))
+        with pytest.raises(RegulatorUnsolvableError, match="residual 1.000e"):
+            solve_regulator_equations(plant, np.eye(2))
+
     def test_nan_tolerance_fails_the_certificate(self):
         # `residual > nan` is False, so only the inverted test refuses it
         with pytest.raises(RegulatorUnsolvableError):

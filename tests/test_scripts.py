@@ -1,9 +1,13 @@
 """Smoke runs of the scripts under scripts/."""
 
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,3 +52,32 @@ def test_bench_observer_sweep_writes_its_record(tmp_path):
         # 256-node floor: dense Omega
         assert {f["form"] for f in e["mix_forms"]} == {"dense"}
     assert {(c["k"], c["columns"]) for c in doc["crossover"]} == {(2, 4), (2, 16), (1, 4), (1, 16)}
+
+
+def test_perf_pairs_compares_head_with_this_checkout():
+    root = SCRIPTS.parent
+    inside = shutil.which("git") and subprocess.run(
+        ["git", "-C", str(root), "rev-parse", "--is-inside-work-tree"],
+        capture_output=True, text=True).stdout.strip() == "true"
+    if not inside:
+        pytest.skip("not a git work tree: perf_pairs.py exports its baseline with git archive")
+    worktrees = subprocess.run(["git", "-C", str(root), "worktree", "list"],
+                               capture_output=True, text=True).stdout
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "perf_pairs.py"), "--baseline", "HEAD", "--workload",
+         "props", "--seeds", "1-1", "--seconds", "0.2", "--tiny"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "perfbench/ identical in both trees: yes" in lines
+    assert lines[-1] == "all 2 runs gated correct with 0 failed: yes"
+    table = {line.split()[0]: line for line in lines
+             if line.split()[:1] in (["setup_s"], ["wall_s"], ["peak_rss_mb"])}
+    assert table.keys() == {"setup_s", "wall_s", "peak_rss_mb"}
+    for row in table.values():
+        assert re.search(r" [01]/1 ", row)  # the change's wins in one pair
+        assert row.endswith(("gain", "unresolved", "worse", "within bound"))
+    # the baseline was exported, not checked out as a worktree
+    assert subprocess.run(["git", "-C", str(root), "worktree", "list"],
+                          capture_output=True, text=True).stdout == worktrees
