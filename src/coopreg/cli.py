@@ -224,13 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="with --builtin, randomize unspecified initial "
                                 "conditions reproducibly")
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the regulator solver tolerance")
+        p.add_argument("--tol", type=float, default=None,
+                       help="override the regulator solver tolerance")
 
     p_val = sub.add_parser("validate", help="run assumption checks on a scenario")
     add_scenario_args(p_val, with_run_flags=False)
-    p_val.add_argument("--tol", type=float, default=None,
-                       help="override the regulator solver tolerance")
     p_val.set_defaults(func=cmd_validate)
 
     p_run = sub.add_parser("run", help="simulate a scenario and export results")

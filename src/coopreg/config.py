@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -33,6 +34,19 @@ CONFIG_VERSION = 1
 
 class ConfigError(ValueError):
     """A config document failed schema validation; message names the key."""
+
+
+@contextmanager
+def _keyed(prefix: str):
+    """Re-raise a ValueError from building one part of the document as a
+    ConfigError whose message starts with ``prefix``, that part's key path.
+    A ConfigError already names its key and passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _require_keys(obj: Any, required: set[str], optional: set[str], path: str) -> None:
@@ -114,7 +128,7 @@ def _parse_signal(obj: Any) -> SwitchingSignal:
     _require_keys(obj, set(), {"period", "segments", "table", "tail_mode"}, "signal")
     if ("segments" in obj) == ("table" in obj):
         raise ConfigError("signal: exactly one of 'segments' or 'table' is required")
-    try:
+    with _keyed("signal: "):
         if "segments" in obj:
             segs = obj["segments"]
             if not isinstance(segs, list) or not all(
@@ -137,10 +151,6 @@ def _parse_signal(obj: Any) -> SwitchingSignal:
         return SwitchingSignal.from_table(
             [_positive_int(m, f"signal.table[{k}]") for k, m in enumerate(table)], tail
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"signal: {exc}") from exc
 
 
 # the optional keys each gain method reads; any other key is an error
@@ -158,10 +168,10 @@ def _parse_gain(obj: Any, path: str) -> GainDirective:
     if method == "user":
         if "K_x" not in obj:
             raise ConfigError(f"{path}: user gain requires 'K_x'")
-        return GainDirective(method="user", K_x=_matrix(obj["K_x"], f"{path}.K_x"))
+        return GainDirective(K_x=_matrix(obj["K_x"], f"{path}.K_x"))
     q = _matrix(obj["Q"], f"{path}.Q") if "Q" in obj else None
     r = _matrix(obj["R"], f"{path}.R") if "R" in obj else None
-    return GainDirective(method="riccati", Q=q, R=r)
+    return GainDirective(Q=q, R=r)
 
 
 def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
@@ -177,23 +187,20 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     name = doc.get("name", name)
 
     _require_keys(doc["leader"], {"S", "v0"}, set(), "leader")
-    leader = LeaderModel(
-        S=_matrix(doc["leader"]["S"], "leader.S"),
-        v0=_vector(doc["leader"]["v0"], "leader.v0"),
-    )
+    with _keyed("leader: "):
+        leader = LeaderModel(
+            S=_matrix(doc["leader"]["S"], "leader.S"),
+            v0=_vector(doc["leader"]["v0"], "leader.v0"),
+        )
 
     if not isinstance(doc["graphs"], list) or not doc["graphs"]:
         raise ConfigError("graphs: expected a nonempty list of weight matrices")
-    try:
+    with _keyed("graphs/signal: "):
         graphs = tuple(
             WeightedDigraph(_matrix(g, f"graphs[{k}]"))
             for k, g in enumerate(doc["graphs"])
         )
         topology = SwitchingTopology(graphs=graphs, signal=_parse_signal(doc["signal"]))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"graphs/signal: {exc}") from exc
 
     if not isinstance(doc["followers"], list):
         raise ConfigError("followers: expected a list")
@@ -207,7 +214,7 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     for k, (fobj, gobj) in enumerate(zip(doc["followers"], doc["gains"])):
         fpath = f"followers[{k}]"
         _require_keys(fobj, {"A", "B", "C", "D", "E", "F", "x0"}, set(), fpath)
-        try:
+        with _keyed(f"{fpath}: "):
             plant = PlantModel(
                 **{key: _matrix(fobj[key], f"{fpath}.{key}") for key in "ABCDEF"}
             )
@@ -218,10 +225,6 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
                     gain=_parse_gain(gobj, f"gains[{k}]"),
                 )
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{fpath}: {exc}") from exc
 
     _require_keys(doc["observer"], {"mode"}, {"eta0", "s0"}, "observer")
     mode = doc["observer"]["mode"]
@@ -258,23 +261,19 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
         }
         windows = {key: _positive_int(cobj[key], f"run.checks.{key}", 0)
                    for key in ("connectivity_window", "connectivity_horizon") if key in cobj}
-        try:
+        with _keyed("run."):
             checks = AssumptionChecks(**windows, **flags)
-        except ValueError as exc:
-            raise ConfigError(f"run.{exc}") from exc
     thresholds = Thresholds()
     if "thresholds" in run_obj:
         tobj = run_obj["thresholds"]
         _require_keys(tobj, set(), {"final", "rate"}, "run.thresholds")
         final = _number(tobj.get("final", 1e-6), "run.thresholds.final")
         rate = _number(tobj.get("rate", 0.999), "run.thresholds.rate")
-        try:
+        with _keyed("run."):
             thresholds = Thresholds(final=final, rate=rate)
-        except ValueError as exc:
-            raise ConfigError(f"run.{exc}") from exc
     regulator_tol = _number(run_obj.get("regulator_tol", 1e-9), "run.regulator_tol")
 
-    try:
+    with _keyed(""):
         return Scenario(
             name=name,
             leader=leader,
@@ -288,8 +287,6 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
             thresholds=thresholds,
             regulator_tol=regulator_tol,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def scenario_to_config(scenario: Scenario) -> dict:

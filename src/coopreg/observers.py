@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -140,13 +140,6 @@ class ObserverBank:
     @property
     def q(self) -> int:
         return self.eta.shape[1]
-
-    @classmethod
-    def zeros(cls, mode: str, n_followers: int, q: int) -> "ObserverBank":
-        if mode not in ("distributed", "adaptive"):
-            raise ValueError(f"unknown observer mode {mode!r}")
-        s = np.zeros((n_followers, q, q)) if mode == "adaptive" else None
-        return cls(eta=np.zeros((n_followers, q)), s_est=s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,18 +317,9 @@ def kron_factorization_check(
     return float(np.max(np.abs(direct - factored)))
 
 
-MatrixSeq = Callable[[int], np.ndarray] | Sequence[np.ndarray]
-
-
-def _at(seq: MatrixSeq, t: int) -> np.ndarray:
-    if callable(seq):
-        return np.asarray(seq(t), dtype=float)
-    return np.asarray(seq[t], dtype=float)
-
-
 def perturbed_convergence_check(
-    c_seq: MatrixSeq,
-    d_seq: MatrixSeq,
+    c_seq: Callable[[int], np.ndarray],
+    d_seq: Callable[[int], np.ndarray],
     z0: np.ndarray,
     horizon: int,
 ) -> "DecayFit":
@@ -350,7 +334,7 @@ def perturbed_convergence_check(
     norms = np.empty(horizon + 1)
     norms[0] = np.linalg.norm(z)
     for t in range(horizon):
-        z = _at(c_seq, t) @ z + _at(d_seq, t)
+        z = c_seq(t) @ z + d_seq(t)
         norms[t + 1] = np.linalg.norm(z)
     return fit_decay(norms)
 
@@ -377,16 +361,18 @@ class DecayFit:
         return self.floored or (not math.isnan(self.rate) and self.rate < 1.0)
 
 
-def _fit_columns(
-    values: np.ndarray,
-    floors: np.ndarray | float,
-    tail_fraction: float = 0.6,
-) -> list[DecayFit]:
+# the share of a series' kept samples that a fit uses (its tail, past the
+# early transient), and the level at or below which a sample is fp noise
+TAIL_FRACTION = 0.6
+FLOOR = 1e-13
+
+
+def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFit]:
     """Geometric fits of every column of a (T, k) stack of series at once.
 
     Column j drops its samples at or below ``floors[j]`` (a scalar floor
     applies to every column) and fits a line through (t, ln value) over the
-    last max(ceil(tail_fraction * kept), 2) kept samples, found with a
+    last max(ceil(TAIL_FRACTION * kept), 2) kept samples, found with a
     reversed cumulative count of the kept samples.  The slope and intercept
     are the closed-form centred least-squares ones, computed for all
     columns in the same array operations; each column is a row of the
@@ -397,7 +383,7 @@ def _fit_columns(
     v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # one series per row
     keep = v > np.reshape(floors, (-1, 1))
     count = keep.sum(axis=1)
-    want = np.maximum(np.ceil(tail_fraction * count), 2)
+    want = np.maximum(np.ceil(TAIL_FRACTION * count), 2)
     kept_from = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1]  # kept samples at or after t
     sel = keep & (kept_from <= want[:, None])
     n = sel.sum(axis=1)
@@ -426,17 +412,13 @@ def _fit_columns(
     ]
 
 
-def fit_decay(
-    values: np.ndarray,
-    tail_fraction: float = 0.6,
-    floor: float = 1e-13,
-) -> DecayFit:
+def fit_decay(values: np.ndarray) -> DecayFit:
     """Fit a geometric rate to a nonnegative series.
 
-    Samples at or below ``floor`` are discarded (they sit in floating-point
+    Samples at or below ``FLOOR`` are discarded (they sit in floating-point
     noise), then a least-squares line is fit through (t, ln value) over the
-    last ``tail_fraction`` of the surviving samples, skipping the early
+    last ``TAIL_FRACTION`` of the surviving samples, skipping the early
     transient.  This is the one-column case of ``_fit_columns``, the fit
     that ``simkit.analyze`` runs on all its series at once.
     """
-    return _fit_columns(np.asarray(values, dtype=float)[:, None], floor, tail_fraction)[0]
+    return _fit_columns(np.asarray(values, dtype=float)[:, None], FLOOR)[0]

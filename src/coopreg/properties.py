@@ -35,6 +35,7 @@ from .observers import (
     ObserverBank,
     error_form_step,
     fit_decay,
+    kron_factorization_check,
     observer_step,
     perturbed_convergence_check,
     spectral_radius,
@@ -56,12 +57,9 @@ class TrialResult:
     detail: str
 
 
-def random_topology(
-    rng: np.random.Generator,
-    n_followers: int | None = None,
-) -> SwitchingTopology:
+def random_topology(rng: np.random.Generator) -> SwitchingTopology:
     """Draw a jointly connected switching topology from the trial family."""
-    n = int(rng.integers(2, 7)) if n_followers is None else n_followers
+    n = int(rng.integers(2, 7))
     n_modes = int(rng.integers(2, 4))
     dwell = int(rng.integers(1, 3))
     mats = [np.zeros((n + 1, n + 1)) for _ in range(n_modes)]
@@ -82,14 +80,15 @@ def random_topology(
     )
 
 
-def disconnected_topology(n_followers: int = 4, isolated: int = 3) -> SwitchingTopology:
-    """A two-mode schedule in which one follower never has an in-edge."""
-    edges_a = [(0, i) for i in range(1, n_followers + 1) if i != isolated]
-    edges_b = [(1, i) for i in range(2, n_followers + 1) if i != isolated]
+def disconnected_topology() -> SwitchingTopology:
+    """A two-mode schedule over four followers in which follower 3 never has
+    an in-edge."""
+    edges_a = [(0, 1), (0, 2), (0, 4)]
+    edges_b = [(1, 2), (1, 4)]
     return SwitchingTopology(
         graphs=(
-            WeightedDigraph.from_edges(n_followers + 1, edges_a),
-            WeightedDigraph.from_edges(n_followers + 1, edges_b),
+            WeightedDigraph.from_edges(5, edges_a),
+            WeightedDigraph.from_edges(5, edges_b),
         ),
         signal=SwitchingSignal.periodic([(1, 1), (2, 1)]),
     )
@@ -168,13 +167,14 @@ def bank_vs_error_form(
     return dev
 
 
-def consensus_trial(seed: int, horizon_factor: int = 60, n_vectors: int = 100) -> TrialResult:
-    """Averaging collapses the spread of random vectors below 1e-9 within
-    ``horizon_factor`` N (window + 1) steps, or, if longer, twice the steps
+def consensus_trial(seed: int) -> TrialResult:
+    """Averaging collapses the spread of 100 random vectors below 1e-9 within
+    60 N (window + 1) steps, or, if longer, twice the steps
     the Lemma 2 rate r = rho(Lambda(P-1) .. Lambda(0))^(1/P) over one period
     P needs for that, so a slowly contracting topology gets the time it needs.
     Lambda has a positive diagonal and the schedule is jointly connected, so
     0 < r < 1."""
+    horizon_factor, n_vectors = 60, 100
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     window = connectivity_window(topo)
@@ -217,10 +217,10 @@ def follower_product_norms(topo: SwitchingTopology, horizon: int) -> np.ndarray:
     return norms
 
 
-def lemma2_trial(seed: int, horizon: int = 240) -> TrialResult:
+def lemma2_trial(seed: int) -> TrialResult:
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
-    fit = fit_decay(follower_product_norms(topo, horizon))
+    fit = fit_decay(follower_product_norms(topo, 240))
     passed = fit.decaying
     return TrialResult(
         seed, passed,
@@ -228,7 +228,8 @@ def lemma2_trial(seed: int, horizon: int = 240) -> TrialResult:
     )
 
 
-def lemma3_trial(seed: int, horizon: int = 240) -> TrialResult:
+def lemma3_trial(seed: int) -> TrialResult:
+    horizon = 240
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     leader = random_leader(rng)
@@ -247,7 +248,8 @@ def lemma3_trial(seed: int, horizon: int = 240) -> TrialResult:
     )
 
 
-def lemma4_trial(seed: int, horizon: int = 300) -> TrialResult:
+def lemma4_trial(seed: int) -> TrialResult:
+    horizon = 300
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     leader = random_leader(rng)
@@ -255,26 +257,25 @@ def lemma4_trial(seed: int, horizon: int = 300) -> TrialResult:
     d0 = rng.normal(size=dim)
     blocks = [np.kron(topo.adjacency_of_mode(m).lambda_block, leader.S)
               for m in range(1, topo.n_modes + 1)]
-    c_seq = [blocks[m - 1] for m in topo.signal.modes(0, horizon).tolist()]
-    d_seq = lambda t: (0.9**t) * d0
-    fit = perturbed_convergence_check(c_seq, d_seq, rng.normal(size=dim), horizon)
+    modes = topo.signal.modes(0, horizon).tolist()
+    fit = perturbed_convergence_check(lambda t: blocks[modes[t] - 1], lambda t: (0.9**t) * d0,
+                                      rng.normal(size=dim), horizon)
     return TrialResult(
         seed, fit.decaying,
         f"perturbed system rate {fit.rate:.4f} residual {fit.residual:.3f}",
     )
 
 
-def kron_trial(seed: int, horizon: int = 40, tol: float = 1e-9) -> TrialResult:
-    from .observers import kron_factorization_check
-
+def kron_trial(seed: int) -> TrialResult:
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     leader = random_leader(rng)
-    dev = kron_factorization_check(topo, leader, horizon)
-    return TrialResult(seed, dev < tol, f"max factorization deviation {dev:.3e}")
+    dev = kron_factorization_check(topo, leader, 40)
+    return TrialResult(seed, dev < 1e-9, f"max factorization deviation {dev:.3e}")
 
 
-def equivalence_trial(seed: int, horizon: int = 100, tol: float = 1e-10) -> TrialResult:
+def equivalence_trial(seed: int) -> TrialResult:
+    horizon = 100
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     leader = random_leader(rng)
@@ -288,7 +289,7 @@ def equivalence_trial(seed: int, horizon: int = 100, tol: float = 1e-10) -> Tria
         bank_vs_error_form(topo, leader, dist, horizon),
         bank_vs_error_form(topo, leader, adap, horizon),
     )
-    return TrialResult(seed, dev < tol, f"max route deviation {dev:.3e}")
+    return TrialResult(seed, dev < 1e-10, f"max route deviation {dev:.3e}")
 
 
 SUITES = {

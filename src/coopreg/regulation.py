@@ -27,6 +27,10 @@ import numpy as np
 from .observers import spectral_radius
 from .topology import DimensionError, _readonly
 
+# Riccati fixed-point tolerance, relative to max(1, max|P|), and update budget
+RICCATI_TOL = 1e-12
+MAX_ITER = 10000
+
 
 class RegulatorUnsolvableError(RuntimeError):
     """The regulator equations admit no solution pair for this plant/leader."""
@@ -192,8 +196,6 @@ def synthesize_stabilizing_gain(
     Q: np.ndarray | None = None,
     R: np.ndarray | None = None,
     label: str = "follower",
-    riccati_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> tuple[np.ndarray, float]:
     """Produce a state feedback K_x with rho(A + B K_x) < 1.
 
@@ -229,13 +231,13 @@ def synthesize_stabilizing_gain(
     P = Q.copy()
     # overflow of the recursion IS the divergence signal, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             bpb = R + B.T @ P @ B
             gain = np.linalg.solve(bpb, B.T @ P @ A)
             P_next = A.T @ P @ (A - B @ gain) + Q
             if not np.isfinite(P_next).all():
                 raise GainSynthesisError(f"{label}: pair (A, B) is not stabilizable")
-            if np.max(np.abs(P_next - P)) < riccati_tol * max(1.0, float(np.max(np.abs(P_next)))):
+            if np.max(np.abs(P_next - P)) < RICCATI_TOL * max(1.0, float(np.max(np.abs(P_next)))):
                 P = P_next
                 break
             P = P_next
@@ -255,14 +257,11 @@ def synthesize_stabilizing_gain(
 
 def build_controller(
     plant: PlantModel,
-    S: np.ndarray,
     K_x: np.ndarray,
-    solution: RegulatorSolution | None = None,
-    tol: float = 1e-9,
+    solution: RegulatorSolution,
 ) -> ControllerGains:
-    """Package a certified K_x with the feedforward gain K_v = U - K_x X."""
-    if solution is None:
-        solution = solve_regulator_equations(plant, S, tol=tol)
+    """Package a certified K_x with the feedforward gain K_v = U - K_x X of
+    the regulator ``solution`` (see ``solve_regulator_equations``)."""
     K_x = np.atleast_2d(np.asarray(K_x, dtype=float))
     radius = spectral_radius(plant.A + plant.B @ K_x)
     K_v = solution.U - K_x @ solution.X

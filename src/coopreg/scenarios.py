@@ -89,7 +89,7 @@ def _formation(
         vel = rng.normal(size=2) if rng is not None else np.zeros(2)
         x0 = np.array([px - ox, py - oy, vel[0], vel[1]])
         followers.append(
-            FollowerSpec(plant=plant, x0=x0, gain=GainDirective(method="user", K_x=k_x))
+            FollowerSpec(plant=plant, x0=x0, gain=GainDirective(K_x=k_x))
         )
     eta0 = tuple(rng.normal(size=4) for _ in followers) if rng is not None else None
     return Scenario(
@@ -144,7 +144,7 @@ def single_follower_scenario(
         followers=(
             FollowerSpec(
                 plant=plant, x0=x0,
-                gain=GainDirective(method="user", K_x=-0.5 * np.eye(2)),
+                gain=GainDirective(K_x=-0.5 * np.eye(2)),
             ),
         ),
         observer_mode=observer_mode,

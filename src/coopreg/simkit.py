@@ -34,7 +34,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .observers import DecayFit, LeaderModel, ObserverBank, _fit_columns, _observer_update
+from .observers import FLOOR, DecayFit, LeaderModel, ObserverBank, _fit_columns, _observer_update
 from .regulation import (
     ControllerGains,
     GainSynthesisError,
@@ -77,18 +77,18 @@ class OverflowAbort(RuntimeError):
 class GainDirective:
     """Per-follower gain choice: a user K_x, or Riccati synthesis with weights Q and R."""
 
-    method: str = "riccati"
     K_x: np.ndarray | None = None
     Q: np.ndarray | None = None
     R: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.method not in ("user", "riccati"):
-            raise ValueError(f"unknown gain method {self.method!r}")
-        if (self.method == "user") != (self.K_x is not None):
-            raise ValueError("user method requires K_x; riccati must not set it")
         if self.K_x is not None and (self.Q is not None or self.R is not None):
             raise ValueError("Q and R only apply to the riccati method; a user K_x ignores them")
+
+    @property
+    def method(self) -> str:
+        """``"user"`` exactly when K_x is given, otherwise ``"riccati"``."""
+        return "riccati" if self.K_x is None else "user"
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def _solve_key(f: FollowerSpec) -> tuple:
     g = f.gain
     arrays = [getattr(f.plant, k) for k in "ABCDEF"] + [g.K_x, g.Q, g.R]
     # adding +0.0 turns -0.0 into 0.0, so the bytes of equal values are equal
-    return (g.method,) + tuple(
+    return tuple(
         None if a is None else (np.shape(a), (np.asarray(a, dtype=float) + 0.0).tobytes())
         for a in arrays
     )
@@ -305,7 +305,7 @@ def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
         except _REPORTED_ERRORS as exc:
             gain = exc
         failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
-        controller = None if failed else build_controller(f.plant, S, gain[0], regulator)
+        controller = None if failed else build_controller(f.plant, gain[0], regulator)
         solve = _SharedSolve(k, regulator, gain, controller)
         for i in members:
             out[i] = solve
@@ -611,24 +611,39 @@ def analyze(
     and is left out of the batch: a NaN sample would be dropped as floored
     and an inf would lift the floor.
     """
-    names = ["eta_tilde_norm"]
-    columns = [log.eta_tilde_norm]
-    if log.s_tilde_norm is not None:
-        names.append("s_tilde_norm")
-        columns.append(log.s_tilde_norm)
-    names += [f"e_norm_{i + 1}" for i in range(log.n_followers)]
-    values = np.column_stack(columns + [log.e_norms])
+    names, blocks = _norm_columns(log)
+    values = np.hstack(blocks)
     finite = np.isfinite(values).all(axis=0)
     fitted = values[:, finite]
     # fp noise in an error series scales with the magnitudes it was computed
     # from, so lift each fitting floor accordingly for large-amplitude runs
-    floors = np.maximum(1e-13, 1e-12 * fitted.max(axis=0, initial=0.0))
+    floors = np.maximum(FLOOR, 1e-12 * fitted.max(axis=0, initial=0.0))
     fits = iter(_fit_columns(fitted, floors))
     series = tuple(
         _judge(name, final, next(fits) if ok else None, thresholds)
         for name, final, ok in zip(names, values[-1].tolist(), finite.tolist())
     )
     return ConvergenceReport(series=series, thresholds=thresholds, checks=tuple(checks))
+
+
+def _norm_columns(log: TrajectoryLog) -> tuple[list[str], list[np.ndarray]]:
+    """Column names and (T+1, k) blocks of the derived norm series:
+    eta_tilde_norm, s_tilde_norm (adaptive only), then e_norm_1..N."""
+    names, blocks = ["eta_tilde_norm"], [log.eta_tilde_norm[:, None]]
+    if log.s_tilde_norm is not None:
+        names.append("s_tilde_norm")
+        blocks.append(log.s_tilde_norm[:, None])
+    names += [f"e_norm_{i + 1}" for i in range(log.n_followers)]
+    return names, blocks + [log.e_norms]
+
+
+def _follower_blocks(log: TrajectoryLog, i: int) -> list[tuple[str, np.ndarray]]:
+    """The (name, (T+1, k) series) blocks of 0-based follower i in CSV order:
+    x, eta, s (adaptive only, row-major), u, e."""
+    blocks = [("x", log.x[i]), ("eta", log.eta[:, i])]
+    if log.s_est is not None:
+        blocks.append(("s", log.s_est[:, i].reshape(log.horizon + 1, -1)))
+    return blocks + [("u", log.u[i]), ("e", log.e[i])]
 
 
 def csv_columns(log: TrajectoryLog) -> list[str]:
@@ -639,37 +654,19 @@ def csv_columns(log: TrajectoryLog) -> list[str]:
     e_i_*; finally the derived norms eta_tilde_norm, s_tilde_norm (adaptive
     only) and e_norm_i.
     """
-    q = log.v.shape[1]
-    cols = ["t", "sigma"] + [f"v_0_{c}" for c in range(q)]
+    cols = ["t", "sigma"] + [f"v_0_{c}" for c in range(log.v.shape[1])]
     for i in range(log.n_followers):
-        k = i + 1
-        cols += [f"x_{k}_{c}" for c in range(log.x[i].shape[1])]
-        cols += [f"eta_{k}_{c}" for c in range(q)]
-        if log.s_est is not None:
-            cols += [f"s_{k}_{c}" for c in range(q * q)]
-        cols += [f"u_{k}_{c}" for c in range(log.u[i].shape[1])]
-        cols += [f"e_{k}_{c}" for c in range(log.e[i].shape[1])]
-    cols.append("eta_tilde_norm")
-    if log.s_tilde_norm is not None:
-        cols.append("s_tilde_norm")
-    cols += [f"e_norm_{i + 1}" for i in range(log.n_followers)]
-    return cols
+        cols += [f"{name}_{i + 1}_{c}"
+                 for name, block in _follower_blocks(log, i) for c in range(block.shape[1])]
+    return cols + _norm_columns(log)[0]
 
 
 def write_trajectory_csv(log: TrajectoryLog, fh: IO[str]) -> None:
     """Write the log as CSV with full round-trip float formatting."""
-    steps = log.horizon + 1
     blocks = [log.v]
     for i in range(log.n_followers):
-        blocks += [log.x[i], log.eta[:, i]]
-        if log.s_est is not None:
-            blocks.append(log.s_est[:, i].reshape(steps, -1))
-        blocks += [log.u[i], log.e[i]]
-    blocks.append(log.eta_tilde_norm[:, None])
-    if log.s_tilde_norm is not None:
-        blocks.append(log.s_tilde_norm[:, None])
-    blocks.append(log.e_norms)
-    values = np.hstack(blocks)
+        blocks += [block for _, block in _follower_blocks(log, i)]
+    values = np.hstack(blocks + _norm_columns(log)[1])
     fh.write(",".join(csv_columns(log)) + "\n")
     # row by row, so that no Python float list of the whole log is held at once
     for t, sigma, row in zip(log.t.tolist(), log.sigma.tolist(), values):
@@ -689,8 +686,8 @@ def _fit_json(fit: DecayFit) -> dict:
     }
 
 
-def report_to_dict(report: ConvergenceReport, scenario_name: str = "",
-                   observer_mode: str = "", horizon: int | None = None) -> dict:
+def report_to_dict(report: ConvergenceReport, scenario_name: str,
+                   observer_mode: str, horizon: int) -> dict:
     return {
         "scenario": scenario_name,
         "observer_mode": observer_mode,

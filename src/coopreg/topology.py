@@ -23,6 +23,7 @@ so concurrent read access is safe.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -335,6 +336,14 @@ class ConnectivityResult:
         return self.connected
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; a value that ``int()`` would truncate is refused."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True, eq=False)
 class SwitchingSignal:
     """Piecewise-constant map from time to a mode index in {1, .., n0}.
@@ -358,7 +367,8 @@ class SwitchingSignal:
         if (self.segments is None) == (self.table is None):
             raise ValueError("signal needs exactly one of segments / table")
         if self.segments is not None:
-            segs = tuple((int(m), int(l)) for m, l in self.segments)
+            segs = tuple((_integer(m, "mode index"), _integer(l, "segment length"))
+                         for m, l in self.segments)
             if not segs:
                 raise ValueError("periodic signal needs at least one segment")
             for m, l in segs:
@@ -369,13 +379,14 @@ class SwitchingSignal:
             object.__setattr__(self, "segments", segs)
             object.__setattr__(self, "_ends", tuple(accumulate(l for _, l in segs)))
         else:
-            tab = tuple(int(m) for m in self.table)
+            tab = tuple(_integer(m, "mode index") for m in self.table)
             if self.tail_mode is None:
                 raise ValueError("table signal needs a tail mode")
-            if any(m < 1 for m in tab) or self.tail_mode < 1:
+            tail = _integer(self.tail_mode, "tail mode")
+            if any(m < 1 for m in tab) or tail < 1:
                 raise ValueError("mode indices must be >= 1")
             object.__setattr__(self, "table", tab)
-            object.__setattr__(self, "tail_mode", int(self.tail_mode))
+            object.__setattr__(self, "tail_mode", tail)
 
     @classmethod
     def periodic(cls, segments: Iterable[tuple[int, int]]) -> "SwitchingSignal":

@@ -137,7 +137,8 @@ def test_adaptive_observer_family():
         m = rng.normal(size=(q, q))
         leader = LeaderModel(S=m * (1.2 / spectral_radius(m)), v0=np.zeros(q))
         assert leader.rho == pytest.approx(1.2)
-        bank = ObserverBank.zeros("adaptive", topo.n_followers, q)
+        bank = ObserverBank(eta=np.zeros((topo.n_followers, q)),
+                            s_est=np.zeros((topo.n_followers, q, q)))
         norms = simulate_observer_norms(topo, leader, bank, 500)
         assert norms["s_tilde"][-1] < 1e-8, f"seed {seed}: {norms['s_tilde'][-1]:.2e}"
 
@@ -154,7 +155,7 @@ def test_follower_block_product_decay():
         assert fit.floored or fit.rate < 1.0, f"seed {seed}: rate {fit.rate}"
 
     # non-decay witness: follower 3 never receives an edge
-    topo = disconnected_topology(n_followers=4, isolated=3)
+    topo = disconnected_topology()
     assert not is_jointly_connected(topo, 25, horizon=60)
     norms = np.array(
         [np.linalg.norm(transition_product(topo, 0, k), 2) for k in range(241)]

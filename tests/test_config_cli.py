@@ -201,6 +201,21 @@ class TestConfigValidation:
         assert AssumptionChecks(connectivity_window=7, connectivity_horizon=7)
         assert AssumptionChecks(connectivity_window=7).connectivity_horizon is None
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("S", [[1.0, 0.0]], "leader: leader matrix must be square, got (1, 2)"),
+        ("v0", [0.0, 0.0], "leader: v0 has dimension 2, leader matrix is 4x4"),
+    ], ids=["S", "v0"])
+    def test_leader_shape_error_is_a_config_error(self, key, value, message, tmp_path, capsys):
+        doc = self.base_doc()
+        doc["leader"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value) == message
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_wrong_eta0_count_rejected(self):
         doc = self.base_doc()
         doc["observer"]["eta0"] = [[0.0, 0.0, 0.0, 0.0]]  # one vector, four followers

@@ -92,12 +92,6 @@ class TestBankValidation:
         assert ObserverBank(eta=np.zeros((2, 2)), s_est=np.zeros((2, 2, 2))).mode == "adaptive"
         with pytest.raises(DimensionError):
             ObserverBank(eta=np.zeros((2, 2)), s_est=np.zeros((2, 3, 3)))
-        with pytest.raises(ValueError):
-            ObserverBank.zeros("adaptve", 2, 2)
-
-    def test_zeros_constructor(self):
-        bank = ObserverBank.zeros("adaptive", 3, 2)
-        assert bank.eta.shape == (3, 2) and bank.s_est.shape == (3, 2, 2)
 
 
 class TestDistributedObserver:
@@ -132,7 +126,7 @@ class TestDistributedObserver:
             v0=np.array([0.0, 0.0, 1.0, 1.0]),
         )
         topo = fig2_topology()
-        bank = ObserverBank.zeros("distributed", 4, 4)
+        bank = ObserverBank(eta=np.zeros((4, 4)))
         norms = simulate_observer_norms(topo, leader, bank, 300)["eta_tilde"]
         fit = fit_decay(norms)
         assert fit.decaying
@@ -189,7 +183,8 @@ class TestAdaptiveObserver:
         q = 3
         m = rng.normal(size=(q, q))
         leader = LeaderModel(S=m * (1.2 / spectral_radius(m)), v0=np.zeros(q))
-        bank = ObserverBank.zeros("adaptive", topo.n_followers, q)
+        bank = ObserverBank(eta=np.zeros((topo.n_followers, q)),
+                            s_est=np.zeros((topo.n_followers, q, q)))
         norms = simulate_observer_norms(topo, leader, bank, 400)
         assert norms["s_tilde"][-1] < 1e-10
         assert np.all(norms["eta_tilde"] == 0.0)

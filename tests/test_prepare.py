@@ -134,7 +134,7 @@ def test_cached_failures_raise_in_per_follower_order(solve_counts):
     followers = list(scenario.followers)
     # follower 2 fails only its gain, follower 3 its regulator first
     followers[1] = FollowerSpec(plant=followers[1].plant, x0=followers[1].x0,
-                                gain=GainDirective(method="user", K_x=np.zeros((2, 4))))
+                                gain=GainDirective(K_x=np.zeros((2, 4))))
     followers[2] = FollowerSpec(plant=stuck, x0=followers[2].x0)
     scenario = dataclasses.replace(scenario, followers=tuple(followers))
     assert not all(validate_scenario(scenario))

@@ -160,7 +160,8 @@ class TestBuildController:
     def test_bundled_feedforward_cancels_feedback(self):
         plant = planar_tracking_plant()
         k = np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
-        gains = build_controller(plant, planar_leader_matrix(), k)
+        sol = solve_regulator_equations(plant, planar_leader_matrix())
+        gains = build_controller(plant, k, sol)
         assert np.allclose(gains.K_v, -k, atol=1e-12)
         assert gains.closed_loop_radius == pytest.approx(0.5, abs=1e-9)
 
@@ -170,8 +171,8 @@ class TestBuildController:
             A=0.5 * np.eye(2), B=np.eye(2), C=rng.normal(size=(1, 2)),
             D=rng.normal(size=(1, 2)), E=np.zeros((2, 2)), F=np.zeros((1, 2)),
         )
-        gains = build_controller(plant, np.eye(2), np.zeros((2, 2)))
         sol = solve_regulator_equations(plant, np.eye(2))
+        gains = build_controller(plant, np.zeros((2, 2)), sol)
         assert np.allclose(gains.K_v, sol.U)
 
     def test_gain_relation_holds_on_random_plants(self):
@@ -180,20 +181,22 @@ class TestBuildController:
             plant, S, _, _ = random_solvable_plant(rng)
             K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B)
             sol = solve_regulator_equations(plant, S)
-            gains = build_controller(plant, S, K_x, solution=sol)
+            gains = build_controller(plant, K_x, sol)
             assert np.abs(gains.K_v - (sol.U - K_x @ sol.X)).max() < 1e-12
 
     def test_uncertified_gain_cannot_build(self):
         plant = planar_tracking_plant()
         with pytest.raises(GainSynthesisError):
-            build_controller(plant, planar_leader_matrix(), np.zeros((2, 4)))
+            build_controller(plant, np.zeros((2, 4)),
+                             solve_regulator_equations(plant, planar_leader_matrix()))
 
 
 class TestControlAndPlantStep:
     def test_zero_in_zero_out(self):
         plant = planar_tracking_plant()
         gains = build_controller(
-            plant, planar_leader_matrix(), np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
+            plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)),
+            solve_regulator_equations(plant, planar_leader_matrix()),
         )
         assert np.allclose(control_input(gains, np.zeros(4), np.zeros(4)), 0.0)
 
@@ -202,7 +205,7 @@ class TestControlAndPlantStep:
         plant, S, _, _ = random_solvable_plant(rng)
         sol = solve_regulator_equations(plant, S)
         K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B)
-        gains = build_controller(plant, S, K_x, solution=sol)
+        gains = build_controller(plant, K_x, sol)
         v = rng.normal(size=plant.q)
         u = control_input(gains, sol.X @ v, v)
         assert np.allclose(u, sol.U @ v, atol=1e-10)
@@ -211,9 +214,7 @@ class TestControlAndPlantStep:
         plant = planar_tracking_plant()
         S = planar_leader_matrix()
         sol = solve_regulator_equations(plant, S)
-        gains = build_controller(
-            plant, S, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)), solution=sol
-        )
+        gains = build_controller(plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)), sol)
         v = np.array([3.0, -1.0, 0.5, 2.0])
         assert np.allclose(control_input(gains, sol.X @ v, v), 0.0, atol=1e-12)
 
@@ -244,7 +245,8 @@ class TestControlAndPlantStep:
         with pytest.raises(DimensionError):
             plant_step(plant, np.zeros(3), np.zeros(2), np.zeros(4))
         gains = build_controller(
-            plant, planar_leader_matrix(), np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
+            plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)),
+            solve_regulator_equations(plant, planar_leader_matrix()),
         )
         with pytest.raises(DimensionError):
             control_input(gains, np.zeros(5), np.zeros(4))
@@ -259,7 +261,7 @@ class TestControlAndPlantStep:
         plant, S, _, _ = random_solvable_plant(rng)
         sol = solve_regulator_equations(plant, S)
         K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B)
-        gains = build_controller(plant, S, K_x, solution=sol)
+        gains = build_controller(plant, K_x, sol)
         x = rng.normal(size=plant.n)
         v = rng.normal(size=plant.q)
         eta = rng.normal(size=plant.q)

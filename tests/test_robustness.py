@@ -119,7 +119,7 @@ def huge_coupling_scenario() -> Scenario:
     base = formation_scenario(horizon=30)
     plant = PlantModel(A=np.eye(4), B=np.eye(4), C=np.eye(4), D=np.zeros((4, 4)),
                        E=1e13 * np.eye(4), F=-np.eye(4))
-    follower = FollowerSpec(plant, np.zeros(4), GainDirective(method="user", K_x=-0.5 * np.eye(4)))
+    follower = FollowerSpec(plant, np.zeros(4), GainDirective(K_x=-0.5 * np.eye(4)))
     return dataclasses.replace(base, followers=(base.followers[0], follower) + base.followers[2:])
 
 
@@ -229,7 +229,7 @@ def test_gain_shapes_are_checked_when_the_follower_is_built(n, m, key, shape, b,
                        D=np.zeros((1, m)), E=np.zeros((n, 1)), F=-np.eye(1))
     # Q and R stay nonnegative, so the Riccati recursion ends within a few steps
     matrix = np.full(shape, value if key == "K_x" else abs(value))
-    gain = GainDirective(method="user" if key == "K_x" else "riccati", **{key: matrix})
+    gain = GainDirective(**{key: matrix})
     expected = {"K_x": (m, n), "Q": (n, n), "R": (m, m)}[key]
     if np.atleast_2d(matrix).shape != expected:
         with pytest.raises(DimensionError, match=f"gain {key} has shape"):

@@ -80,14 +80,14 @@ def mixed_scenario(observer_mode: str, horizon: int = 60, seed: int = 3) -> Scen
     rng = np.random.default_rng(seed)
     S = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
     leader = LeaderModel(S=S, v0=np.array([0.5, -1.0, 0.2, 0.1]))
-    user_di = GainDirective(method="user", K_x=np.kron(np.array([[-0.7, -1.9]]), np.eye(2)))
+    user_di = GainDirective(K_x=np.kron(np.array([[-0.7, -1.9]]), np.eye(2)))
     followers = (
         FollowerSpec(double_integrator(), rng.normal(size=4), user_di),
         FollowerSpec(integrator(2), rng.normal(size=2)),
         FollowerSpec(double_integrator(), rng.normal(size=4)),
         FollowerSpec(integrator(1), rng.normal(size=2)),
         FollowerSpec(integrator(2), rng.normal(size=2),
-                     GainDirective(method="user", K_x=-0.5 * np.eye(2))),
+                     GainDirective(K_x=-0.5 * np.eye(2))),
     )
     graphs = (
         WeightedDigraph.from_edges(6, [(0, 1), (1, 2), (2, 3)]),
@@ -366,7 +366,7 @@ def team_scenario(observer_mode: str, plants, user=(), horizon: int = 60,
     a Riccati directive."""
     base = mixed_scenario(observer_mode, horizon, seed)
     rng = np.random.default_rng(seed)
-    user_gain = GainDirective(method="user", K_x=-0.5 * np.eye(2))
+    user_gain = GainDirective(K_x=-0.5 * np.eye(2))
     followers = tuple(
         FollowerSpec(plant, rng.normal(size=plant.n), user_gain if i in user else GainDirective())
         for i, plant in enumerate(plants)
@@ -502,7 +502,7 @@ def test_csv_matches_per_float_writer(build):
     assert got.getvalue() == want.getvalue()
 
 
-def lstsq_fit_decay(values, tail_fraction=0.6, floor=1e-13) -> DecayFit:
+def lstsq_fit_decay(values, floor=1e-13) -> DecayFit:
     """The per-series ``np.linalg.lstsq`` fit that the batched one replaced (the oracle)."""
     values = np.asarray(values, dtype=float)
     t = np.arange(values.shape[0])
@@ -510,7 +510,7 @@ def lstsq_fit_decay(values, tail_fraction=0.6, floor=1e-13) -> DecayFit:
     if not keep.any():
         return DecayFit(rate=0.0, prefactor=0.0, residual=0.0, n_samples=0, floored=True)
     t, v = t[keep], values[keep]
-    k = max(int(math.ceil(tail_fraction * len(v))), 2)
+    k = max(int(math.ceil(0.6 * len(v))), 2)
     t, v = t[-k:], np.log(v[-k:])
     if len(v) < 2 or t[-1] == t[0]:
         return DecayFit(
@@ -589,16 +589,15 @@ KINDS = ("geometric", "plateau", "constant", "zero", "survivor")
 @settings(max_examples=150, deadline=None)
 @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=8),
        steps=st.one_of(st.just(1), st.integers(2, 150)),
-       tail_fraction=st.sampled_from([0.6, 0.3, 1.0]),
        seed=st.integers(0, 2**32 - 1))
-def test_fit_columns_matches_the_lstsq_fit(kinds, steps, tail_fraction, seed):
+def test_fit_columns_matches_the_lstsq_fit(kinds, steps, seed):
     rng = np.random.default_rng(seed)
     stack = np.column_stack([column(kind, steps, rng) for kind in kinds])
     floors = np.maximum(1e-13, 1e-12 * stack.max(axis=0))
-    fits = _fit_columns(stack, floors, tail_fraction)
+    fits = _fit_columns(stack, floors)
     assert len(fits) == len(kinds)
     for j, fit in enumerate(fits):
-        assert_fit_close(fit, lstsq_fit_decay(stack[:, j], tail_fraction, floors[j]))
+        assert_fit_close(fit, lstsq_fit_decay(stack[:, j], floors[j]))
 
 
 def test_fit_decay_on_an_inf_sample_is_a_nan_fit_as_with_lstsq():

@@ -47,7 +47,7 @@ def scenario_with_leader(S, v0=None, horizon=50):
         topology=topo,
         followers=(
             FollowerSpec(plant=plant, x0=np.zeros(q),
-                         gain=GainDirective(method="user", K_x=-0.5 * np.eye(q))),
+                         gain=GainDirective(K_x=-0.5 * np.eye(q))),
         ),
         horizon=horizon,
         checks=AssumptionChecks(connectivity_window=0),
@@ -206,7 +206,7 @@ class TestRun:
             leader=base.leader,
             topology=base.topology,
             followers=tuple(
-                FollowerSpec(plant=f.plant, x0=f.x0, gain=GainDirective(method="riccati"))
+                FollowerSpec(plant=f.plant, x0=f.x0, gain=GainDirective())
                 for f in base.followers
             ),
             horizon=300,

@@ -456,6 +456,20 @@ class TestSwitchingSignal:
             )
 
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SwitchingSignal.periodic([(1.7, 2)]), "mode index 1.7 is not an integer"),
+        (lambda: SwitchingSignal.periodic([(1, 2.9)]), "segment length 2.9 is not an integer"),
+        (lambda: SwitchingSignal.from_table([1.9, 2], tail_mode=1), "mode index 1.9 is not"),
+        (lambda: SwitchingSignal.from_table([1, 2], tail_mode=1.5), "tail mode 1.5 is not"),
+    ], ids=["segment-mode", "segment-length", "table-mode", "tail-mode"])
+    def test_non_integers_refused_not_truncated(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+        sig = SwitchingSignal.from_table(np.array([1, 2]), tail_mode=np.int64(3))
+        assert (sig.table, sig.tail_mode) == ((1, 2), 3) and type(sig.tail_mode) is int
+        assert SwitchingSignal.periodic([(np.int64(2), np.int32(3))]).segments == ((2, 3),)
+
+
 class TestConsensusStep:
     def test_constant_vector_is_fixed_point(self):
         adj = normalize_adjacency(WeightedDigraph.from_edges(3, [(0, 1), (1, 2)]))

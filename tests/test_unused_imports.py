@@ -1,0 +1,56 @@
+"""No module of the package or the scripts imports a name it never reads.
+
+No linter runs on this repository, so this test parses each module with
+``ast``: an imported name counts as read when it is loaded anywhere in the
+module (a quoted annotation included) or is listed in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*ROOT.glob("src/coopreg/*.py"), *ROOT.glob("scripts/*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads, as 'name (line n)'."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns if hasattr(node, "returns") else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name)}
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "from typing import Callable, Sequence\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .x import Exported, Quoted\n"
+        "__all__ = ['Exported']\n"
+        "def f(g: Callable) -> 'Quoted':\n"
+        "    return np.asarray(g())\n"
+    )
+    assert unused_imports(source) == ["Sequence (line 1)", "os (line 3)"]
