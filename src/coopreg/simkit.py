@@ -73,7 +73,7 @@ class OverflowAbort(RuntimeError):
         self.follower = follower
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainDirective:
     """Per-follower gain choice: a user K_x, or Riccati synthesis with weights Q and R."""
 
@@ -453,14 +453,18 @@ def _plant_trajectory(g: _StepGroup, eta_log: np.ndarray,
                       v_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The group's (T+1, G, k, n) states and (T+1, G, k, m) inputs, driven by
     the logged estimates and leader states: per step u = x K_x + eta K_v and
-    x+ = x A + u B + v E, one stacked product per term."""
+    x+ = x A + u B + v E, one stacked product per term.  The feed terms
+    eta K_v and v E do not depend on x, so they are computed for the whole
+    horizon before the step loop, each as the same stacked product per step."""
     x = np.empty((len(v_log),) + g.x0.shape)
     u = np.empty(x.shape[:-1] + g.K_x.shape[-1:])
+    w = eta_log.take(g.rows, axis=1) @ g.K_v
+    f = v_log[:, None, None, :] @ g.E
     x[0] = g.x0
     for t in range(len(x)):
-        u[t] = x[t] @ g.K_x + eta_log[t].take(g.rows, axis=0) @ g.K_v
+        u[t] = x[t] @ g.K_x + w[t]
         if t + 1 < len(x):
-            x[t + 1] = x[t] @ g.A + u[t] @ g.B + v_log[t][None] @ g.E
+            x[t + 1] = x[t] @ g.A + u[t] @ g.B + f[t]
     return x, u
 
 
@@ -662,15 +666,28 @@ def csv_columns(log: TrajectoryLog) -> list[str]:
 
 
 def write_trajectory_csv(log: TrajectoryLog, fh: IO[str]) -> None:
-    """Write the log as CSV with full round-trip float formatting."""
+    """Write the log as CSV, each float as its ``repr`` (full round-trip precision)."""
     blocks = [log.v]
     for i in range(log.n_followers):
         blocks += [block for _, block in _follower_blocks(log, i)]
     values = np.hstack(blocks + _norm_columns(log)[1])
     fh.write(",".join(csv_columns(log)) + "\n")
-    # row by row, so that no Python float list of the whole log is held at once
-    for t, sigma, row in zip(log.t.tolist(), log.sigma.tolist(), values):
-        fh.write(f"{t},{sigma},{','.join(map(repr, row.tolist()))}\n")
+    # each distinct bit pattern of a block (-0.0 is not 0.0) is formatted once;
+    # larger blocks find few more repeats and hold more strings at once
+    rows = 32  # time steps per block
+    for t0 in range(0, len(values), rows):
+        block = values[t0:t0 + rows]
+        bits = block.view(np.uint64).ravel()
+        order = bits.argsort(kind="stable")
+        ranked = bits[order]
+        first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        index = np.empty_like(order)
+        index[order] = np.cumsum(first) - 1
+        text = np.array(repr(block.ravel()[order[first]].tolist())[1:-1].split(", "), dtype=object)
+        cells = text[index].reshape(block.shape).tolist()
+        for t, sigma, row in zip(log.t[t0:t0 + rows].tolist(),
+                                 log.sigma[t0:t0 + rows].tolist(), cells):
+            fh.write(f"{t},{sigma},{','.join(row)}\n")
 
 
 def _fit_json(fit: DecayFit) -> dict:

@@ -227,6 +227,17 @@ def test_plant_classes_are_found_when_the_scenario_is_built():
     assert dataclasses.replace(team, horizon=5)._classes == team._classes
 
 
+def test_gain_directives_compare_by_identity_and_hash():
+    a, b = GainDirective(K_x=np.eye(2)), GainDirective(K_x=np.eye(2))
+    # no elementwise comparison of the arrays they hold
+    assert a == a and a != b
+    assert len({a, b, GainDirective(), GainDirective(Q=np.eye(2), R=np.eye(1))}) == 4
+    # plant classes compare directives by value, through _solve_key
+    scenario = build_builtin("formation-sec5")
+    assert len({id(f.gain) for f in scenario.followers}) == 4
+    assert scenario._classes == ((0, 1, 2, 3),)
+
+
 def test_signed_zeros_do_not_split_a_class(solve_counts):
     plant = double_integrator(1.0)
     def negative_zeros(a):

@@ -1,10 +1,12 @@
-"""The batched ``run`` against a per-follower reference loop, the neighbour
-mix (Omega x - x or the edge-table gather) against its difference-tensor
-definition, the trajectory CSV against a per-float writer, and the batched
-decay fits of ``analyze`` against a per-series ``lstsq`` fit."""
+"""The batched ``run`` against a per-follower reference loop and, bit for
+bit, against a per-step plant loop, the neighbour mix (Omega x - x or the
+edge-table gather) against its difference-tensor definition, the trajectory
+CSV against a per-float writer, and the batched decay fits of ``analyze``
+against a per-series ``lstsq`` fit."""
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -443,6 +445,43 @@ def test_step_groups_match_the_reference_loop(build, rows, mode):
     assert_run_matches_reference(scenario)
 
 
+def per_step_plants(g, eta_log: np.ndarray, v_log: np.ndarray) -> tuple:
+    """A step group's plant loop with the feed terms eta K_v and v E computed
+    inside it, one step at a time (the reference for ``_plant_trajectory``)."""
+    x = np.empty((len(v_log),) + g.x0.shape)
+    u = np.empty(x.shape[:-1] + g.K_x.shape[-1:])
+    x[0] = g.x0
+    for t in range(len(x)):
+        u[t] = x[t] @ g.K_x + eta_log[t].take(g.rows, axis=0) @ g.K_v
+        if t + 1 < len(x):
+            x[t + 1] = x[t] @ g.A + u[t] @ g.B + v_log[t][None] @ g.E
+    return x, u
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+@pytest.mark.parametrize("build", [
+    mixed_scenario,
+    interleaved_scenario,
+    # G = 12 stacked classes of k = 1
+    distinct_scenario,
+    cyclic_scenario,
+    lambda mode: build_builtin("formation-sec5", observer_mode=mode),
+    # G = 1 class of k = 600
+    lambda mode: sparse_swarm(600, mode, 80, 3),
+], ids=["mixed", "interleaved", "distinct", "cyclic", "formation-sec5", "sparse-swarm"])
+def test_plant_trajectory_is_bitwise_the_per_step_loop(build, mode):
+    scenario = build(mode)
+    log = run(scenario)
+    groups = coopreg.simkit._step_groups(scenario)
+    xs, us = zip(*(per_step_plants(g, log.eta, log.v) for g in groups))
+    es = [x_g @ g.C + u_g @ g.D + (log.v @ g.F).transpose(1, 0, 2)[:, :, None]
+          for g, x_g, u_g in zip(groups, xs, us)]
+    for key, logs in (("x", xs), ("u", us), ("e", es)):
+        want = coopreg.simkit._by_follower(groups, logs)
+        for i, (got, ref) in enumerate(zip(getattr(log, key), want, strict=True)):
+            assert got.tobytes() == ref.tobytes(), (key, i)
+
+
 @pytest.mark.parametrize("mode", ["distributed", "adaptive"])
 def test_run_makes_no_per_step_bank_checks(mode, monkeypatch):
     def refuse(*args, **kwargs):
@@ -499,6 +538,39 @@ def test_csv_matches_per_float_writer(build):
     got, want = io.StringIO(), io.StringIO()
     write_trajectory_csv(log, got)
     per_float_csv(log, want)
+    assert got.getvalue() == want.getvalue()
+
+
+CSV_BLOCK = 32  # time steps per block of write_trajectory_csv
+HOSTILE = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+
+
+@functools.lru_cache(maxsize=None)
+def formation_log(horizon: int, mode: str):
+    return run(formation_scenario(horizon=horizon, observer_mode=mode, seed=5))
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+@pytest.mark.parametrize("horizon", [0, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+@settings(max_examples=10, deadline=None)
+@given(planted=st.lists(st.tuples(st.integers(min_value=0),
+                                  st.one_of(st.sampled_from(HOSTILE), st.floats())),
+                        max_size=40))
+def test_csv_matches_per_float_writer_on_hostile_values(horizon, mode, planted):
+    log = formation_log(horizon, mode)
+    v, eta, norms = log.v.copy(), log.eta.copy(), log.e_norms.copy()
+    x = [x_i.copy() for x_i in log.x]
+    # -0.0 beside 0.0 and the other special values, all in the first block
+    eta.reshape(-1)[:len(HOSTILE)] = HOSTILE
+    # one value on both sides of the first block boundary
+    norms[CSV_BLOCK - 1:CSV_BLOCK + 1] = 0.1
+    for k, value in planted:
+        for a in (v, eta, x[k % len(x)]):
+            a.reshape(-1)[k % a.size] = value
+    hostile = dataclasses.replace(log, v=v, eta=eta, x=x, e_norms=norms)
+    got, want = io.StringIO(), io.StringIO()
+    write_trajectory_csv(hostile, got)
+    per_float_csv(hostile, want)
     assert got.getvalue() == want.getvalue()
 
 
