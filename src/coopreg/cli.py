@@ -12,6 +12,7 @@ Exit code 0 means every requested check, threshold, or trial passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -30,6 +31,7 @@ from .regulation import GainSynthesisError, RegulatorUnsolvableError
 from .scenarios import BUILTIN_SUMMARIES, BUILTINS, build_builtin
 from .simkit import (
     FEEDFORWARD,
+    OBSERVER_MODES,
     OverflowAbort,
     Scenario,
     analyze,
@@ -205,7 +207,9 @@ def cmd_list_builtins(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="coopreg",
         description="Simulate leader-follower coordination over switching networks.",
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use a bundled scenario instead of a config file")
         if with_run_flags:
             p.add_argument("--horizon", type=int, default=None)
-            p.add_argument("--mode", choices=["distributed", "adaptive"], default=None,
+            p.add_argument("--mode", choices=OBSERVER_MODES, default=None,
                            help="override the observer mode")
             p.add_argument("--seed", type=int, default=None,
                            help="with --builtin, randomize unspecified initial "
@@ -250,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -21,6 +21,7 @@ import numpy as np
 from .observers import LeaderModel
 from .regulation import PlantModel
 from .simkit import (
+    OBSERVER_MODES,
     AssumptionChecks,
     FollowerSpec,
     GainDirective,
@@ -228,8 +229,9 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
     _require_keys(doc["observer"], {"mode"}, {"eta0", "s0"}, "observer")
     mode = doc["observer"]["mode"]
-    if mode not in ("distributed", "adaptive"):
-        raise ConfigError(f"observer.mode: expected 'distributed' or 'adaptive', got {mode!r}")
+    if mode not in OBSERVER_MODES:
+        expected = " or ".join(map(repr, OBSERVER_MODES))
+        raise ConfigError(f"observer.mode: expected {expected}, got {mode!r}")
     eta0 = None
     if "eta0" in doc["observer"]:
         eta0 = tuple(
@@ -246,32 +248,28 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     run_obj = doc["run"]
     _require_keys(run_obj, {"horizon"}, {"checks", "thresholds", "regulator_tol"}, "run")
     horizon = _positive_int(run_obj["horizon"], "run.horizon", minimum=0)
-    checks = AssumptionChecks()
-    if "checks" in run_obj:
-        cobj = run_obj["checks"]
-        _require_keys(
-            cobj, set(),
-            {"connectivity", "connectivity_window", "connectivity_horizon",
-             "leader_spectral", "stabilizability", "regulator"},
-            "run.checks",
-        )
-        flags = {
-            key: _flag(cobj.get(key, True), f"run.checks.{key}")
-            for key in ("connectivity", "leader_spectral", "stabilizability", "regulator")
-        }
-        windows = {key: _positive_int(cobj[key], f"run.checks.{key}", 0)
-                   for key in ("connectivity_window", "connectivity_horizon") if key in cobj}
-        with _keyed("run."):
-            checks = AssumptionChecks(**windows, **flags)
-    thresholds = Thresholds()
-    if "thresholds" in run_obj:
-        tobj = run_obj["thresholds"]
-        _require_keys(tobj, set(), {"final", "rate"}, "run.thresholds")
-        final = _number(tobj.get("final", 1e-6), "run.thresholds.final")
-        rate = _number(tobj.get("rate", 0.999), "run.thresholds.rate")
-        with _keyed("run."):
-            thresholds = Thresholds(final=final, rate=rate)
-    regulator_tol = _number(run_obj.get("regulator_tol", 1e-9), "run.regulator_tol")
+    cobj = run_obj.get("checks", {})
+    _require_keys(
+        cobj, set(),
+        {"connectivity", "connectivity_window", "connectivity_horizon",
+         "leader_spectral", "stabilizability", "regulator"},
+        "run.checks",
+    )
+    flags = {key: _flag(cobj[key], f"run.checks.{key}")
+             for key in ("connectivity", "leader_spectral", "stabilizability", "regulator")
+             if key in cobj}
+    windows = {key: _positive_int(cobj[key], f"run.checks.{key}", 0)
+               for key in ("connectivity_window", "connectivity_horizon") if key in cobj}
+    with _keyed("run."):
+        checks = AssumptionChecks(**windows, **flags)
+    tobj = run_obj.get("thresholds", {})
+    _require_keys(tobj, set(), {"final", "rate"}, "run.thresholds")
+    limits = {key: _number(tobj[key], f"run.thresholds.{key}")
+              for key in ("final", "rate") if key in tobj}
+    with _keyed("run."):
+        thresholds = Thresholds(**limits)
+    tol = ({"regulator_tol": _number(run_obj["regulator_tol"], "run.regulator_tol")}
+           if "regulator_tol" in run_obj else {})
 
     with _keyed(""):
         return Scenario(
@@ -285,7 +283,7 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
             horizon=horizon,
             checks=checks,
             thresholds=thresholds,
-            regulator_tol=regulator_tol,
+            **tol,
         )
 
 

@@ -1,9 +1,10 @@
 """Distributed leader-state observers over switching networks.
 
-Two estimator families share one pure step function, ``observer_step``,
-and a bank runs the adaptive one exactly when it carries matrix estimates.
-The plain distributed observer propagates each follower's estimate through the active
-graph,
+Two estimator families share one update, and a bank runs the adaptive one
+exactly when it carries matrix estimates.  ``observer_logs`` is the one loop
+that steps a bank over a switching schedule; ``observer_step`` is the same
+update as one checked step.  The plain distributed observer propagates each
+follower's estimate through the active graph,
 
     eta_i(t+1) = S eta_i(t) + S sum_j omega_ij(t) (eta_j(t) - eta_i(t)),
 
@@ -231,6 +232,45 @@ def observer_step(
     new_eta, new_s = _observer_update(leader.S, adj, np.asarray(v, dtype=float),
                                       bank.eta, bank.s_est)
     return ObserverBank(eta=new_eta, s_est=new_s)
+
+
+def observer_logs(
+    leader: LeaderModel,
+    topology: SwitchingTopology,
+    bank: ObserverBank,
+    horizon: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The leader states v (T+1, q), the estimates eta (T+1, N, q) and, for an
+    adaptive bank, s_est (T+1, N, q, q) of ``bank`` run over times 0..horizon.
+
+    The schedule is read once; each step is one unchecked update of the raw
+    arrays into its log row.  A diverging run overflows to inf and NaN, with
+    whatever floating-point warnings the caller's ``np.errstate`` allows.
+    """
+    v = leader.trajectory(horizon)
+    eta, s_est = (None if a is None else np.empty((horizon + 1,) + a.shape)
+                  for a in (bank.eta, bank.s_est))
+    eta[0] = bank.eta
+    if s_est is not None:
+        s_est[0] = bank.s_est
+    for t, mode in enumerate(topology.signal.modes(0, horizon).tolist()):
+        eta[t + 1], s_next = _observer_update(
+            leader.S, topology.adjacency_of_mode(mode), v[t], eta[t],
+            None if s_est is None else s_est[t])
+        if s_est is not None:
+            s_est[t + 1] = s_next
+    return v, eta, s_est
+
+
+def _error_norms(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every a[t] - ref[t]: one dot per t, as np.linalg.norm
+    computes it (a sum of squares along an axis rounds differently), over
+    blocks of time steps, so that no difference of the whole logs is held."""
+    out, block = np.empty(len(a)), 16  # time steps per block
+    for t in range(0, len(a), block):
+        d = (a[t:t + block] - ref[t:t + block]).reshape(-1, a[0].size)
+        out[t:t + block] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,8 +18,12 @@ Suites:
                  convergence of a stable switched system
   kron        -- direct products of (Lambda kron S) factors agree with the
                  factored form (product of Lambdas) kron S^t
-  equivalence -- bank simulation minus the leader trajectory equals the
-                 compact error-form simulation, both observer modes
+  equivalence -- the logs of ``observer_logs``, the loop ``run`` executes,
+                 minus the leader trajectory equal the compact error-form
+                 simulation, both observer modes
+  observers   -- both observers' error norms decay geometrically from
+                 random initial estimates over 500 steps; each trial line
+                 tabulates N, q, rho(S), the fitted rates and final errors
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .observers import (
     ErrorState,
     LeaderModel,
     ObserverBank,
+    _error_norms,
     error_form_step,
     fit_decay,
     kron_factorization_check,
-    observer_step,
+    observer_logs,
     perturbed_convergence_check,
     spectral_radius,
 )
@@ -128,20 +133,10 @@ def simulate_observer_norms(
     horizon: int,
 ) -> dict[str, np.ndarray]:
     """Run an observer bank against the leader and record error norms."""
-    v = leader.v0.copy()
-    eta_norm = np.empty(horizon + 1)
-    s_norm = np.empty(horizon + 1) if bank.mode == "adaptive" else None
-    for t in range(horizon + 1):
-        eta_norm[t] = np.linalg.norm(bank.eta - v[None, :])
-        if s_norm is not None:
-            s_norm[t] = np.linalg.norm(bank.s_est - leader.S[None, :, :])
-        if t == horizon:
-            break
-        bank = observer_step(leader, v, bank, topo.adjacency_at(t))
-        v = leader.advance(v)
-    out = {"eta_tilde": eta_norm}
-    if s_norm is not None:
-        out["s_tilde"] = s_norm
+    v, eta, s_est = observer_logs(leader, topo, bank, horizon)
+    out = {"eta_tilde": _error_norms(eta, v[:, None, :])}
+    if s_est is not None:
+        out["s_tilde"] = _error_norms(s_est, np.broadcast_to(leader.S, s_est.shape))
     return out
 
 
@@ -151,19 +146,17 @@ def bank_vs_error_form(
     bank: ObserverBank,
     horizon: int,
 ) -> float:
-    """Max abs deviation between the two error routes over a whole run."""
-    v = leader.v0.copy()
-    err = ErrorState.from_bank(bank, v, leader)
+    """Max abs deviation between the errors of ``observer_logs`` and their twin over a run."""
+    v, eta, s_est = observer_logs(leader, topo, bank, horizon)
+    eta_tilde = (eta - v[:, None, :]).reshape(horizon + 1, -1)
+    s_tilde = None if s_est is None else (s_est - leader.S).reshape(horizon + 1, -1, leader.q)
+    err = ErrorState.from_bank(bank, v[0], leader)
     dev = 0.0
-    for mode in topo.signal.modes(0, horizon).tolist():
-        adj = topo.adjacency_of_mode(mode)
-        bank = observer_step(leader, v, bank, adj)
-        err = error_form_step(err, adj, leader, v)
-        v = leader.advance(v)
-        direct = ErrorState.from_bank(bank, v, leader)
-        dev = max(dev, float(np.max(np.abs(direct.eta_tilde - err.eta_tilde))))
-        if err.s_tilde is not None:
-            dev = max(dev, float(np.max(np.abs(direct.s_tilde - err.s_tilde))))
+    for t, mode in enumerate(topo.signal.modes(0, horizon).tolist()):
+        err = error_form_step(err, topo.adjacency_of_mode(mode), leader, v[t])
+        dev = max(dev, float(np.max(np.abs(eta_tilde[t + 1] - err.eta_tilde))))
+        if s_tilde is not None:
+            dev = max(dev, float(np.max(np.abs(s_tilde[t + 1] - err.s_tilde))))
     return dev
 
 
@@ -292,6 +285,28 @@ def equivalence_trial(seed: int) -> TrialResult:
     return TrialResult(seed, dev < 1e-10, f"max route deviation {dev:.3e}")
 
 
+def observers_trial(seed: int) -> TrialResult:
+    """Both observers from random initial estimates over 500 steps: the
+    distributed one's eta errors and the adaptive one's (from S_i = 0) must
+    decay geometrically."""
+    horizon = 500
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    n, q = topo.n_followers, leader.q
+    dist = simulate_observer_norms(topo, leader, ObserverBank(eta=rng.normal(size=(n, q))),
+                                   horizon)["eta_tilde"]
+    adap = simulate_observer_norms(
+        topo, leader, ObserverBank(eta=rng.normal(size=(n, q)), s_est=np.zeros((n, q, q))),
+        horizon)
+    d_fit, a_fit = fit_decay(dist), fit_decay(adap["eta_tilde"])
+    return TrialResult(
+        seed, d_fit.decaying and a_fit.decaying,
+        f"N {n} q {q} rho {leader.rho:.2f}: distributed rate {d_fit.rate:.4f} "
+        f"final {dist[-1]:.2e}, adaptive rate {a_fit.rate:.4f} S final {adap['s_tilde'][-1]:.2e}",
+    )
+
+
 SUITES = {
     "consensus": consensus_trial,
     "lemma2": lemma2_trial,
@@ -299,6 +314,7 @@ SUITES = {
     "lemma4": lemma4_trial,
     "kron": kron_trial,
     "equivalence": equivalence_trial,
+    "observers": observers_trial,
 }
 
 

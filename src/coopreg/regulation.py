@@ -30,6 +30,8 @@ from .topology import DimensionError, _readonly
 # Riccati fixed-point tolerance, relative to max(1, max|P|), and update budget
 RICCATI_TOL = 1e-12
 MAX_ITER = 10000
+# regulator-equation tolerance, relative to each equation's largest term
+REGULATOR_TOL = 1e-9
 
 
 class RegulatorUnsolvableError(RuntimeError):
@@ -141,7 +143,7 @@ def _certified(r, scale, tol: float) -> bool:
 def solve_regulator_equations(
     plant: PlantModel,
     S: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = REGULATOR_TOL,
 ) -> RegulatorSolution:
     """Solve X S = A X + B U + E and 0 = C X + D U + F for (X, U).
 
@@ -195,7 +197,6 @@ def synthesize_stabilizing_gain(
     K: np.ndarray | None = None,
     Q: np.ndarray | None = None,
     R: np.ndarray | None = None,
-    label: str = "follower",
 ) -> tuple[np.ndarray, float]:
     """Produce a state feedback K_x with rho(A + B K_x) < 1.
 
@@ -221,9 +222,7 @@ def synthesize_stabilizing_gain(
         K = np.atleast_2d(np.asarray(K, dtype=float))
         radius = spectral_radius(A + B @ K)
         if not radius < 1.0:
-            raise GainSynthesisError(
-                f"{label}: supplied gain is not stabilizing (radius {radius:.6g})"
-            )
+            raise GainSynthesisError(f"supplied gain is not stabilizing (radius {radius:.6g})")
         return K, radius
     m = B.shape[1]
     Q = np.eye(n) if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
@@ -236,22 +235,19 @@ def synthesize_stabilizing_gain(
             gain = np.linalg.solve(bpb, B.T @ P @ A)
             P_next = A.T @ P @ (A - B @ gain) + Q
             if not np.isfinite(P_next).all():
-                raise GainSynthesisError(f"{label}: pair (A, B) is not stabilizable")
+                raise GainSynthesisError("pair (A, B) is not stabilizable")
             if np.max(np.abs(P_next - P)) < RICCATI_TOL * max(1.0, float(np.max(np.abs(P_next)))):
                 P = P_next
                 break
             P = P_next
         else:
             raise GainSynthesisError(
-                f"{label}: Riccati recursion did not converge; pair (A, B) "
-                f"is likely not stabilizable"
+                "Riccati recursion did not converge; pair (A, B) is likely not stabilizable"
             )
     K_x = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     radius = spectral_radius(A + B @ K_x)
     if not radius < 1.0:
-        raise GainSynthesisError(
-            f"{label}: synthesized gain failed certification (radius {radius:.6g})"
-        )
+        raise GainSynthesisError(f"synthesized gain failed certification (radius {radius:.6g})")
     return K_x, radius
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .observers import LeaderModel
 from .regulation import PlantModel
-from .simkit import AssumptionChecks, FollowerSpec, GainDirective, Scenario, Thresholds
+from .simkit import AssumptionChecks, FollowerSpec, GainDirective, Scenario
 from .topology import SwitchingSignal, SwitchingTopology, WeightedDigraph
 
 # one period of the formation schedule: modes 1..4, two steps each
@@ -101,7 +101,6 @@ def _formation(
         eta0=eta0,
         horizon=horizon,
         checks=AssumptionChecks(connectivity_window=7),
-        thresholds=Thresholds(final=1e-6, rate=0.999),
     )
 
 

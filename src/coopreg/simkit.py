@@ -13,10 +13,10 @@ Followers whose plant matrices and gain directive are equal by value form
 one plant class, solved once per scenario.  The classes of equal size and
 equal (n, m, p) form one step group, which owns its state and input logs
 and runs each step's control law and plant step as one stacked product per
-term.  The observer update and its neighbour mix (an in-neighbour edge
-table on sparse graphs, dense Omega otherwise) run on raw arrays, with no
-per-step checks, no (N+1) x (N+1) difference tensor and no dense
-closed-loop matrix per mode.
+term.  The observer bank runs in ``observers.observer_logs``, whose update
+and neighbour mix (an in-neighbour edge table on sparse graphs, dense Omega
+otherwise) run on raw arrays, with no per-step checks, no (N+1) x (N+1)
+difference tensor and no dense closed-loop matrix per mode.
 
 Runs are deterministic: identical scenarios produce identical trajectory
 logs, and the CSV export is byte-stable.  A run aborts when any state
@@ -34,9 +34,11 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .observers import FLOOR, DecayFit, LeaderModel, ObserverBank, _fit_columns, _observer_update
+from .observers import (FLOOR, DecayFit, LeaderModel, ObserverBank, _error_norms, _fit_columns,
+                        observer_logs)
 from .regulation import (
     ControllerGains,
+    REGULATOR_TOL,
     GainSynthesisError,
     PlantModel,
     RegulatorSolution,
@@ -48,6 +50,7 @@ from .regulation import (
 from .topology import DimensionError, SwitchingTopology, is_jointly_connected, _readonly
 
 OVERFLOW_LIMIT = 1e12
+OBSERVER_MODES = ("distributed", "adaptive")
 # where the feedforward gain K_v = U - K_x X comes from in both observer
 # modes: regulator equations solved with the true leader matrix S, which the
 # adaptive observer itself never reads
@@ -179,12 +182,12 @@ class Scenario:
     horizon: int = 100
     checks: AssumptionChecks = field(default_factory=AssumptionChecks)
     thresholds: Thresholds = field(default_factory=Thresholds)
-    regulator_tol: float = 1e-9
+    regulator_tol: float = REGULATOR_TOL
     _classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _solves: tuple[_SharedSolve, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.observer_mode not in ("distributed", "adaptive"):
+        if self.observer_mode not in OBSERVER_MODES:
             raise ValueError(f"unknown observer mode {self.observer_mode!r}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
@@ -253,14 +256,9 @@ class _SharedSolve:
     """Regulator solution and certified gain of one (plant, gain directive)
     class; a failed solve keeps its exception in place of the result."""
 
-    first: int  # 1-based index of the first follower in the class
     regulator: RegulatorSolution | Exception
     gain: tuple[np.ndarray, float] | Exception
     controller: ControllerGains | None
-
-    def detail(self, exc: Exception, k: int) -> str:
-        # gain errors name the follower whose solve ran; reword for follower k
-        return str(exc).replace(f"follower {self.first}:", f"follower {k}:", 1)
 
 
 # errors that validate_scenario reports as failed checks instead of raising
@@ -292,21 +290,19 @@ def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
     S = scenario.leader.S
     out: list[_SharedSolve] = [None] * scenario.n_followers
     for members in scenario._classes:
-        k, f = members[0] + 1, scenario.followers[members[0]]
+        f = scenario.followers[members[0]]
         try:
             regulator = solve_regulator_equations(f.plant, S, tol=scenario.regulator_tol)
         except _REPORTED_ERRORS as exc:
             regulator = exc
         try:
             gain = synthesize_stabilizing_gain(
-                f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R,
-                label=f"follower {k}",
-            )
+                f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R)
         except _REPORTED_ERRORS as exc:
             gain = exc
         failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
         controller = None if failed else build_controller(f.plant, gain[0], regulator)
-        solve = _SharedSolve(k, regulator, gain, controller)
+        solve = _SharedSolve(regulator, gain, controller)
         for i in members:
             out[i] = solve
     object.__setattr__(scenario, "_solves", tuple(out))
@@ -319,13 +315,16 @@ def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
     Followers with equal plants and gain directives share one solve, and a
     scenario is solved once, however often it is asked.  A failed solve
     raises the first error a per-follower loop would meet: classes in order
-    of their first follower, regulator before gain.
+    of their first follower, regulator before gain, as a
+    RegulatorUnsolvableError or GainSynthesisError naming that follower and
+    chained from the stored error.
     """
     solves = _solve_followers(scenario)
     for members in scenario._classes:
-        for result in (solves[members[0]].regulator, solves[members[0]].gain):
+        s = solves[members[0]]
+        for error, result in ((RegulatorUnsolvableError, s.regulator), (GainSynthesisError, s.gain)):
             if isinstance(result, Exception):
-                raise result
+                raise error(f"follower {members[0] + 1}: {result}") from result
     return [s.controller for s in solves]
 
 
@@ -364,12 +363,12 @@ def validate_scenario(scenario: Scenario) -> list[CheckResult]:
     if checks.stabilizability:
         for k, s in enumerate(solves, start=1):
             ok = not isinstance(s.gain, Exception)
-            detail = f"closed-loop spectral radius {s.gain[1]:.6g}" if ok else s.detail(s.gain, k)
+            detail = f"closed-loop spectral radius {s.gain[1]:.6g}" if ok else f"follower {k}: {s.gain}"
             results.append(CheckResult(f"stabilizable_follower_{k}", ok, detail))
     if checks.regulator:
         for k, s in enumerate(solves, start=1):
             ok = not isinstance(s.regulator, Exception)
-            detail = f"residual {s.regulator.residual:.3e}" if ok else s.detail(s.regulator, k)
+            detail = f"residual {s.regulator.residual:.3e}" if ok else str(s.regulator)
             results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, detail))
     return results
 
@@ -476,17 +475,6 @@ def _by_follower(groups: Sequence[_StepGroup], logs: Sequence[np.ndarray]) -> li
     return [views[i] for i in order.tolist()]
 
 
-def _error_norms(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every a[t] - ref[t]: one dot per t, as np.linalg.norm
-    computes it (a sum of squares along an axis rounds differently), over
-    blocks of time steps, so that no difference of the whole logs is held."""
-    out, block = np.empty(len(a)), 16  # time steps per block
-    for t in range(0, len(a), block):
-        d = (a[t:t + block] - ref[t:t + block]).reshape(-1, a[0].size)
-        out[t:t + block] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    return out
-
-
 def _overflow(t: int, rows: dict[str, Sequence[np.ndarray]]) -> OverflowAbort:
     """Name the first offending entry of the time-t ``rows`` (per series, one row
     per owner), in the order v, eta, s_est, x and by follower.  Failure path only."""
@@ -508,24 +496,11 @@ def run(scenario: Scenario) -> TrajectoryLog:
     eta, s_est or x) exceeds 1e12 in magnitude or is not finite.
     """
     groups = _step_groups(scenario)
-    S, topology, horizon = scenario.leader.S, scenario.topology, scenario.horizon
-    bank = scenario.initial_bank()
-    sigma = topology.signal.modes(0, horizon + 1)
-    eta_log, s_log = (None if a is None else np.empty((horizon + 1,) + a.shape)
-                      for a in (bank.eta, bank.s_est))
-    eta_log[0] = bank.eta
-    if s_log is not None:
-        s_log[0] = bank.s_est
-
+    S, horizon = scenario.leader.S, scenario.horizon
     # a diverging run overflows to inf and NaN; the scan below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        v_log = scenario.leader.trajectory(horizon)
-        for t, mode in enumerate(sigma[:-1].tolist()):
-            eta_log[t + 1], s_next = _observer_update(
-                S, topology.adjacency_of_mode(mode), v_log[t], eta_log[t],
-                None if s_log is None else s_log[t])
-            if s_log is not None:
-                s_log[t + 1] = s_next
+        v_log, eta_log, s_log = observer_logs(scenario.leader, scenario.topology,
+                                              scenario.initial_bank(), horizon)
         xs, us = zip(*(_plant_trajectory(g, eta_log, v_log) for g in groups))
         states = {"v": v_log[:, None], "eta": eta_log,
                   **({} if s_log is None else {"s_est": s_log})}
@@ -549,7 +524,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
         scenario_name=scenario.name,
         observer_mode=scenario.observer_mode,
         t=np.arange(horizon + 1),
-        sigma=sigma,
+        sigma=scenario.topology.signal.modes(0, horizon + 1),
         v=v_log,
         x=x,
         eta=eta_log,

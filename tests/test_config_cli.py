@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coopreg import cli
 from coopreg.cli import main
 from coopreg.config import (
     ConfigError,
@@ -390,6 +395,15 @@ class TestCliProps:
 
 
 class TestCliMisc:
+    def test_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+        # importing the CLI builds nothing
+        probe = "import coopreg.cli as c; print(c.build_parser.cache_info().currsize)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.stdout == "0\n", proc.stderr
+
     def test_list_builtins(self, capsys):
         assert main(["list-builtins"]) == 0
         out = capsys.readouterr().out

@@ -35,6 +35,7 @@ from coopreg.properties import (
     random_leader,
     random_topology,
     run_suite,
+    simulate_observer_norms,
 )
 from coopreg.topology import (
     ConnectivityResult,
@@ -256,6 +257,37 @@ def test_bank_vs_error_form_matches_the_per_step_reference_bitwise(seed):
         got = bank_vs_error_form(topo, leader, bank, 100)
         assert got == per_step_bank_vs_error_form(topo, leader, bank, 100)
         assert 0 < got < 1e-10
+
+
+def per_step_observer_norms(topo, leader, bank, horizon):
+    v = leader.v0.copy()
+    norms = {"eta_tilde": [], "s_tilde": []}
+    for t in range(horizon + 1):
+        norms["eta_tilde"].append(np.linalg.norm(bank.eta - v[None, :]))
+        if bank.s_est is not None:
+            norms["s_tilde"].append(np.linalg.norm(bank.s_est - leader.S[None, :, :]))
+        if t < horizon:
+            bank = observer_step(leader, v, bank, topo.adjacency_at(t))
+            v = leader.advance(v)
+    return {key: np.array(series) for key, series in norms.items() if series}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simulate_observer_norms_matches_the_per_step_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    n, q = topo.n_followers, leader.q
+    banks = (
+        ObserverBank(eta=rng.normal(size=(n, q))),
+        ObserverBank(eta=rng.normal(size=(n, q)), s_est=rng.normal(size=(n, q, q))),
+    )
+    for bank, keys in zip(banks, ({"eta_tilde"}, {"eta_tilde", "s_tilde"})):
+        got = simulate_observer_norms(topo, leader, bank, 300)
+        ref = per_step_observer_norms(topo, leader, bank, 300)
+        assert got.keys() == ref.keys() == keys
+        for key in keys:
+            assert got[key].tobytes() == ref[key].tobytes()
 
 
 def record_calls(monkeypatch, name):

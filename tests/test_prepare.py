@@ -154,6 +154,21 @@ def test_force_past_failed_synthesis_reports_it(tmp_path, capsys):
     assert "synthesis failed: follower 2: " in capsys.readouterr().out
 
 
+def test_singular_riccati_step_is_reported_for_its_follower(tmp_path, capsys):
+    # R = -I makes R + B'PB = 0 at the first Riccati step: a LinAlgError
+    doc = scenario_to_config(build_builtin("formation-sec5"))
+    doc["gains"][1] = {"method": "riccati", "R": [[-1, 0], [0, -1]]}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "[FAIL] stabilizable_follower_2: follower 2: Singular matrix\n" in capsys.readouterr().out
+    assert main(["run", str(path), "--force", "--out", str(tmp_path / "out")]) == 1
+    assert "synthesis failed: follower 2: Singular matrix\n" in capsys.readouterr().out
+    with pytest.raises(GainSynthesisError, match="^follower 2: Singular matrix$") as info:
+        synthesize_gains(load_config(path))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_validate_reports_a_non_finite_leader():
     base = formation_scenario(horizon=10)
     S = base.leader.S.copy()
