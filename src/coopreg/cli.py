@@ -44,38 +44,32 @@ from .simkit import (
 
 
 def _resolve_scenario(args) -> Scenario:
-    """The scenario the flags name.  A ValueError from building or overriding
-    it (a negative --horizon or --seed, a non-finite --tol) is a ConfigError,
-    so the command exits 2 with its message."""
+    """The scenario the flags name, with --horizon, --mode and --tol applied
+    by one ``dataclasses.replace`` whichever the source.  A ValueError from
+    building or overriding it (a negative --horizon or --seed, a non-finite
+    --tol) is a ConfigError, so the command exits 2 with its message."""
     from dataclasses import replace
 
+    mode, seed = getattr(args, "mode", None), getattr(args, "seed", None)
     try:
         if args.builtin is not None:
             if args.config is not None:
                 raise ConfigError("pass either a config path or --builtin, not both")
-            scenario = build_builtin(
-                args.builtin,
-                horizon=getattr(args, "horizon", None),
-                observer_mode=getattr(args, "mode", None),
-                seed=getattr(args, "seed", None),
-            )
+            scenario = build_builtin(args.builtin, seed)
         else:
             if args.config is None:
                 raise ConfigError("a config path or --builtin NAME is required")
-            if getattr(args, "seed", None) is not None:
+            if seed is not None:
                 raise ConfigError("--seed applies only to --builtin")
             scenario = load_config(args.config)
-            overrides = {}
-            if getattr(args, "horizon", None) is not None:
-                overrides["horizon"] = args.horizon
-            if getattr(args, "mode", None) is not None:
-                overrides["observer_mode"] = args.mode
-                if args.mode == "distributed":
-                    overrides["s0"] = None
-            if overrides:
-                scenario = replace(scenario, **overrides)
-        if getattr(args, "tol", None) is not None:
-            scenario = replace(scenario, regulator_tol=args.tol)
+        overrides = {key: value for key, value in (("horizon", getattr(args, "horizon", None)),
+                                                   ("observer_mode", mode),
+                                                   ("regulator_tol", args.tol))
+                     if value is not None}
+        if mode == "distributed":
+            overrides["s0"] = None
+        if overrides:
+            scenario = replace(scenario, **overrides)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -183,16 +177,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_props(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
-        return 2
     if args.trials < 0 or args.seed < 0:
         print(f"--trials and --seed must be >= 0, got {args.trials} and {args.seed}")
         return 2
-    if args.trials == 0:
+    results = run_suite(args.suite, args.trials, args.seed)
+    if not results:
         print(f"warning: 0 trials requested for suite {args.suite}; vacuous pass")
         return 0
-    results = run_suite(args.suite, args.trials, args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] trial {r.index:3d}: {r.detail}")

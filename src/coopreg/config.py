@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -175,6 +176,25 @@ def _parse_gain(obj: Any, path: str) -> GainDirective:
     return GainDirective(Q=q, R=r)
 
 
+def _settings(cls: type, obj: Any, path: str):
+    """``cls`` (``AssumptionChecks`` or ``Thresholds``) built from the keys
+    ``obj`` gives, which are the dataclass's fields.  A field whose default
+    is a bool takes true or false, one whose default is a float a finite
+    number, and any other an integer >= 0."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    _require_keys(obj, set(), set(defaults), path)
+
+    def parse(key: str, value: Any):
+        if isinstance(defaults[key], bool):
+            return _flag(value, f"{path}.{key}")
+        if isinstance(defaults[key], float):
+            return _number(value, f"{path}.{key}")
+        return _positive_int(value, f"{path}.{key}", 0)
+
+    with _keyed("run."):
+        return cls(**{key: parse(key, value) for key, value in obj.items()})
+
+
 def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Validate a config document and build the Scenario it describes."""
     _require_keys(
@@ -248,26 +268,8 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     run_obj = doc["run"]
     _require_keys(run_obj, {"horizon"}, {"checks", "thresholds", "regulator_tol"}, "run")
     horizon = _positive_int(run_obj["horizon"], "run.horizon", minimum=0)
-    cobj = run_obj.get("checks", {})
-    _require_keys(
-        cobj, set(),
-        {"connectivity", "connectivity_window", "connectivity_horizon",
-         "leader_spectral", "stabilizability", "regulator"},
-        "run.checks",
-    )
-    flags = {key: _flag(cobj[key], f"run.checks.{key}")
-             for key in ("connectivity", "leader_spectral", "stabilizability", "regulator")
-             if key in cobj}
-    windows = {key: _positive_int(cobj[key], f"run.checks.{key}", 0)
-               for key in ("connectivity_window", "connectivity_horizon") if key in cobj}
-    with _keyed("run."):
-        checks = AssumptionChecks(**windows, **flags)
-    tobj = run_obj.get("thresholds", {})
-    _require_keys(tobj, set(), {"final", "rate"}, "run.thresholds")
-    limits = {key: _number(tobj[key], f"run.thresholds.{key}")
-              for key in ("final", "rate") if key in tobj}
-    with _keyed("run."):
-        thresholds = Thresholds(**limits)
+    checks = _settings(AssumptionChecks, run_obj.get("checks", {}), "run.checks")
+    thresholds = _settings(Thresholds, run_obj.get("thresholds", {}), "run.thresholds")
     tol = ({"regulator_tol": _number(run_obj["regulator_tol"], "run.regulator_tol")}
            if "regulator_tol" in run_obj else {})
 
@@ -301,16 +303,15 @@ def scenario_to_config(scenario: Scenario) -> dict:
         else:
             entry: dict = {"method": "riccati"}
             if f.gain.Q is not None:
-                entry["Q"] = np.asarray(f.gain.Q).tolist()
+                entry["Q"] = f.gain.Q.tolist()
             if f.gain.R is not None:
-                entry["R"] = np.asarray(f.gain.R).tolist()
+                entry["R"] = f.gain.R.tolist()
             gains.append(entry)
     observer: dict = {"mode": scenario.observer_mode}
     if scenario.eta0 is not None:
         observer["eta0"] = [e.tolist() for e in scenario.eta0]
     if scenario.s0 is not None:
         observer["s0"] = [s.tolist() for s in scenario.s0]
-    checks = scenario.checks
     doc = {
         "version": CONFIG_VERSION,
         "name": scenario.name,
@@ -328,21 +329,10 @@ def scenario_to_config(scenario: Scenario) -> dict:
         "observer": observer,
         "run": {
             "horizon": scenario.horizon,
-            "checks": {
-                "connectivity": checks.connectivity,
-                "connectivity_window": checks.connectivity_window,
-                **(
-                    {"connectivity_horizon": checks.connectivity_horizon}
-                    if checks.connectivity_horizon is not None else {}
-                ),
-                "leader_spectral": checks.leader_spectral,
-                "stabilizability": checks.stabilizability,
-                "regulator": checks.regulator,
-            },
-            "thresholds": {
-                "final": scenario.thresholds.final,
-                "rate": scenario.thresholds.rate,
-            },
+            # an unset connectivity_horizon is left out, not written as null
+            "checks": {key: value for key, value in asdict(scenario.checks).items()
+                       if value is not None},
+            "thresholds": asdict(scenario.thresholds),
             "regulator_tol": scenario.regulator_tol,
         },
     }

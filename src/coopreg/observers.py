@@ -386,8 +386,8 @@ class DecayFit:
     ``residual`` is the RMS deviation of ln||e|| from the fitted line,
     normalized by the log-range the tail spans (floored at 1), a scale-free
     straightness measure that ignores bounded switching ripple.  ``rate`` is
-    NaN when too few samples survive flooring; ``floored`` marks series that
-    sit entirely at the numerical floor.
+    NaN when too few samples survive flooring or a sample is not finite;
+    ``floored`` marks finite series that sit entirely at the numerical floor.
     """
 
     rate: float
@@ -417,11 +417,15 @@ def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFi
     are the closed-form centred least-squares ones, computed for all
     columns in the same array operations; each column is a row of the
     transposed stack and is reduced on its own, so its fit does not depend
-    on the other columns.  A column with no kept sample is ``floored``; one
-    with a single kept sample gets NaN rate, prefactor and residual.
+    on the other columns.  A finite column with no kept sample is
+    ``floored``; one with a single kept sample gets NaN rate, prefactor and
+    residual.  A column holding NaN or +-inf keeps no sample: it gets that
+    NaN fit with ``n_samples`` 0 and is not floored, so it never decays, and
+    it is the only kind of column with neither a sample nor ``floored``.
     """
     v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # one series per row
-    keep = v > np.reshape(floors, (-1, 1))
+    finite = np.isfinite(v).all(axis=1)
+    keep = (v > np.reshape(floors, (-1, 1))) & finite[:, None]
     count = keep.sum(axis=1)
     want = np.maximum(np.ceil(TAIL_FRACTION * count), 2)
     kept_from = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1]  # kept samples at or after t
@@ -434,8 +438,7 @@ def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFi
     t_mean = (sel * t).sum(axis=1) / m
     y_mean = y.sum(axis=1) / m
     dt = np.where(sel, t - t_mean[:, None], 0.0)
-    with np.errstate(invalid="ignore"):  # an inf sample gives a NaN fit, without a warning
-        dy = np.where(sel, y - y_mean[:, None], 0.0)
+    dy = np.where(sel, y - y_mean[:, None], 0.0)
     slope = (dt * dy).sum(axis=1) / (dt * dt).sum(axis=1)
     resid = dy - slope[:, None] * dt
     rms = np.sqrt((resid * resid).sum(axis=1) / m)
@@ -443,12 +446,13 @@ def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFi
             - y.min(axis=1, where=sel, initial=np.inf))
     fits = np.full((3, n.shape[0]), np.nan)
     fits[:, lines] = np.exp(slope), np.exp(y_mean - slope * t_mean), rms / np.maximum(span, 1.0)
-    fits[:, count == 0] = 0.0
+    floored = finite & (count == 0)
+    fits[:, floored] = 0.0
     return [
         DecayFit(rate=rate, prefactor=prefactor, residual=residual,
-                 n_samples=samples, floored=kept == 0)
-        for rate, prefactor, residual, samples, kept
-        in zip(*fits.tolist(), n.tolist(), count.tolist())
+                 n_samples=samples, floored=at_floor)
+        for rate, prefactor, residual, samples, at_floor
+        in zip(*fits.tolist(), n.tolist(), floored.tolist())
     ]
 
 
@@ -458,7 +462,8 @@ def fit_decay(values: np.ndarray) -> DecayFit:
     Samples at or below ``FLOOR`` are discarded (they sit in floating-point
     noise), then a least-squares line is fit through (t, ln value) over the
     last ``TAIL_FRACTION`` of the surviving samples, skipping the early
-    transient.  This is the one-column case of ``_fit_columns``, the fit
+    transient.  A series holding NaN or +-inf gets a NaN fit that is not
+    decaying.  This is the one-column case of ``_fit_columns``, the fit
     that ``simkit.analyze`` runs on all its series at once.
     """
     return _fit_columns(np.asarray(values, dtype=float)[:, None], FLOOR)[0]

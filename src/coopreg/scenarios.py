@@ -167,22 +167,12 @@ BUILTIN_SUMMARIES = {
 }
 
 
-def build_builtin(
-    name: str,
-    horizon: int | None = None,
-    observer_mode: str | None = None,
-    seed: int | None = None,
-) -> Scenario:
+def build_builtin(name: str, seed: int | None = None) -> Scenario:
+    """The named bundled scenario at its own horizon and observer mode; a
+    ``seed`` draws its unspecified initial conditions reproducibly."""
     if name not in BUILTINS:
         known = ", ".join(sorted(BUILTINS))
         raise KeyError(f"unknown builtin scenario {name!r} (known: {known})")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    kwargs = {}
-    if horizon is not None:
-        kwargs["horizon"] = horizon
-    if observer_mode is not None:
-        kwargs["observer_mode"] = observer_mode
-    if seed is not None:
-        kwargs["seed"] = seed
-    return BUILTINS[name](**kwargs)
+    return BUILTINS[name](seed=seed)

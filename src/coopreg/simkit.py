@@ -78,7 +78,10 @@ class OverflowAbort(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GainDirective:
-    """Per-follower gain choice: a user K_x, or Riccati synthesis with weights Q and R."""
+    """Per-follower gain choice: a user K_x, or Riccati synthesis with weights Q and R.
+
+    Each given matrix is stored once, as a read-only 2-D float array, so a
+    scalar, a nested list and an array of equal value are one directive."""
 
     K_x: np.ndarray | None = None
     Q: np.ndarray | None = None
@@ -87,6 +90,9 @@ class GainDirective:
     def __post_init__(self):
         if self.K_x is not None and (self.Q is not None or self.R is not None):
             raise ValueError("Q and R only apply to the riccati method; a user K_x ignores them")
+        for key in ("K_x", "Q", "R"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _readonly(np.atleast_2d(getattr(self, key))))
 
     @property
     def method(self) -> str:
@@ -136,8 +142,7 @@ class Thresholds:
 
 @dataclass(frozen=True, eq=False)
 class FollowerSpec:
-    """One follower.  Its gain directive is checked against the plant as
-    ``synthesize_stabilizing_gain`` reads it (after ``np.atleast_2d``): K_x
+    """One follower.  Its gain directive is checked against the plant: K_x
     must be (m, n), Q (n, n) and R (m, m)."""
 
     plant: PlantModel
@@ -151,8 +156,8 @@ class FollowerSpec:
             raise DimensionError(f"initial state has dim {x0.shape[0]}, plant expects {n}")
         for key, shape in (("K_x", (m, n)), ("Q", (n, n)), ("R", (m, m))):
             value = getattr(self.gain, key)
-            if value is not None and np.atleast_2d(value).shape != shape:
-                raise DimensionError(f"gain {key} has shape {np.atleast_2d(value).shape}, "
+            if value is not None and value.shape != shape:
+                raise DimensionError(f"gain {key} has shape {value.shape}, "
                                      f"expected {shape} for a plant with (m, n) = ({m}, {n})")
         object.__setattr__(self, "x0", _readonly(x0))
 
@@ -271,10 +276,7 @@ def _solve_key(f: FollowerSpec) -> tuple:
     g = f.gain
     arrays = [getattr(f.plant, k) for k in "ABCDEF"] + [g.K_x, g.Q, g.R]
     # adding +0.0 turns -0.0 into 0.0, so the bytes of equal values are equal
-    return tuple(
-        None if a is None else (np.shape(a), (np.asarray(a, dtype=float) + 0.0).tobytes())
-        for a in arrays
-    )
+    return tuple(None if a is None else (a.shape, (a + 0.0).tobytes()) for a in arrays)
 
 
 def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
@@ -560,12 +562,11 @@ class ConvergenceReport:
         return all(s.converged for s in self.series)
 
 
-def _judge(name: str, final: float, fit: DecayFit | None,
-           thresholds: Thresholds) -> SeriesReport:
-    """Verdict on one series from its fit; ``fit`` is None for a non-finite series."""
-    if fit is None:
-        no_fit = DecayFit(math.nan, math.nan, math.nan, n_samples=0, floored=False)
-        return SeriesReport(name, final, no_fit, False, "non-finite values")
+def _judge(name: str, final: float, fit: DecayFit, thresholds: Thresholds) -> SeriesReport:
+    """Verdict on one series from its fit.  ``_fit_columns`` keeps no sample
+    of exactly the series holding NaN or +-inf, and those never converge."""
+    if not (fit.floored or fit.n_samples):
+        return SeriesReport(name, final, fit, False, "non-finite values")
     if fit.floored:
         return SeriesReport(name, final, fit, True, "converged (floor)")
     if math.isnan(fit.rate):
@@ -586,21 +587,17 @@ def analyze(
     The series eta_tilde_norm, s_tilde_norm (adaptive only) and e_norm_1..N
     are the columns of one (T+1, k) stack, fitted by a single batched
     least-squares pass (``fit_decay`` is its one-column case).  A column
-    holding NaN or +-inf is reported as "non-finite values" without a fit
-    and is left out of the batch: a NaN sample would be dropped as floored
-    and an inf would lift the floor.
+    holding NaN or +-inf gets no fit there and is reported as "non-finite
+    values".
     """
     names, blocks = _norm_columns(log)
     values = np.hstack(blocks)
-    finite = np.isfinite(values).all(axis=0)
-    fitted = values[:, finite]
     # fp noise in an error series scales with the magnitudes it was computed
     # from, so lift each fitting floor accordingly for large-amplitude runs
-    floors = np.maximum(FLOOR, 1e-12 * fitted.max(axis=0, initial=0.0))
-    fits = iter(_fit_columns(fitted, floors))
+    floors = np.maximum(FLOOR, 1e-12 * values.max(axis=0, initial=0.0))
     series = tuple(
-        _judge(name, final, next(fits) if ok else None, thresholds)
-        for name, final, ok in zip(names, values[-1].tolist(), finite.tolist())
+        _judge(name, final, fit, thresholds)
+        for name, final, fit in zip(names, values[-1].tolist(), _fit_columns(values, floors))
     )
     return ConvergenceReport(series=series, thresholds=thresholds, checks=tuple(checks))
 

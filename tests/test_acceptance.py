@@ -25,7 +25,6 @@ from coopreg.observers import (
     spectral_radius,
 )
 from coopreg.properties import (
-    disconnected_topology,
     random_leader,
     random_topology,
     run_suite,
@@ -44,7 +43,25 @@ from coopreg.scenarios import (
     formation_scenario,
 )
 from coopreg.simkit import run, synthesize_gains, write_trajectory_csv
-from coopreg.topology import is_jointly_connected, transition_product
+from coopreg.topology import (
+    SwitchingSignal,
+    SwitchingTopology,
+    WeightedDigraph,
+    is_jointly_connected,
+    transition_product,
+)
+
+
+def disconnected_topology() -> SwitchingTopology:
+    """A two-mode schedule over four followers in which follower 3 never has
+    an in-edge."""
+    return SwitchingTopology(
+        graphs=(
+            WeightedDigraph.from_edges(5, [(0, 1), (0, 2), (0, 4)]),
+            WeightedDigraph.from_edges(5, [(1, 2), (1, 4)]),
+        ),
+        signal=SwitchingSignal.periodic([(1, 1), (2, 1)]),
+    )
 
 
 def criterion(num, title):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,8 +17,11 @@ from coopreg.config import (
     save_config,
     scenario_to_config,
 )
+from coopreg.observers import LeaderModel
+from coopreg.regulation import PlantModel
 from coopreg.scenarios import build_builtin, formation_scenario
-from coopreg.simkit import AssumptionChecks
+from coopreg.simkit import AssumptionChecks, FollowerSpec, GainDirective, Scenario
+from coopreg.topology import SwitchingSignal, SwitchingTopology, WeightedDigraph
 
 
 @pytest.fixture
@@ -76,7 +80,7 @@ class TestConfigRoundTrip:
 
         from coopreg.topology import SwitchingSignal, SwitchingTopology
 
-        base = build_builtin("single-follower", observer_mode="adaptive")
+        base = replace(build_builtin("single-follower"), observer_mode="adaptive")
         topo = SwitchingTopology(
             graphs=base.topology.graphs,
             signal=SwitchingSignal.from_table([1, 1, 1, 1], tail_mode=1),
@@ -91,6 +95,36 @@ class TestConfigRoundTrip:
         assert loaded.s0 is not None and np.array_equal(loaded.s0[0], scenario.s0[0])
         doc = scenario_to_config(loaded)
         assert doc == scenario_to_config(scenario)
+
+
+def scalar_plant_scenario(*gains):
+    """Followers with n = m = 1 integrator plants, one per gain directive,
+    each with a direct leader link."""
+    n = len(gains)
+    plant = PlantModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], E=[[0.0]], F=[[-1.0]])
+    return Scenario(
+        name="scalar",
+        leader=LeaderModel(S=np.eye(1), v0=np.ones(1)),
+        topology=SwitchingTopology(
+            graphs=(WeightedDigraph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)]),),
+            signal=SwitchingSignal.periodic([(1, 1)])),
+        followers=tuple(FollowerSpec(plant=plant, x0=np.zeros(1), gain=g) for g in gains),
+        horizon=20,
+    )
+
+
+@pytest.mark.parametrize("gain", [GainDirective(K_x=-0.5), GainDirective(K_x=[[-0.5]]),
+                                  GainDirective(Q=2.0, R=3.0)], ids=["K_x-scalar", "K_x-list", "Q-R"])
+def test_a_gain_given_in_any_form_saves_loads_and_saves_the_same(gain, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_config(scalar_plant_scenario(gain), first)
+    save_config(load_config(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_equal_gains_in_any_form_are_one_plant_class():
+    scenario = scalar_plant_scenario(GainDirective(Q=2.0), GainDirective(Q=[[2.0]]))
+    assert scenario._classes == ((0, 1),)
 
 
 class TestConfigValidation:
@@ -311,7 +345,7 @@ class TestCliRun:
                                                   ("adaptive", "distributed")])
     def test_mode_override_on_a_config_matches_the_builtin(self, saved, override, tmp_path):
         path = tmp_path / f"{saved}.json"
-        save_config(build_builtin("formation-sec5", observer_mode=saved), path)
+        save_config(dataclasses.replace(build_builtin("formation-sec5"), observer_mode=saved), path)
         assert main(["run", str(path), "--mode", override, "--out", str(tmp_path / "cfg")]) == 0
         assert main(["run", "--builtin", "formation-sec5", "--mode", override,
                      "--out", str(tmp_path / "builtin")]) == 0

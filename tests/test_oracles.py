@@ -290,17 +290,17 @@ def test_simulate_observer_norms_matches_the_per_step_reference_bitwise(seed):
             assert got[key].tobytes() == ref[key].tobytes()
 
 
-def record_calls(monkeypatch, name):
-    """Record the (arguments, result) of every call to properties.<name>."""
+def record_calls(monkeypatch, name, module=properties):
+    """Record the (arguments, result) of every call to <module>.<name>."""
     calls = []
-    original = getattr(properties, name)
+    original = getattr(module, name)
 
     def recording(*args):
         out = original(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(properties, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -320,7 +320,7 @@ def test_consensus_trial_matches_the_per_step_reference_bitwise(seed, monkeypatc
 
 @pytest.mark.parametrize("seed", range(12))
 def test_lemma3_norms_match_the_per_step_reference_bitwise(seed, monkeypatch):
-    fits = record_calls(monkeypatch, "fit_decay")
+    fits = record_calls(monkeypatch, "fit_decay", observers)
     assert lemma3_trial(seed).passed
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)

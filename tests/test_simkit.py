@@ -216,7 +216,7 @@ class TestRun:
         assert np.all(log.e_norms[-1] < 1e-6)
 
     def test_default_fig2_builtin_converges(self):
-        scenario = build_builtin("default-fig2", horizon=300)
+        scenario = dataclasses.replace(build_builtin("default-fig2"), horizon=300)
         assert all(r.passed for r in validate_scenario(scenario))
         log = run(scenario)
         # zero offsets: every follower lands on the leader trajectory itself
@@ -309,7 +309,8 @@ class TestCsvExport:
         assert all(len(line.split(",")) == len(cols) for line in lines[1:])
 
     def test_adaptive_columns_include_matrix_estimates(self):
-        log = run(build_builtin("single-follower", horizon=3, observer_mode="adaptive"))
+        log = run(dataclasses.replace(build_builtin("single-follower"), horizon=3,
+                                      observer_mode="adaptive"))
         cols = csv_columns(log)
         assert "s_1_0" in cols and "s_tilde_norm" in cols
 
