@@ -40,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import dataclasses
 import itertools
 import json
 import platform
@@ -58,7 +59,6 @@ from coopreg import topology  # noqa: E402
 from coopreg.observers import LeaderModel, _neighbor_mix, _observer_update  # noqa: E402
 from coopreg.regulation import PlantModel  # noqa: E402
 from coopreg.simkit import (  # noqa: E402
-    AssumptionChecks,
     FollowerSpec,
     Scenario,
     _plant_trajectory,
@@ -114,7 +114,6 @@ def scenario(n: int, mode: str, horizon: int, team: str = "shared") -> Scenario:
         observer_mode=mode,
         eta0=tuple(rng.normal(size=4) for _ in range(n)),
         horizon=horizon,
-        checks=AssumptionChecks(connectivity=False),
     )
 
 
@@ -200,13 +199,6 @@ def in_degree_adjacency(n: int, k: int, rng: np.random.Generator) -> NormalizedA
     return topology.normalize_adjacency(WeightedDigraph(w))
 
 
-def with_form(adj: NormalizedAdjacency, table: bool) -> NormalizedAdjacency:
-    """A twin of ``adj`` that mixes with the given form, whatever it selects."""
-    twin = NormalizedAdjacency(adj.omega)
-    object.__setattr__(twin, "_edges", topology._in_edge_table(adj) if table else None)
-    return twin
-
-
 def crossover(sizes: list[int], repeats: int) -> list[dict]:
     rng = np.random.default_rng(SEED)
     out = []
@@ -218,7 +210,9 @@ def crossover(sizes: list[int], repeats: int) -> list[dict]:
             adj = in_degree_adjacency(n1 - 1, k, rng)
             for columns in (4, 16):
                 values = rng.normal(size=(n1, columns))
-                dense, table = with_form(adj, False), with_form(adj, True)
+                # the same adjacency with each mix form, whatever it selects
+                dense = dataclasses.replace(adj, _edges=None)
+                table = dataclasses.replace(adj, _edges=topology._in_edge_table(adj))
                 t_dense = best_per_call(lambda: _neighbor_mix(dense, values), repeats)
                 t_table = best_per_call(lambda: _neighbor_mix(table, values), repeats)
                 out.append({"nodes": n1, "k": k, "nodes_per_k": ratio, "columns": columns,

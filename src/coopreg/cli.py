@@ -28,7 +28,7 @@ from . import __version__
 from .config import ConfigError, load_config, scenario_to_config
 from .properties import SUITES, run_suite
 from .regulation import GainSynthesisError, RegulatorUnsolvableError
-from .scenarios import BUILTIN_SUMMARIES, BUILTINS, build_builtin
+from .scenarios import BUILTINS, build_builtin
 from .simkit import (
     FEEDFORWARD,
     OBSERVER_MODES,
@@ -193,8 +193,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_list_builtins(_args) -> int:
-    for name in sorted(BUILTINS):
-        print(f"{name:18s} {BUILTIN_SUMMARIES[name]}")
+    for name, (_, summary) in sorted(BUILTINS.items()):
+        print(f"{name:18s} {summary}")
     return 0
 
 

@@ -329,9 +329,7 @@ def scenario_to_config(scenario: Scenario) -> dict:
         "observer": observer,
         "run": {
             "horizon": scenario.horizon,
-            # an unset connectivity_horizon is left out, not written as null
-            "checks": {key: value for key, value in asdict(scenario.checks).items()
-                       if value is not None},
+            "checks": asdict(scenario.checks),
             "thresholds": asdict(scenario.thresholds),
             "regulator_tol": scenario.regulator_tol,
         },

@@ -34,7 +34,6 @@ divergence with a magnitude cutoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -143,27 +142,6 @@ class ObserverBank:
         return self.eta.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorState:
-    """Stacked observer errors: eta_tilde (N*q,) and optionally s_tilde (N*q, q)."""
-
-    eta_tilde: np.ndarray
-    s_tilde: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta_tilde", _readonly(np.asarray(self.eta_tilde).reshape(-1)))
-        if self.s_tilde is not None:
-            object.__setattr__(self, "s_tilde", _readonly(self.s_tilde))
-
-    @classmethod
-    def from_bank(cls, bank: ObserverBank, v: np.ndarray, leader: LeaderModel) -> "ErrorState":
-        eta_tilde = (bank.eta - np.asarray(v)[None, :]).reshape(-1)
-        s_tilde = None
-        if bank.s_est is not None:
-            s_tilde = (bank.s_est - leader.S).reshape(-1, bank.q)
-        return cls(eta_tilde=eta_tilde, s_tilde=s_tilde)
-
-
 def _neighbor_mix(adj: NormalizedAdjacency, values: np.ndarray) -> np.ndarray:
     """sum_j omega_ij (values_j - values_i) for follower rows i = 1..N.
 
@@ -193,7 +171,7 @@ def _observer_update(
     adj: NormalizedAdjacency,
     v: np.ndarray,
     eta: np.ndarray,
-    s_est: np.ndarray | None = None,
+    s_est: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Next (eta, s_est) of the whole bank on raw arrays, without checks.
 
@@ -285,16 +263,18 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def error_form_step(
-    err: ErrorState,
+    eta_tilde: np.ndarray,
+    s_tilde: np.ndarray | None,
     adj: NormalizedAdjacency,
     leader: LeaderModel,
     v: np.ndarray,
-) -> ErrorState:
-    """Advance the stacked error state through its compact linear form.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Advance the stacked errors eta_tilde (N*q,) and s_tilde (N*q, q)
+    through their compact linear form; returns the next pair.
 
-    Without s_tilde (distributed observer) this is the homogeneous map
-    eta_tilde <- (Lambda kron S) eta_tilde.  With s_tilde (adaptive
-    observer) it applies
+    Without s_tilde (None: distributed observer) this is the homogeneous map
+    eta_tilde <- (Lambda kron S) eta_tilde, and the next s_tilde is None.
+    With s_tilde (adaptive observer) it applies
 
         eta_tilde <- (Gamma1 + Gamma2) eta_tilde + Gamma3
         s_tilde   <- (Lambda kron I_q) s_tilde
@@ -308,16 +288,16 @@ def error_form_step(
     lam = adj.lambda_block
     n = lam.shape[0]
     q = leader.q
-    if err.eta_tilde.shape[0] != n * q:
+    if eta_tilde.shape[0] != n * q:
         raise DimensionError(
-            f"eta_tilde has {err.eta_tilde.shape[0]} entries, expected {n * q}"
+            f"eta_tilde has {eta_tilde.shape[0]} entries, expected {n * q}"
         )
     gamma1 = _kron(lam, leader.S)
-    if err.s_tilde is None:
-        return ErrorState(eta_tilde=gamma1 @ err.eta_tilde)
+    if s_tilde is None:
+        return gamma1 @ eta_tilde, None
 
     # as (n, q, n, q) arrays, block (i, j) of a matrix is [i, :, j, :]
-    s_blocks = err.s_tilde.reshape(n, q, q)
+    s_blocks = s_tilde.reshape(n, q, q)
     s_diag = np.zeros((n, q, n, q))
     diag = np.arange(n)
     s_diag[diag, :, diag, :] = s_blocks
@@ -327,9 +307,9 @@ def error_form_step(
     coupling = (lam_min_i[:, None, :, None] * s_blocks[:, :, None, :]).reshape(n * q, n * q)
     gamma2 = s_diag + coupling
     gamma3 = s_diag @ np.broadcast_to(np.asarray(v, dtype=float), (n, q)).reshape(-1)
-    new_eta = (gamma1 + gamma2) @ err.eta_tilde + gamma3
-    new_s = _kron(lam, np.eye(q)) @ err.s_tilde
-    return ErrorState(eta_tilde=new_eta, s_tilde=new_s)
+    new_eta = (gamma1 + gamma2) @ eta_tilde + gamma3
+    new_s = _kron(lam, np.eye(q)) @ s_tilde
+    return new_eta, new_s
 
 
 def kron_factorization_check(
@@ -398,7 +378,10 @@ class DecayFit:
 
     @property
     def decaying(self) -> bool:
-        return self.floored or (not math.isnan(self.rate) and self.rate < 1.0)
+        """Floored, or a fitted rate below 1 by more than rounding: a series
+        stalled on a plateau fits a rate within a few ulps of 1, and a NaN
+        rate is never below it."""
+        return self.floored or self.rate < 1.0 - 1e-9
 
 
 # the share of a series' kept samples that a fit uses (its tail, past the

@@ -35,10 +35,10 @@ import numpy as np
 
 from .observers import (
     DecayFit,
-    ErrorState,
     LeaderModel,
     ObserverBank,
     _error_norms,
+    _kron,
     error_form_step,
     fit_decay,
     kron_factorization_check,
@@ -136,12 +136,16 @@ def bank_vs_error_form(
     """Max abs deviation between the errors of ``observer_logs`` and their twin
     over a run, taken by one ``np.max`` so that a NaN anywhere is the result."""
     v, eta, s_est = observer_logs(leader, topo, bank, horizon)
-    twin = [ErrorState.from_bank(bank, v[0], leader)]
+    eta_err = eta - v[:, None, :]
+    s_err = None if s_est is None else s_est - leader.S
+    # the twin starts from row 0 of the logs
+    twin = [(eta_err[0].reshape(-1), None if s_err is None else s_err[0].reshape(-1, leader.q))]
     for t, mode in enumerate(topo.signal.modes(0, horizon).tolist()):
-        twin.append(error_form_step(twin[-1], topo.adjacency_of_mode(mode), leader, v[t]))
-    dev = [eta - v[:, None, :] - np.reshape([e.eta_tilde for e in twin], eta.shape)]
-    if s_est is not None:
-        dev.append(s_est - leader.S - np.reshape([e.s_tilde for e in twin], s_est.shape))
+        twin.append(error_form_step(*twin[-1], topo.adjacency_of_mode(mode), leader, v[t]))
+    twin_eta, twin_s = zip(*twin)
+    dev = [eta_err - np.reshape(twin_eta, eta.shape)]
+    if s_err is not None:
+        dev.append(s_err - np.reshape(twin_s, s_est.shape))
     return float(np.max(np.abs(np.concatenate([d.reshape(-1) for d in dev]))))
 
 
@@ -218,7 +222,7 @@ def _coupled_system_fit(seed: int, horizon: int, driven: bool) -> tuple[LeaderMo
     leader = random_leader(rng)
     dim = topo.n_followers * leader.q
     d0 = rng.normal(size=dim) if driven else np.zeros(dim)
-    blocks = [np.kron(topo.adjacency_of_mode(m).lambda_block, leader.S)
+    blocks = [_kron(topo.adjacency_of_mode(m).lambda_block, leader.S)
               for m in range(1, topo.n_modes + 1)]
     modes = topo.signal.modes(0, horizon).tolist()
     return leader, perturbed_convergence_check(

@@ -153,17 +153,15 @@ def single_follower_scenario(
     )
 
 
+# each bundled scenario's builder and the summary that list-builtins prints
 BUILTINS = {
-    "formation-sec5": formation_scenario,
-    "single-follower": single_follower_scenario,
+    "formation-sec5": (formation_scenario,
+                       "five-robot formation over the four-mode switching network"),
+    "single-follower": (single_follower_scenario,
+                        "one follower on a static leader link (0.5**t error closed form)"),
     # pure leader-following: every follower lands on the leader trajectory
-    "default-fig2": partial(_formation, "default-fig2", ((0.0, 0.0),) * len(FORMATION_OFFSETS)),
-}
-
-BUILTIN_SUMMARIES = {
-    "formation-sec5": "five-robot formation over the four-mode switching network",
-    "single-follower": "one follower on a static leader link (0.5**t error closed form)",
-    "default-fig2": "formation plants with zero offsets over the default network",
+    "default-fig2": (partial(_formation, "default-fig2", ((0.0, 0.0),) * len(FORMATION_OFFSETS)),
+                     "formation plants with zero offsets over the default network"),
 }
 
 
@@ -175,4 +173,5 @@ def build_builtin(name: str, seed: int | None = None) -> Scenario:
         raise KeyError(f"unknown builtin scenario {name!r} (known: {known})")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return BUILTINS[name](seed=seed)
+    builder, _ = BUILTINS[name]
+    return builder(seed=seed)

@@ -103,22 +103,18 @@ class GainDirective:
 @dataclass(frozen=True)
 class AssumptionChecks:
     """Which validation checks to run and their parameters; the window must
-    be >= 0 and a connectivity horizon, when given, at least the window."""
+    be >= 0."""
 
     connectivity: bool = True
     connectivity_window: int = 0
-    connectivity_horizon: int | None = None
     leader_spectral: bool = True
     stabilizability: bool = True
     regulator: bool = True
 
     def __post_init__(self):
-        window, horizon = self.connectivity_window, self.connectivity_horizon
-        if window < 0:
-            raise ValueError(f"checks.connectivity_window must be >= 0, got {window}")
-        if horizon is not None and horizon < window:
-            raise ValueError(f"checks.connectivity_horizon must be >= connectivity_window "
-                             f"({window}), got {horizon}")
+        if self.connectivity_window < 0:
+            raise ValueError(
+                f"checks.connectivity_window must be >= 0, got {self.connectivity_window}")
 
 
 @dataclass(frozen=True)
@@ -342,9 +338,7 @@ def validate_scenario(scenario: Scenario) -> list[CheckResult]:
     checks = scenario.checks
     results: list[CheckResult] = []
     if checks.connectivity:
-        res = is_jointly_connected(
-            scenario.topology, checks.connectivity_window, checks.connectivity_horizon
-        )
+        res = is_jointly_connected(scenario.topology, checks.connectivity_window)
         if res.connected:
             detail = (
                 f"every follower reachable from the leader in all union windows "

@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -47,22 +47,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _frozen(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.setflags(write=False)
-
-
-def _square_edges(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(source, receiver) of the nonzero entries of a square matrix, receiver-sorted."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {a.shape}")
-    dst, src = np.divmod(np.flatnonzero(a), a.shape[0])  # row-major: by receiver, then source
-    return src, dst
-
-
-def _in_sums(n: int, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-receiver sums of the edge weights, added in edge (source) order,
-    with no edge-length temporary."""
-    out = np.zeros(n)
-    np.add.at(out, dst, w)
-    return out
 
 
 def _dense(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -89,7 +73,9 @@ class WeightedDigraph:
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
-        src, dst = _square_edges(w, "weight matrix")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise DimensionError(f"weight matrix must be square, got shape {w.shape}")
+        dst, src = np.divmod(np.flatnonzero(w), w.shape[0])  # row-major: by receiver, then source
         self._adopt(w.shape[0], src, dst, w[dst, src])
 
     @classmethod
@@ -200,17 +186,18 @@ def _in_edge_table(adj: "NormalizedAdjacency") -> tuple[tuple[np.ndarray, np.nda
     return tuple(zip(src, weight))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """Row-stochastic normalization of a weighted digraph.
+    """Row-stochastic normalization of a weighted digraph, built only by
+    ``normalize_adjacency``.
 
     Stored per edge: the off-diagonal entries omega_ij of the receiver-sorted
-    edges, and the strictly positive diagonal.  The dense (N+1, N+1)
-    ``omega`` is built on first use and cached, and ``lambda_block`` is a
-    view of it, so the two cannot disagree.  A sparse adjacency also keeps
-    its in-neighbour edge table, which the observer's neighbour mix reads
-    in place of Omega (see ``EDGE_TABLE_FACTOR``); it is None when the
-    dense Omega is used.
+    edges, and the strictly positive diagonal, all read-only.  The dense
+    (N+1, N+1) ``omega`` is built on first use and cached, and
+    ``lambda_block`` is a view of it, so the two cannot disagree.  A sparse
+    adjacency also keeps its in-neighbour edge table, which the observer's
+    neighbour mix reads in place of Omega (see ``EDGE_TABLE_FACTOR``); it is
+    None when the dense Omega is used.
     """
 
     node_count: int
@@ -218,35 +205,7 @@ class NormalizedAdjacency:
     _dst: np.ndarray = field(repr=False)
     _w: np.ndarray = field(repr=False)
     _diag: np.ndarray = field(repr=False)
-    _edges: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(repr=False)
-
-    def __init__(self, omega: np.ndarray):
-        om = np.asarray(omega, dtype=float)
-        src, dst = _square_edges(om, "omega")
-        off = src != dst
-        src, dst = src[off], dst[off]
-        n = om.shape[0]
-        self._adopt(n, src, dst, om[dst, src], om[np.arange(n), np.arange(n)])
-
-    def _adopt(self, n, src, dst, w, diag) -> None:
-        # a NaN fails every comparison, so each test is inverted to catch it
-        if not (np.isfinite(w).all() and np.isfinite(diag).all()):
-            raise ValueError("omega entries must be finite")
-        if not (np.abs(diag + _in_sums(n, dst, w) - 1.0) <= 1e-12).all():
-            raise ValueError("omega rows must sum to 1")
-        if not ((w >= 0).all() and (w <= 1).all() and (diag >= 0).all() and (diag <= 1).all()):
-            raise ValueError("omega entries must lie in [0, 1]")
-        if not (diag > 0).all():
-            raise ValueError("omega diagonal must be strictly positive")
-        _frozen(src, dst, w, diag)
-        for name, value in (("node_count", n), ("_src", src), ("_dst", dst), ("_w", w),
-                            ("_diag", diag)):
-            object.__setattr__(self, name, value)
-        # receiver-sorted, so a row's in-degree is the gap between its first edges
-        k_max = int(np.diff(np.searchsorted(dst, np.arange(1, n + 1))).max(initial=0))
-        object.__setattr__(
-            self, "_edges", _in_edge_table(self) if EDGE_TABLE_FACTOR * max(k_max, 8) <= n else None
-        )
+    _edges: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(default=None, repr=False)
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -267,19 +226,27 @@ def normalize_adjacency(g: WeightedDigraph) -> NormalizedAdjacency:
 
     Row i is divided by 1 + (sum of the in-edge weights of node i, added in
     source order), and the freed mass is placed on the diagonal, so every
-    row sums to 1 and the diagonal stays strictly positive.  Raises
-    ValueError when the in-edge weights of a node, each finite, sum past the
-    float range.
+    row sums to 1 and the diagonal stays strictly positive.  The result
+    keeps an in-neighbour edge table when ``EDGE_TABLE_FACTOR`` selects one.
+    Raises ValueError when the in-edge weights of a node, each finite, sum
+    past the float range.
     """
+    n = g.node_count
+    row = np.zeros(n)
     with np.errstate(over="ignore"):
-        row = _in_sums(g.node_count, g._dst, g._w)
+        np.add.at(row, g._dst, g._w)  # in edge order, with no edge-length temporary
     if not np.isfinite(row).all():
         raise ValueError("the in-edge weights of a node must have a finite sum")
     scale = 1.0 + row
     w = scale[g._dst]
     np.divide(g._w, w, out=w)
-    adj = NormalizedAdjacency.__new__(NormalizedAdjacency)
-    adj._adopt(g.node_count, g._src, g._dst, w, 1.0 / scale)
+    diag = 1.0 / scale
+    _frozen(w, diag)
+    adj = NormalizedAdjacency(n, g._src, g._dst, w, diag)
+    # receiver-sorted, so a row's in-degree is the gap between its first edges
+    k_max = int(np.diff(np.searchsorted(g._dst, np.arange(1, n + 1))).max(initial=0))
+    if EDGE_TABLE_FACTOR * max(k_max, 8) <= n:
+        adj = replace(adj, _edges=_in_edge_table(adj))
     return adj
 
 
@@ -494,9 +461,6 @@ class SwitchingTopology:
     @property
     def n_modes(self) -> int:
         return len(self.graphs)
-
-    def mode_at(self, t: int) -> int:
-        return self.signal.mode_at(t)
 
     def adjacency_at(self, t: int) -> NormalizedAdjacency:
         """Normalized adjacency of the active graph (precomputed per mode)."""

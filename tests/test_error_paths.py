@@ -15,7 +15,6 @@ import pytest
 from coopreg.cli import main
 from coopreg.config import ConfigError, config_to_scenario, load_config, scenario_to_config
 from coopreg.observers import (
-    ErrorState,
     LeaderModel,
     ObserverBank,
     error_form_step,
@@ -32,7 +31,6 @@ from coopreg.scenarios import fig2_topology, formation_scenario, single_follower
 from coopreg.simkit import FollowerSpec, Scenario
 from coopreg.topology import (
     DimensionError,
-    NormalizedAdjacency,
     SwitchingSignal,
     SwitchingTopology,
     WeightedDigraph,
@@ -115,12 +113,6 @@ ERRORS = [
     ("config-unreadable-file", lambda tmp_path: tmp_path / "missing.json",
      ConfigError, "{path}: [Errno 2] No such file or directory: '{path}'"),
     # topology
-    ("omega-rows-must-sum-to-1", lambda: NormalizedAdjacency(np.array([[1.0, 0.0], [0.5, 0.4]])),
-     ValueError, "omega rows must sum to 1"),
-    ("omega-entries-in-0-1", lambda: NormalizedAdjacency(np.array([[1.5, -0.5], [0.0, 1.0]])),
-     ValueError, "omega entries must lie in [0, 1]"),
-    ("omega-diagonal-positive", lambda: NormalizedAdjacency(np.array([[1.0, 0.0], [1.0, 0.0]])),
-     ValueError, "omega diagonal must be strictly positive"),
     ("union-of-no-graphs", lambda: union_digraph([]),
      ValueError, "union of an empty graph list"),
     ("segment-length-below-1", lambda: SwitchingSignal.periodic([(1, 0)]),
@@ -155,7 +147,7 @@ ERRORS = [
      lambda: observer_step(LEADER, np.ones(3), ObserverBank(eta=np.zeros((1, 2))), ONE_LINK),
      DimensionError, "leader state dimension does not match the bank"),
     ("error-state-size",
-     lambda: error_form_step(ErrorState(eta_tilde=np.zeros(3)), ONE_LINK, LEADER, LEADER.v0),
+     lambda: error_form_step(np.zeros(3), None, ONE_LINK, LEADER, LEADER.v0),
      DimensionError, "eta_tilde has 3 entries, expected 2"),
     ("kron-check-negative-t", lambda: kron_factorization_check(TOPOLOGY, LEADER, -1),
      ValueError, "t must be >= 0"),

@@ -112,8 +112,8 @@ FAULTS = [
     ("equivalence", biased_logs, OBSERVER_LOGS, True),
     ("observers", nan_logs, OBSERVER_LOGS, True),
     ("observers", lagged_logs, OBSERVER_LOGS, False),
-    # a plateau at the bias fits rate 1 to within rounding: seed 1 passes
-    # at 0.9999999999999971, seeds 0 and 2 fail at 1.0
+    # a plateau at the bias fits rate 1 to within rounding (seed 1 at
+    # 0.9999999999999971), which is not decay: all three trials fail
     ("observers", biased_logs, OBSERVER_LOGS, True),
     ("consensus", nan_steps, CONSENSUS_STEP, True),
     ("consensus", lagged_steps, CONSENSUS_STEP, False),
@@ -151,3 +151,16 @@ def test_an_all_inf_tail_is_the_no_fit_without_a_warning():
         fit = fit_decay(series)
     assert np.isnan([fit.rate, fit.prefactor, fit.residual]).all()
     assert (fit.n_samples, fit.floored, fit.decaying) == (0, False, False)
+
+
+def test_a_rate_within_rounding_of_1_is_a_plateau_not_decay():
+    t = np.arange(500)
+    assert not fit_decay((1 - 1e-12) ** t).decaying
+    assert fit_decay((1 - 1e-6) ** t).decaying
+
+
+def test_the_biased_observer_that_fits_a_rate_just_below_1_fails(monkeypatch):
+    # seed 1's error stalls at the bias with a fitted rate of 0.9999999999999971
+    monkeypatch.setattr(properties, "observer_logs", biased_logs(observers.observer_logs))
+    result = SUITES["observers"](1)
+    assert not result.passed and "distributed rate 1.0000" in result.detail

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopreg.observers import (
-    ErrorState,
     LeaderModel,
     ObserverBank,
     error_form_step,
@@ -33,8 +32,8 @@ def error_magnitude(topo, leader, bank, horizon):
     v = leader.v0.copy()
     top = 0.0
     for t in range(horizon + 1):
-        err = ErrorState.from_bank(bank, v, leader)
-        top = max(top, float(np.abs(err.eta_tilde).max()), float(np.abs(err.s_tilde).max()))
+        top = max(top, float(np.abs(bank.eta - v).max()),
+                  float(np.abs(bank.s_est - leader.S).max()))
         if t < horizon:
             bank = observer_step(leader, v, bank, topo.adjacency_at(t))
             v = leader.advance(v)
@@ -196,15 +195,15 @@ class TestErrorFormEquivalence:
         topo = random_topology(rng)
         leader = random_leader(rng)
         n, q = topo.n_followers, leader.q
-        err = ErrorState(eta_tilde=np.zeros(n * q), s_tilde=np.zeros((n * q, q)))
-        out = error_form_step(err, topo.adjacency_at(0), leader, leader.v0)
-        assert np.all(out.eta_tilde == 0.0) and np.all(out.s_tilde == 0.0)
+        eta_tilde, s_tilde = error_form_step(np.zeros(n * q), np.zeros((n * q, q)),
+                                             topo.adjacency_at(0), leader, leader.v0)
+        assert np.all(eta_tilde == 0.0) and np.all(s_tilde == 0.0)
 
     def test_single_follower_identity_leader_halves(self):
         leader = LeaderModel(S=np.eye(2), v0=np.zeros(2))
-        err = ErrorState(eta_tilde=np.array([2.0, -4.0]))
-        out = error_form_step(err, single_link_adjacency(), leader, leader.v0)
-        assert np.allclose(out.eta_tilde, [1.0, -2.0])
+        eta_tilde, s_tilde = error_form_step(np.array([2.0, -4.0]), None,
+                                             single_link_adjacency(), leader, leader.v0)
+        assert np.allclose(eta_tilde, [1.0, -2.0]) and s_tilde is None
 
     def test_one_step_matches_bank_on_random_instances(self):
         for seed in range(100):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from coopreg import observers, properties, topology
 from coopreg.cli import main
 from coopreg.observers import (
-    ErrorState,
     ObserverBank,
     error_form_step,
     kron_factorization_check,
@@ -121,7 +120,7 @@ def test_accumulated_lemma2_norms_equal_transition_products():
 def per_window_connectivity(topo, window, horizon):
     """is_jointly_connected with one union and one BFS per window: the reference."""
     for t in range(horizon - window + 1):
-        modes = {topo.mode_at(t + s) for s in range(window + 1)}
+        modes = {topo.signal.mode_at(t + s) for s in range(window + 1)}
         seen = leader_reachable(union_digraph([topo.graphs[m - 1] for m in modes]))
         if not seen[1:].all():
             return ConnectivityResult(False, (t, int(np.nonzero(~seen)[0][0])), horizon)
@@ -157,14 +156,14 @@ def test_connectivity_decides_each_distinct_mode_set_once(monkeypatch):
     assert len(calls) == 1
 
 
-def kron_error_form_step(err, adj, leader, v):
+def kron_error_form_step(eta_tilde, s_tilde, adj, leader, v):
     """error_form_step written with np.kron throughout: the reference."""
     lam = adj.lambda_block
     n = lam.shape[0]
     q = leader.q
-    if err.s_tilde is None:
-        return ErrorState(eta_tilde=np.kron(lam, leader.S) @ err.eta_tilde)
-    s_blocks = [err.s_tilde[i * q : (i + 1) * q, :] for i in range(n)]
+    if s_tilde is None:
+        return np.kron(lam, leader.S) @ eta_tilde, None
+    s_blocks = [s_tilde[i * q : (i + 1) * q, :] for i in range(n)]
     gamma1 = np.kron(lam, leader.S)
     s_diag = np.zeros((n * q, n * q))
     for i, blk in enumerate(s_blocks):
@@ -175,9 +174,9 @@ def kron_error_form_step(err, adj, leader, v):
     )
     gamma2 = s_diag + coupling
     gamma3 = s_diag @ np.tile(np.asarray(v, dtype=float), n)
-    new_eta = (gamma1 + gamma2) @ err.eta_tilde + gamma3
-    new_s = np.kron(lam, np.eye(q)) @ err.s_tilde
-    return ErrorState(eta_tilde=new_eta, s_tilde=new_s)
+    new_eta = (gamma1 + gamma2) @ eta_tilde + gamma3
+    new_s = np.kron(lam, np.eye(q)) @ s_tilde
+    return new_eta, new_s
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -188,17 +187,17 @@ def test_error_form_step_matches_the_kron_reference_bitwise(seed, adaptive):
     leader = random_leader(rng)
     n, q = topo.n_followers, leader.q
     s_tilde = rng.uniform(-0.3, 0.3, size=(n * q, q)) if adaptive else None
-    fast = ref = ErrorState(eta_tilde=rng.normal(size=n * q), s_tilde=s_tilde)
+    fast = ref = (rng.normal(size=n * q), s_tilde)
     v = leader.v0.copy()
     for t in range(100):
         adj = topo.adjacency_at(t)
-        fast = error_form_step(fast, adj, leader, v)
-        ref = kron_error_form_step(ref, adj, leader, v)
-        assert fast.eta_tilde.tobytes() == ref.eta_tilde.tobytes()
+        fast = error_form_step(*fast, adj, leader, v)
+        ref = kron_error_form_step(*ref, adj, leader, v)
+        assert fast[0].tobytes() == ref[0].tobytes()
         if adaptive:
-            assert fast.s_tilde.tobytes() == ref.s_tilde.tobytes()
+            assert fast[1].tobytes() == ref[1].tobytes()
         else:
-            assert fast.s_tilde is None
+            assert fast[1] is None
         v = leader.advance(v)
 
 
@@ -213,32 +212,38 @@ def test_error_form_step_matches_the_kron_reference_at_every_shape(n, q, adaptiv
     adj = normalize_adjacency(WeightedDigraph(w))
     leader = random_leader(rng, q=q)
     s_tilde = rng.normal(size=(n * q, q)) if adaptive else None
-    err = ErrorState(eta_tilde=rng.normal(size=n * q), s_tilde=s_tilde)
+    eta_tilde = rng.normal(size=n * q)
     v = rng.normal(size=q)
-    fast = error_form_step(err, adj, leader, v)
-    ref = kron_error_form_step(err, adj, leader, v)
-    assert fast.eta_tilde.tobytes() == ref.eta_tilde.tobytes()
-    assert (fast.s_tilde is None) == (not adaptive)
+    fast = error_form_step(eta_tilde, s_tilde, adj, leader, v)
+    ref = kron_error_form_step(eta_tilde, s_tilde, adj, leader, v)
+    assert fast[0].tobytes() == ref[0].tobytes()
+    assert (fast[1] is None) == (not adaptive)
     if adaptive:
-        assert fast.s_tilde.tobytes() == ref.s_tilde.tobytes()
+        assert fast[1].tobytes() == ref[1].tobytes()
 
 
 # The oracle loops read their schedule once with signal.modes; each reference
 # below is the same loop with one adjacency_at(t) per step and np.kron.
 
+def bank_errors(bank, v, leader):
+    """The stacked errors (eta_tilde, s_tilde) of a bank against v and S."""
+    s_tilde = None if bank.s_est is None else (bank.s_est - leader.S).reshape(-1, bank.q)
+    return (bank.eta - v).reshape(-1), s_tilde
+
+
 def per_step_bank_vs_error_form(topo, leader, bank, horizon):
     v = leader.v0.copy()
-    err = ErrorState.from_bank(bank, v, leader)
+    err = bank_errors(bank, v, leader)
     dev = 0.0
     for t in range(horizon):
         adj = topo.adjacency_at(t)
         bank = observer_step(leader, v, bank, adj)
-        err = kron_error_form_step(err, adj, leader, v)
+        err = kron_error_form_step(*err, adj, leader, v)
         v = leader.advance(v)
-        direct = ErrorState.from_bank(bank, v, leader)
-        dev = max(dev, float(np.max(np.abs(direct.eta_tilde - err.eta_tilde))))
-        if err.s_tilde is not None:
-            dev = max(dev, float(np.max(np.abs(direct.s_tilde - err.s_tilde))))
+        direct = bank_errors(bank, v, leader)
+        dev = max(dev, float(np.max(np.abs(direct[0] - err[0]))))
+        if err[1] is not None:
+            dev = max(dev, float(np.max(np.abs(direct[1] - err[1]))))
     return dev
 
 
@@ -380,9 +385,9 @@ def test_oracles_never_run_on_the_observer_path(monkeypatch):
     with pytest.raises(AssertionError, match="observer path"):
         observer_step(leader, leader.v0, bank, topo.adjacency_at(0))
 
-    err = ErrorState(eta_tilde=rng.normal(size=n * q), s_tilde=rng.normal(size=(n * q, q)))
+    err = (rng.normal(size=n * q), rng.normal(size=(n * q, q)))
     for t in range(5):
-        err = error_form_step(err, topo.adjacency_at(t), leader, leader.v0)
+        err = error_form_step(*err, topo.adjacency_at(t), leader, leader.v0)
     assert kron_factorization_check(topo, leader, 10) < 1e-9
     for trial in (lemma2_trial, lemma3_trial, lemma4_trial):
         assert trial(0).passed

@@ -50,7 +50,6 @@ from coopreg.simkit import (
     write_trajectory_csv,
 )
 from coopreg.topology import (
-    NormalizedAdjacency,
     SwitchingSignal,
     SwitchingTopology,
     WeightedDigraph,
@@ -125,7 +124,7 @@ def reference_run(scenario: Scenario, gains) -> dict:
     for key in ("x", "u", "e"):
         out[key] = [[] for _ in range(n)]
     for t in range(horizon + 1):
-        out["sigma"].append(scenario.topology.mode_at(t))
+        out["sigma"].append(scenario.topology.signal.mode_at(t))
         out["v"].append(v)
         out["eta"].append(bank.eta)
         out["eta_tilde_norm"].append(np.linalg.norm(bank.eta - v))
@@ -194,16 +193,15 @@ def test_neighbor_mix_matches_difference_tensor(n_followers, shape, monkeypatch)
     rng = np.random.default_rng(n_followers)
     n1 = n_followers + 1
     density = SPARSE_DENSITY.get(n_followers, 0.4)
-    omega = rng.random((n1, n1)) * (rng.random((n1, n1)) < density)
-    omega[np.diag_indices(n1)] += 0.1
-    omega /= omega.sum(axis=1, keepdims=True)
-    adj = NormalizedAdjacency(omega)
+    weights = rng.random((n1, n1)) * (rng.random((n1, n1)) < density)
+    np.fill_diagonal(weights, 0.0)
+    adj = normalize_adjacency(WeightedDigraph(weights))
     if n_followers in SPARSE_DENSITY:
         assert adj._edges is not None
     values = rng.normal(size=(n1,) + shape)
     got = _neighbor_mix(adj, values)
     assert got.shape == (n_followers,) + shape
-    assert np.abs(got - difference_tensor_mix(omega, values)).max() <= 1e-13
+    assert np.abs(got - difference_tensor_mix(adj.omega, values)).max() <= 1e-13
 
 
 def tables_at_any_size(monkeypatch):

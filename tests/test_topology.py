@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from coopreg.scenarios import FIG2_EDGE_SETS, fig2_topology
 from coopreg.topology import (
     EDGE_TABLE_FACTOR,
     DimensionError,
-    NormalizedAdjacency,
     SwitchingSignal,
     SwitchingTopology,
     WeightedDigraph,
@@ -49,6 +49,21 @@ def weight_matrices(draw):
         )
     )
     w = np.array(flat).reshape(n + 1, n + 1)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@st.composite
+def wide_weight_matrices(draw):
+    """Weight matrices over 3-400 nodes, each row with 0 to all of its
+    possible in-edges, whose weights span 5e-324 to 1e300."""
+    n = draw(st.integers(min_value=3, max_value=400))
+    density = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    low = draw(st.floats(min_value=-324.0, max_value=300.0))
+    high = draw(st.floats(min_value=low, max_value=300.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    weight = np.clip(10.0 ** rng.uniform(low, high, (n, n)), 5e-324, 1e300)
+    w = np.where(rng.random((n, n)) < density, weight, 0.0)
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -117,18 +132,11 @@ class TestNormalizeAdjacency:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the fresh omega is adopted, not copied, and a dense mode builds no
-        # edge table: the transients of a mode stay well below one more
-        # (N+1) x (N+1) array
+        # a mode keeps its normalized edges, not a dense omega, and a dense
+        # mode builds no edge table: the transients of a mode stay well
+        # below one more (N+1) x (N+1) array
         dense = (n + 1) ** 2 * np.dtype(float).itemsize
         assert topo.n_modes == 4 and peak - kept <= 0.5 * dense
-
-    def test_constructor_copies_a_caller_array(self):
-        omega = np.array([[1.0, 0.0], [0.5, 0.5]])
-        adj = NormalizedAdjacency(omega)
-        omega[1] = [0.0, 1.0]
-        assert not np.shares_memory(adj.omega, omega)
-        assert adj.omega[1, 0] == 0.5 and not adj.omega.flags.writeable
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
@@ -151,16 +159,25 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValueError, match="finite sum"):
             normalize_adjacency(WeightedDigraph(w))
 
-    def test_rejects_non_square_omega(self):
-        with pytest.raises(DimensionError, match="square"):
-            NormalizedAdjacency(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_omega(self, bad):
-        omega = np.eye(3)
-        omega[1] = bad
-        with pytest.raises(ValueError, match="omega entries must be finite"):
-            NormalizedAdjacency(omega)
+    @given(wide_weight_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_omega_is_valid_by_construction(self, w):
+        # normalize_adjacency is the only constructor of an adjacency, so
+        # these bounds hold for every Omega the toolkit mixes with
+        omega = normalize_adjacency(WeightedDigraph(w)).omega
+        assert np.isfinite(omega).all()
+        assert (omega >= 0).all() and (omega <= 1).all()
+        diag = np.diag(omega)
+        assert (diag > 0).all() and (diag <= 1).all()
+        # each entry is one division by the rounded 1 + (row sum of k terms)
+        in_edges = (w > 0).sum(axis=1)
+        row_error = np.abs([math.fsum(row) - 1.0 for row in omega])
+        assert (row_error <= (in_edges + 2) * np.finfo(float).eps).all()
+        # a row whose in-edge weights sum past the float range is refused
+        w[1, [0, 2]] = np.finfo(float).max
+        with pytest.raises(ValueError) as info:
+            normalize_adjacency(WeightedDigraph(w))
+        assert str(info.value) == "the in-edge weights of a node must have a finite sum"
 
 
 def sparse_trees(n: int, n_modes: int = 4, seed: int = 0):

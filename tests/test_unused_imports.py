@@ -1,4 +1,5 @@
-"""No module of the package or the scripts imports a name it never reads.
+"""No module of the package, the scripts or the tests imports a name it
+never reads.
 
 No linter runs on this repository, so this test parses each module with
 ``ast``: an imported name counts as read when it is loaded anywhere in the
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/coopreg/*.py"), *ROOT.glob("scripts/*.py")])
+MODULES = sorted([*ROOT.glob("src/coopreg/*.py"), *ROOT.glob("scripts/*.py"),
+                  *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
