@@ -159,11 +159,15 @@ def sweep_entry(n: int, mode: str, team: str, horizon: int, repeats: int) -> dic
     del log
     adjs = [sc.topology.adjacency_of_mode(m) for m in range(1, sc.topology.n_modes + 1)]
     bank = sc.initial_bank()
-    v = sc.leader.v0
+    # one log row as observer_logs stacks it, the leader's v and S first
+    eta = np.concatenate([sc.leader.v0[None], bank.eta])
+    s_est = None if bank.s_est is None else np.concatenate([LEADER_S[None], bank.s_est])
+    eta_next = np.empty_like(bank.eta)
+    s_next = None if s_est is None else np.empty_like(bank.s_est)
     cycle = itertools.cycle(adjs)
 
     def step():
-        _observer_update(LEADER_S, next(cycle), v, bank.eta, bank.s_est)
+        _observer_update(LEADER_S, next(cycle), eta, s_est, eta_next, s_next)
 
     groups = _step_groups(sc)
 

@@ -35,6 +35,7 @@ from .simkit import (
     OverflowAbort,
     Scenario,
     analyze,
+    indented_json,
     report_to_dict,
     run,
     validate_scenario,
@@ -158,7 +159,7 @@ def cmd_run(args) -> int:
             "timings_s": timings,
             "versions": {"python": platform.python_version(), "numpy": np.__version__},
         }
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        manifest_path.write_text(indented_json(manifest) + "\n", encoding="utf-8")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,7 @@ from .simkit import (
     GainDirective,
     Scenario,
     Thresholds,
+    indented_json,
 )
 from .topology import SwitchingSignal, SwitchingTopology, WeightedDigraph
 
@@ -356,6 +357,4 @@ def load_config(path: str | Path) -> Scenario:
 
 
 def save_config(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_config(scenario), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(indented_json(scenario_to_config(scenario)) + "\n", encoding="utf-8")

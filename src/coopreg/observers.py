@@ -169,21 +169,25 @@ def _neighbor_mix(adj: NormalizedAdjacency, values: np.ndarray) -> np.ndarray:
 def _observer_update(
     S: np.ndarray,
     adj: NormalizedAdjacency,
-    v: np.ndarray,
     eta: np.ndarray,
     s_est: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Next (eta, s_est) of the whole bank on raw arrays, without checks.
+    eta_next: np.ndarray,
+    s_next: np.ndarray | None,
+) -> None:
+    """Write the bank's next follower rows into ``eta_next`` (N, q) and, in
+    adaptive mode, ``s_next`` (N, q, q), on raw arrays, without checks.
 
-    With ``s_est`` None this is the distributed observer, which multiplies by
-    the leader's S; otherwise the adaptive one, whose state update uses the
-    current S_i(t) and whose refreshed S_i(t+1) is returned for the next call.
+    ``eta`` (N+1, q) and ``s_est`` (N+1, q, q) stack the leader's v(t) and S
+    first, as ``_neighbor_mix`` reads them.  With ``s_est`` None this is the
+    distributed observer, which multiplies by the leader's S; otherwise the
+    adaptive one, whose state update uses the current S_i(t).
     """
-    mixed = eta + _neighbor_mix(adj, np.concatenate([v[None, :], eta]))
+    mixed = eta[1:] + _neighbor_mix(adj, eta)
     if s_est is None:
-        return mixed @ S.T, None
-    new_s = s_est + _neighbor_mix(adj, np.concatenate([S[None, :, :], s_est], axis=0))
-    return np.einsum("iab,ib->ia", s_est, mixed), new_s
+        np.matmul(mixed, S.T, out=eta_next)
+    else:
+        np.einsum("iab,ib->ia", s_est[1:], mixed, out=eta_next)
+        np.add(s_est[1:], _neighbor_mix(adj, s_est), out=s_next)
 
 
 def observer_step(
@@ -207,8 +211,11 @@ def observer_step(
         )
     if np.asarray(v).shape[0] != bank.q:
         raise DimensionError("leader state dimension does not match the bank")
-    new_eta, new_s = _observer_update(leader.S, adj, np.asarray(v, dtype=float),
-                                      bank.eta, bank.s_est)
+    eta = np.concatenate([np.asarray(v, dtype=float)[None, :], bank.eta])
+    s_est = None if bank.s_est is None else np.concatenate([leader.S[None, :, :], bank.s_est])
+    new_eta = np.empty_like(bank.eta)
+    new_s = None if s_est is None else np.empty_like(bank.s_est)
+    _observer_update(leader.S, adj, eta, s_est, new_eta, new_s)
     return ObserverBank(eta=new_eta, s_est=new_s)
 
 
@@ -221,33 +228,39 @@ def observer_logs(
     """The leader states v (T+1, q), the estimates eta (T+1, N, q) and, for an
     adaptive bank, s_est (T+1, N, q, q) of ``bank`` run over times 0..horizon.
 
-    The schedule is read once; each step is one unchecked update of the raw
-    arrays into its log row.  A diverging run overflows to inf and NaN, with
-    whatever floating-point warnings the caller's ``np.errstate`` allows.
+    The estimates are views of (T+1, N+1, ...) logs whose row 0 holds v(t)
+    and S, so each step's neighbour mix reads its log row as it is and
+    writes the next row in place.  The schedule is read once, and no step
+    is checked.  A diverging run overflows to inf and NaN, with whatever
+    floating-point warnings the caller's ``np.errstate`` allows.
     """
     v = leader.trajectory(horizon)
-    eta, s_est = (None if a is None else np.empty((horizon + 1,) + a.shape)
-                  for a in (bank.eta, bank.s_est))
-    eta[0] = bank.eta
-    if s_est is not None:
-        s_est[0] = bank.s_est
+    eta = np.empty((horizon + 1, bank.n_followers + 1, bank.q))
+    eta[:, 0], eta[0, 1:] = v, bank.eta
+    s_est = None
+    if bank.s_est is not None:
+        s_est = np.empty(eta.shape + (bank.q,))
+        s_est[:, 0], s_est[0, 1:] = leader.S, bank.s_est
     for t, mode in enumerate(topology.signal.modes(0, horizon).tolist()):
-        eta[t + 1], s_next = _observer_update(
-            leader.S, topology.adjacency_of_mode(mode), v[t], eta[t],
-            None if s_est is None else s_est[t])
-        if s_est is not None:
-            s_est[t + 1] = s_next
-    return v, eta, s_est
+        _observer_update(leader.S, topology.adjacency_of_mode(mode), eta[t],
+                         None if s_est is None else s_est[t], eta[t + 1, 1:],
+                         None if s_est is None else s_est[t + 1, 1:])
+    return v, eta[:, 1:], None if s_est is None else s_est[:, 1:]
+
+
+def _dot_norms(d: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row of a 2-D array: one dot per row, as
+    np.linalg.norm computes a vector's (a sum of squares along an axis
+    rounds differently)."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def _error_norms(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every a[t] - ref[t]: one dot per t, as np.linalg.norm
-    computes it (a sum of squares along an axis rounds differently), over
+    """Frobenius norm of every a[t] - ref[t], as ``_dot_norms`` takes it, over
     blocks of time steps, so that no difference of the whole logs is held."""
     out, block = np.empty(len(a)), 16  # time steps per block
     for t in range(0, len(a), block):
-        d = (a[t:t + block] - ref[t:t + block]).reshape(-1, a[0].size)
-        out[t:t + block] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        out[t:t + block] = _dot_norms((a[t:t + block] - ref[t:t + block]).reshape(-1, a[0].size))
     return out
 
 
@@ -350,13 +363,12 @@ def perturbed_convergence_check(
     geometrically.  The caller asserts stability of the nominal system;
     this function only measures.
     """
-    z = np.asarray(z0, dtype=float).reshape(-1)
-    norms = np.empty(horizon + 1)
-    norms[0] = np.linalg.norm(z)
+    z0 = np.asarray(z0, dtype=float).reshape(-1)
+    z = np.empty((horizon + 1, z0.shape[0]))
+    z[0] = z0
     for t in range(horizon):
-        z = c_seq(t) @ z + d_seq(t)
-        norms[t + 1] = np.linalg.norm(z)
-    return fit_decay(norms)
+        z[t + 1] = c_seq(t) @ z[t] + d_seq(t)
+    return fit_decay(_dot_norms(z))
 
 
 @dataclass(frozen=True)

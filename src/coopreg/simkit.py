@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from typing import IO, NamedTuple, Sequence
 
@@ -356,16 +357,21 @@ def validate_scenario(scenario: Scenario) -> list[CheckResult]:
             passed, detail = False, f"rho(S): {exc}"
         results.append(CheckResult("leader_spectral_radius", passed, detail))
     solves = _solve_followers(scenario)
+    # the members of a plant class share one solve, whose text is formatted once
+    shared = dict.fromkeys(solves)
     if checks.stabilizability:
+        radius = {s: f"closed-loop spectral radius {s.gain[1]:.6g}"
+                  for s in shared if not isinstance(s.gain, Exception)}
         for k, s in enumerate(solves, start=1):
-            ok = not isinstance(s.gain, Exception)
-            detail = f"closed-loop spectral radius {s.gain[1]:.6g}" if ok else f"follower {k}: {s.gain}"
+            ok = s in radius
+            detail = radius[s] if ok else f"follower {k}: {s.gain}"
             results.append(CheckResult(f"stabilizable_follower_{k}", ok, detail))
     if checks.regulator:
+        residual = {s: str(s.regulator) if isinstance(s.regulator, Exception)
+                    else f"residual {s.regulator.residual:.3e}" for s in shared}
         for k, s in enumerate(solves, start=1):
             ok = not isinstance(s.regulator, Exception)
-            detail = f"residual {s.regulator.residual:.3e}" if ok else str(s.regulator)
-            results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, detail))
+            results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, residual[s]))
     return results
 
 
@@ -481,6 +487,18 @@ def _overflow(t: int, rows: dict[str, Sequence[np.ndarray]]) -> OverflowAbort:
     return OverflowAbort(t, magnitude, series, None if series == "v" else i + 1)
 
 
+def _row_norms(e: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(e, axis=-1)`` to the bit.  Below 8 columns numpy adds
+    the squares one after the other, and so do these adds of whole columns,
+    without one short reduction per row; from 8 columns on it is that call."""
+    if e.shape[-1] >= 8:
+        return np.linalg.norm(e, axis=-1)
+    total = np.zeros(e.shape[:-1])
+    for i in range(e.shape[-1]):
+        total += e[..., i] * e[..., i]
+    return np.sqrt(total)
+
+
 def run(scenario: Scenario) -> TrajectoryLog:
     """Simulate the closed loop as the cascade leader, observers, plants and
     log every series.
@@ -515,7 +533,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
               for g, x_g, u_g in zip(groups, xs, us)]
     e_norms = np.empty((horizon + 1, scenario.n_followers))
     for g, e_g in zip(groups, e_logs):
-        e_norms[:, g.rows] = np.linalg.norm(e_g, axis=-1)
+        e_norms[:, g.rows] = _row_norms(e_g)
     return TrajectoryLog(
         scenario_name=scenario.name,
         observer_mode=scenario.observer_mode,
@@ -690,6 +708,87 @@ def report_to_dict(report: ConvergenceReport, scenario_name: str,
     }
 
 
+# the values json writes as arrays and objects; every other value is one token
+_CONTAINERS = (list, tuple, dict)
+
+
+def _nested(values) -> bool:
+    """Whether any of ``values`` is a container: one check per distinct type."""
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a str as is, a float, int, bool or None
+    as the text of its JSON value, then quoted and escaped."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
+def _cells(column: Sequence) -> list[str]:
+    """The JSON text of each scalar of ``column``, from one C-encoder call.
+    The encoder escapes every control character, so a raw NUL in its output
+    is a separator."""
+    return json.dumps(column, separators=("\x00", ": "))[1:-1].split("\x00")
+
+
+def _table(rows: Sequence, level: int) -> list[str] | None:
+    """The texts of ``rows``, objects at nesting ``level``, when they form a
+    table: dicts with the same str keys in the same order and only scalar
+    values; otherwise None.  (Keys that are not str can be equal and still
+    be written differently, as 1 and True are.)  Each column is one
+    C-encoder call, and every row fills one template."""
+    keys = tuple(rows[0]) if isinstance(rows[0], dict) else ()
+    if not (keys and all(isinstance(k, str) for k in keys)
+            and all(isinstance(r, dict) and tuple(r) == keys for r in rows)):
+        return None
+    columns = list(zip(*[r.values() for r in rows]))
+    if any(map(_nested, columns)):
+        return None
+    inner = "\n" + "  " * (level + 1)
+    fields = ("," + inner).join(_key(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + inner + fields + inner[:-2] + "}"
+    return [template % cells for cells in zip(*map(_cells, columns))]
+
+
+def _indented(value, level: int) -> str:
+    """The text of ``value`` at nesting ``level`` of ``json.dumps(..., indent=2)``.
+
+    A scalar, and a container that holds only scalars (a config's matrix
+    row), is one C-encoder call, with the container's item separator,
+    newline and indent passed in as its separator.  A table of same-keyed
+    flat rows (the report's ``checks`` and ``series``) is one call per
+    column (``_table``).  Any other container joins the texts of its items."""
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    is_dict = isinstance(value, dict)
+    brackets = "{}" if is_dict else "[]"
+    if not value:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    if not _nested(value.values() if is_dict else value):
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(f"{_key(k)}: {_indented(v, level + 1)}"
+                                  for k, v in value.items())
+    else:
+        items = _table(value, level + 1) or [_indented(v, level + 1) for v in value]
+        body = ("," + inner).join(items)
+    return brackets[0] + inner + body + inner[:-2] + brackets[1]
+
+
+def indented_json(doc) -> str:
+    """``json.dumps(doc, indent=2)`` byte for byte, with the repeated parts
+    written by json's C encoder instead of its pure-Python indent path.
+
+    Every container is classed by type checks before any of it is encoded
+    (``_indented``).  Unlike json, a document that contains itself is not
+    detected and recurses until RecursionError."""
+    return _indented(doc, 0)
+
+
 def write_report_json(report_dict: dict, fh: IO[str]) -> None:
-    # one write: json.dump would write every encoder chunk separately
-    fh.write(json.dumps(report_dict, indent=2) + "\n")
+    fh.write(indented_json(report_dict) + "\n")

@@ -165,6 +165,54 @@ def test_abort_matches_a_per_step_scan_of_the_reference_loop(build, want):
                                                    and math.isnan(expected.magnitude))
 
 
+def leader_at_the_limit(entry: float) -> Scenario:
+    """Formation-sec5 with its leader at rest at 1e12 in one component and
+    follower 2's estimate of that component at ``entry``: the estimate
+    error is at most one ulp, so the error norms alone cannot tell an
+    entry past the limit from one at it."""
+    base = formation_scenario(horizon=10)
+    v0 = np.array([1e12, 0.0, 0.0, 0.0])
+    eta0 = [v0.copy() for _ in base.followers]
+    eta0[1][0] = entry
+    return dataclasses.replace(base, leader=dataclasses.replace(base.leader, v0=v0),
+                               eta0=tuple(eta0))
+
+
+def errors_past_the_limit(mode: str) -> Scenario:
+    """Every estimate entry at 4e11 (S_i entries at 2e11), all in range,
+    against a leader at rest at 0: the error norms at step 0, 1.6e12 for eta
+    and 3.2e12 for S_i, lie past the limit that no entry reaches."""
+    base = formation_scenario(horizon=10, observer_mode=mode)
+    leader = dataclasses.replace(base.leader, v0=np.zeros(4))
+    eta0 = tuple(np.full(4, 4e11) for _ in base.followers)
+    s0 = tuple(np.full((4, 4), 2e11) for _ in base.followers) if mode == "adaptive" else None
+    return dataclasses.replace(base, leader=leader, eta0=eta0, s0=s0)
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: leader_at_the_limit(np.nextafter(1e12, np.inf)), (0, "eta", 2)),
+    (lambda: leader_at_the_limit(1e12), None),
+    (lambda: errors_past_the_limit("distributed"), (1, "x", 1)),
+    (lambda: errors_past_the_limit("adaptive"), (1, "eta", 1)),
+], ids=["entry-past-the-limit", "entry-at-the-limit", "norm-past-the-limit-distributed",
+        "norm-past-the-limit-adaptive"])
+def test_the_overflow_scan_reads_entries_not_error_norms(build, want):
+    scenario = build()
+    expected = reference_abort(scenario)
+    if want is None:
+        assert expected is None
+        run(scenario)
+        return
+    with pytest.raises(OverflowAbort) as exc_info:
+        run(scenario)
+    exc = exc_info.value
+    assert (exc.t, exc.series, exc.follower) == want
+    assert (exc.t, exc.series, exc.follower) == (expected.t, expected.series, expected.follower)
+    # x is computed in another order than the reference loop's, eta and S_i are not
+    assert exc.magnitude == pytest.approx(expected.magnitude, rel=1e-15)
+    assert str(exc) == str(expected)
+
+
 @pytest.mark.parametrize("key", ["Q", "R"])
 @pytest.mark.parametrize("fill", [1.0, math.nan])
 def test_a_user_gain_refuses_the_riccati_weights(key, fill):

@@ -28,6 +28,7 @@ from coopreg.observers import (
     _fit_columns,
     _neighbor_mix,
     fit_decay,
+    observer_logs,
     observer_step,
 )
 from coopreg.properties import bank_vs_error_form, random_leader
@@ -40,8 +41,10 @@ from coopreg.simkit import (
     OverflowAbort,
     Scenario,
     Thresholds,
+    _row_norms,
     analyze,
     csv_columns,
+    indented_json,
     report_to_dict,
     run,
     synthesize_gains,
@@ -338,6 +341,100 @@ def test_report_json_is_one_write_of_the_streamed_bytes():
     json.dump(doc, streamed, indent=2)
     streamed.write("\n")
     assert writes == [json.dumps(doc, indent=2) + "\n"] == [streamed.getvalue()]
+
+
+# text built from the characters a table writer could trip on: a NUL and a
+# "}, {" in values, "%" and '"' in keys, escapes and non-ASCII everywhere
+JSON_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(list('ab%"\\\x00\x1f\n}, {\u00e9\u20ac\U0001f600')),
+            max_size=6),
+    st.sampled_from(["}, {", "a\x00b", "%s", "%(a)s"]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), JSON_TEXT,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+)
+# json converts float, int, bool and None keys to strings
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+
+
+def same_keyed_rows(children):
+    """Lists of dicts with the same keys in the same order, whose first value
+    may be nested, or with each row's keys in a drawn order."""
+    def rows(keys):
+        first = st.fixed_dictionaries(
+            {k: st.one_of(JSON_SCALARS, children) if i == 0 else JSON_SCALARS
+             for i, k in enumerate(keys)})
+        shuffled = st.permutations(keys).flatmap(
+            lambda order: st.fixed_dictionaries({k: JSON_SCALARS for k in order}))
+        return st.lists(st.one_of(first, shuffled), min_size=1, max_size=5)
+    return st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True).flatmap(rows)
+
+
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+        same_keyed_rows(children),
+    ),
+    max_leaves=30,
+)
+
+
+def json_depth(doc) -> int:
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, (list, tuple)):
+        return 1 + max(map(json_depth, doc), default=0)
+    return 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS.filter(lambda doc: json_depth(doc) <= 4))
+def test_indented_json_equals_json_dumps(doc):
+    assert indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_indented_json_refuses_the_keys_json_refuses():
+    for doc in ({(1, 2): 0}, {"a": [{(1, 2): [0]}]}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as got:
+            indented_json(doc)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_row_norms_equal_linalg_norm_bitwise(p):
+    rng = np.random.default_rng(p)
+    # magnitudes over 20 decades, so that the order of the additions shows
+    e = rng.normal(size=(41, 3, 5, p)) * 10.0 ** rng.uniform(-10, 10, size=(41, 3, 5, p))
+    e[0, 0, 0] = np.nan
+    e[0, 0, 1, 0] = np.inf
+    assert _row_norms(e).tobytes() == np.linalg.norm(e, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["dense", "edge table"])
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_observer_logs_equal_a_loop_of_observer_step_bitwise(mode, table, monkeypatch):
+    if table:
+        tables_at_any_size(monkeypatch)
+    topo = sparse_topology(40, n_modes=3, seed=8)
+    assert all((topo.adjacency_of_mode(m)._edges is not None) == table for m in (1, 2, 3))
+    rng = np.random.default_rng(9)
+    leader = random_leader(rng, q=3)
+    s_est = leader.S + rng.uniform(-0.3, 0.3, size=(40, 3, 3)) if mode == "adaptive" else None
+    bank = ObserverBank(eta=rng.normal(size=(40, 3)), s_est=s_est)
+    v, eta, s_log = observer_logs(leader, topo, bank, 30)
+    assert v.tobytes() == leader.trajectory(30).tobytes()
+    for t in range(31):
+        assert eta[t].tobytes() == bank.eta.tobytes(), t
+        if mode == "adaptive":
+            assert s_log[t].tobytes() == bank.s_est.tobytes(), t
+        bank = observer_step(leader, v[t], bank, topo.adjacency_at(t))
+    assert (s_log is None) == (mode == "distributed")
 
 
 def test_nan_in_a_padded_follower_aborts_at_step_zero():
