@@ -4,12 +4,14 @@ Sections: leader, graphs, signal, followers, gains, observer, run.  Numeric
 matrices are nested arrays.  Loading is strict: unknown keys, ragged
 matrices, non-finite numbers (the NaN/Infinity literals Python's json
 accepts) and inconsistent dimensions are rejected with the offending key
-path, and a loaded scenario serializes back to an equivalent document
-(floats survive the round trip exactly).
+path, a key given twice in one object is rejected with its name, and a
+loaded scenario serializes back to an equivalent document (floats survive
+the round trip exactly).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from contextlib import contextmanager
@@ -338,19 +340,43 @@ def scenario_to_config(scenario: Scenario) -> dict:
     return doc
 
 
+def _unique_keys(path: Path):
+    """An ``object_pairs_hook`` that builds a dict and refuses a repeated key."""
+
+    def build(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+            raise ConfigError(f"{path}: duplicate key {repeated!r}")
+        return obj
+
+    return build
+
+
 def load_config(path: str | Path) -> Scenario:
     """Load and validate a scenario config file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        # A dense weight matrix is mostly 0.0: decoding each distinct number
+        # text once makes equal numbers share one float object, which halves
+        # the memory a large config holds while it loads.  The cache is keyed
+        # by the text, so -0.0 keeps its sign, and it dies with this call.
+        doc = json.loads(
+            text,
+            parse_float=functools.lru_cache(maxsize=None)(float),
+            object_pairs_hook=_unique_keys(path),
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: nested too deeply to load") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config_to_scenario(doc, name=path.stem)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,29 @@ def test_equal_gains_in_any_form_are_one_plant_class():
     assert scenario._classes == ((0, 1),)
 
 
+def test_loading_a_dense_config_holds_little_more_than_its_text(tmp_path):
+    # 64 followers over four dense modes of one edge per node: 16,900 graph
+    # entries, nearly all 0.0.  Reading holds the file's bytes and its text
+    # (2x the size); a float object per entry would take the peak to about 4x.
+    n = 64
+    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc["followers"] = doc["followers"][:1] * n
+    doc["gains"] = doc["gains"][:1] * n
+    weights = np.zeros((n + 1, n + 1))
+    weights[np.arange(1, n + 1), np.arange(n)] = 1.0
+    doc["graphs"] = [weights.tolist()] * 4
+    path = tmp_path / "dense.json"
+    save_config(config_to_scenario(doc), path)
+    load_config(path)  # imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * path.stat().st_size
+
+
 class TestConfigValidation:
     def base_doc(self):
         return scenario_to_config(formation_scenario(horizon=10))
@@ -166,6 +190,30 @@ class TestConfigValidation:
         path.write_text('{"version": 1,\n  "leader": }')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_duplicate_key_exits_2(self, command, tmp_path, capsys):
+        # the second value is the valid one, which json alone would keep
+        text = json.dumps(self.base_doc())
+        path = tmp_path / "duplicate.json"
+        path.write_text(text.replace('"horizon": 10', '"horizon": -1, "horizon": 10'))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *out]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: duplicate key 'horizon'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: nested too deeply to load\n"
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xe9"}')
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_signal_needs_exactly_one_description(self):
         doc = self.base_doc()

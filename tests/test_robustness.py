@@ -267,6 +267,36 @@ def test_any_non_finite_config_entry_is_named(path, bad):
     assert path in str(exc_info.value)
 
 
+# the extremes a memoizing number decoder could fold together or round
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False,
+                                                                 allow_infinity=False),
+                        min_size=8, max_size=8),
+       bad=st.tuples(st.integers(0, 1), st.integers(0, 3)))
+def test_finite_matrix_entries_round_trip_bitwise(entries, bad):
+    k_x = np.array(entries).reshape(2, 4)
+    base = formation_scenario(horizon=10)
+    first = base.followers[0]
+    scenario = dataclasses.replace(base, followers=(
+        FollowerSpec(first.plant, first.x0, GainDirective(K_x=k_x)), *base.followers[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        save_config(scenario, cfg)
+        loaded = load_config(cfg).followers[0].gain.K_x
+        assert loaded.tobytes() == k_x.tobytes()
+        # 1E400 reads as inf, which is refused with its key path
+        doc = scenario_to_config(scenario)
+        doc["gains"][0]["K_x"][bad[0]][bad[1]] = "BAD"
+        cfg.write_text(json.dumps(doc).replace('"BAD"', "1E400"), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(cfg)
+    assert str(exc_info.value) == (
+        f"gains[0].K_x[{bad[0]}][{bad[1]}]: expected a finite number, got inf")
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(1, 3), key=st.sampled_from(["K_x", "Q", "R"]),
        shape=st.lists(st.integers(1, 3), max_size=3), b=st.floats(-2.0, 2.0),
