@@ -2,13 +2,15 @@
 """Run the benchmark on a baseline commit and on this checkout in alternating pairs.
 
 Exports the baseline commit with ``git archive`` into a temporary directory
-(no worktree, so ``.git`` is not modified), then, for each seed, runs
-``perfbench/run.py --trace 0`` once from each tree, alternating which tree
-runs first.  "change" is this checkout as it is on disk, uncommitted edits
-included.  For each end-to-end metric of BENCHMARK.json it prints every
-pair, each side's median and quartiles, the change/parent ratio of the
-medians, the number of pairs the change won (ties count for neither) and a
-verdict:
+(no worktree, so ``.git`` is not modified) and copies this checkout as it
+is on disk, uncommitted edits and untracked files included, into another.
+Nothing git ignores is copied: a ``__pycache__`` left in this checkout
+would otherwise spare the change side the compile that the baseline pays.
+Then, for each seed, it runs ``perfbench/run.py --trace 0`` once from each
+tree, alternating which tree runs first.  For each end-to-end metric of
+BENCHMARK.json it prints every pair, each side's median and quartiles, the
+change/parent ratio of the medians, the number of pairs the change won
+(ties count for neither) and a verdict:
 
 - ``gain``: the change won at least 9 of 10 pairs and its median is better
   than the parent's by more than the parent's interquartile range;
@@ -27,6 +29,7 @@ Usage:
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,6 +69,15 @@ def export(ref: str, dest: Path) -> None:
         tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
     if archive.returncode or tar.returncode:
         raise SystemExit(f"perf_pairs: exporting {ref} with git archive failed")
+
+
+def copy_checkout(dest: Path) -> None:
+    """Copy the files git sees in this checkout, as they are on disk, into ``dest``."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted on disk stays out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def bench(tree: Path, args, seed: int) -> dict:
@@ -119,10 +131,12 @@ def main(argv=None) -> int:
 
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        for tree in trees.values():
+            tree.mkdir()
         export(base_sha, trees["parent"])
-        same = subprocess.run(["diff", "-rq", "-x", "__pycache__", "-x", ".perfbench_work",
-                               str(trees["parent"] / "perfbench"), str(ROOT / "perfbench")],
+        copy_checkout(trees["change"])
+        same = subprocess.run(["diff", "-rq", *(str(t / "perfbench") for t in trees.values())],
                               capture_output=True).returncode == 0
         print(f"perfbench/ identical in both trees: {'yes' if same else 'NO'}")
         for k, seed in enumerate(args.seeds):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import platform
 import sys
@@ -90,6 +89,10 @@ def cmd_validate(args) -> int:
 
 
 def _config_hash(scenario: Scenario) -> str:
+    # imported here, not at the top: hashlib loads OpenSSL (about 3.4 MB
+    # resident), and only a run that writes a manifest needs it
+    import hashlib
+
     canonical = json.dumps(scenario_to_config(scenario), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -11,7 +11,6 @@ the round trip exactly).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from contextlib import contextmanager
@@ -165,7 +164,7 @@ _GAIN_KEYS = {"user": {"K_x"}, "riccati": {"Q", "R"}}
 def _parse_gain(obj: Any, path: str) -> GainDirective:
     _require_keys(obj, {"method"}, {"K_x", "Q", "R"}, path)
     method = obj["method"]
-    if method not in _GAIN_KEYS:
+    if not isinstance(method, str) or method not in _GAIN_KEYS:
         raise ConfigError(f"{path}.method: expected 'user' or 'riccati', got {method!r}")
     extra = sorted(obj.keys() - {"method"} - _GAIN_KEYS[method])
     if extra:
@@ -354,6 +353,14 @@ def _unique_keys(path: Path):
     return build
 
 
+class _Floats(dict):
+    """Number text -> float, each distinct text decoded once."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def load_config(path: str | Path) -> Scenario:
     """Load and validate a scenario config file."""
     path = Path(path)
@@ -368,7 +375,7 @@ def load_config(path: str | Path) -> Scenario:
         # by the text, so -0.0 keeps its sign, and it dies with this call.
         doc = json.loads(
             text,
-            parse_float=functools.lru_cache(maxsize=None)(float),
+            parse_float=_Floats().__getitem__,
             object_pairs_hook=_unique_keys(path),
         )
     except json.JSONDecodeError as exc:

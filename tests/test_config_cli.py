@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -395,6 +396,12 @@ class TestCliRun:
                      "--out", str(tmp_path / "builtin")]) == 0
         cfg = (tmp_path / "cfg" / "trajectory.csv").read_bytes()
         assert cfg == (tmp_path / "builtin" / "trajectory.csv").read_bytes()
+        # the manifest hashes the canonical document of the scenario that ran
+        ran = dataclasses.replace(build_builtin("formation-sec5"), observer_mode=override)
+        canonical = json.dumps(scenario_to_config(ran), sort_keys=True, separators=(",", ":"))
+        hashes = {json.loads((tmp_path / out / "manifest.json").read_text())["config_sha256"]
+                  for out in ("cfg", "builtin")}
+        assert hashes == {hashlib.sha256(canonical.encode()).hexdigest()}
 
     def test_horizon_zero_initial_row_only(self, tmp_path):
         out_dir = tmp_path / "h0"
@@ -481,6 +488,36 @@ class TestCliMisc:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.stdout == "0\n", proc.stderr
+
+    def test_only_a_run_that_writes_a_manifest_loads_openssl(self, tmp_path):
+        # hashlib loads OpenSSL's libcrypto; numpy 1.x pulls it in through
+        # numpy.random on its own, so count only what the steps add to numpy's
+        probe = (
+            "import io, sys, numpy\n"
+            "numpys = set(sys.modules)\n"
+            "from coopreg import cli\n"
+            "from coopreg.config import load_config\n"
+            "from coopreg.simkit import (analyze, report_to_dict, run, validate_scenario,\n"
+            "                            write_report_json)\n"
+            "s = load_config(sys.argv[1])\n"
+            "checks = validate_scenario(s)\n"
+            "report = analyze(run(s), s.thresholds, checks)\n"
+            "write_report_json(report_to_dict(report, s.name, s.observer_mode, s.horizon),\n"
+            "                  io.StringIO())\n"
+            "ssl = {'hashlib', '_hashlib'}\n"
+            "print(sorted(ssl & (set(sys.modules) - numpys)))\n"
+            "print(cli.main(['run', sys.argv[1], '--out', sys.argv[2]]))\n"
+            "print(sorted(ssl & set(sys.modules)))\n"
+        )
+        path = tmp_path / "formation.json"
+        save_config(formation_scenario(), path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe, str(path), str(tmp_path / "out")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-2:]) == ("[]", ["0", "['_hashlib', 'hashlib']"]), proc.stdout
 
     def test_list_builtins(self, capsys):
         assert main(["list-builtins"]) == 0

@@ -98,6 +98,9 @@ ERRORS = [
      ConfigError, "signal.segments: expected a list of [mode, length] pairs"),
     ("config-unknown-gain-method", edited_config(sets("gains", 0, {"method": "lqr"})),
      ConfigError, "gains[0].method: expected 'user' or 'riccati', got 'lqr'"),
+    *((f"config-gain-method-{name}", edited_config(sets("gains", 0, {"method": method})),
+       ConfigError, f"gains[0].method: expected 'user' or 'riccati', got {method!r}")
+      for name, method in [("list", []), ("object", {}), ("null", None), ("number", 1)]),
     ("config-user-gain-without-K_x", edited_config(sets("gains", 0, {"method": "user"})),
      ConfigError, "gains[0]: user gain requires 'K_x'"),
     ("config-empty-graphs", edited_config(sets("graphs", [])),
@@ -204,7 +207,18 @@ def forced_config(tmp_path):
     return str(path)
 
 
+def list_method_config(tmp_path):
+    """The formation config with a gain method that is a list, not a name."""
+    doc = scenario_to_config(formation_scenario())
+    doc["gains"][0] = {"method": []}
+    path = tmp_path / "list-method.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 CLI = [
+    ("gain-method-not-a-name", lambda tmp_path: ["validate", list_method_config(tmp_path)],
+     2, "err", "config error: gains[0].method: expected 'user' or 'riccati', got []\n"),
     ("config-and-builtin",
      lambda tmp_path: ["validate", forced_config(tmp_path), "--builtin", "formation-sec5"],
      2, "err", "config error: pass either a config path or --builtin, not both\n"),

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/."""
 
+import importlib.util
 import json
 import re
 import shutil
@@ -70,3 +71,36 @@ def test_perf_pairs_compares_head_with_this_checkout():
     # the baseline was exported, not checked out as a worktree
     assert subprocess.run(["git", "-C", str(root), "worktree", "list"],
                           capture_output=True, text=True).stdout == worktrees
+
+
+
+def test_perf_pairs_copies_the_checkout_without_what_git_ignores(tmp_path, monkeypatch):
+    if not shutil.which("git"):
+        pytest.skip("perf_pairs.py lists the checkout's files with git")
+    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPTS / "perf_pairs.py")
+    perf_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_pairs)
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "edited.py").write_text("committed\n")
+    (repo / "src" / "deleted.py").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "edited.py").write_text("edited\n")
+    (repo / "src" / "deleted.py").unlink()
+    (repo / "src" / "untracked.py").write_text("new\n")
+    (repo / "src" / "__pycache__").mkdir()
+    (repo / "src" / "__pycache__" / "edited.cpython-311.pyc").write_bytes(b"stale")
+    monkeypatch.setattr(perf_pairs, "ROOT", repo)
+    copy = tmp_path / "copy"
+    perf_pairs.copy_checkout(copy)
+    files = {str(p.relative_to(copy)): p.read_text() for p in copy.rglob("*") if p.is_file()}
+    assert files == {".gitignore": "__pycache__/\n", "src/edited.py": "edited\n",
+                     "src/untracked.py": "new\n"}
