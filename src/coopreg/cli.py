@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
     )
     if failed:
         print("note: ran with --force past failed validation checks")
-    return 0 if report.converged and not failed else 1
+    return 0 if report.converged else 1
 
 
 def cmd_props(args) -> int:

@@ -571,7 +571,8 @@ class ConvergenceReport:
 
     @property
     def converged(self) -> bool:
-        return all(s.converged for s in self.series)
+        """Every series converged and every assumption check passed."""
+        return all(s.converged for s in self.series) and all(c.passed for c in self.checks)
 
 
 def _judge(name: str, final: float, fit: DecayFit, thresholds: Thresholds) -> SeriesReport:

@@ -459,6 +459,21 @@ class TestCliRun:
         assert code == 1
         assert "aborted" in capsys.readouterr().out
 
+    def test_a_run_forced_past_a_failed_check_is_not_converged(self, formation_config,
+                                                               tmp_path, capsys):
+        doc = json.loads(formation_config.read_text())
+        doc["run"]["checks"]["connectivity_window"] = 1
+        formation_config.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(formation_config), "--force", "--out", str(out_dir)]) == 1
+        assert "past failed validation checks" in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["checks_summary"] == {"passed": 9, "failed": 1}
+        # every series converged; the top-level verdict also counts the checks
+        assert all(s["converged"] for s in report["series"])
+        assert report["converged"] is False and manifest["converged"] is False
+
 
 class TestCliProps:
     def test_kron_suite_passes(self, capsys):

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from coopreg import observers, properties
+from coopreg.cli import main
 from coopreg.observers import fit_decay
 from coopreg.properties import SUITES
 from coopreg.topology import SwitchingSignal, SwitchingTopology
+from test_oracles import PROPS_DATA, props_mismatches
 
 K = 60  # the step from which a NaN fault holds
 TRIALS = 3
@@ -135,6 +137,23 @@ def test_fault_table(suite, fault, layer, caught, monkeypatch):
             monkeypatch.setattr(module, name, faulty)
         results.append(SUITES[suite](seed))
     assert (not all(r.passed for r in results)) == caught, [r.detail for r in results]
+
+
+GOLDEN_ROWS = [row for row in FAULTS if row[0] in ("equivalence", "observers")]
+
+
+@pytest.mark.parametrize("suite, fault, layer, caught", GOLDEN_ROWS,
+                         ids=[f"{s}-{f.__name__}" for s, f, _, _ in GOLDEN_ROWS])
+def test_a_fault_fails_the_recorded_props_output(suite, fault, layer, caught, monkeypatch,
+                                                 capsys):
+    # the golden comparison forgives rounding, not a fault, even one the
+    # suite's own verdicts miss
+    original = getattr(*layer[0])
+    for module, name in layer:
+        monkeypatch.setattr(module, name, fault(original))
+    main(["props", suite, "--trials", "30", "--seed", "0"])
+    recorded = (PROPS_DATA / f"{suite}.txt").read_text("utf-8")
+    assert props_mismatches(suite, capsys.readouterr().out, recorded)
 
 
 def test_a_series_that_turns_nan_is_not_decaying():

@@ -505,6 +505,14 @@ def cyclic_scenario(observer_mode: str) -> Scenario:
                          [sampled_double_integrator((1.0, 0.5, 2.0)[i % 3]) for i in range(8)])
 
 
+def feedthrough_scenario(observer_mode: str) -> Scenario:
+    """Four planar integrators whose output reads the input (D = 0.5 I) and
+    whose state the leader pushes (E != 0); the regulator equations solve,
+    since [A - I, B; C, D] = [0, I; I, 0.5 I] has full rank."""
+    plant = dataclasses.replace(integrator(2), D=0.5 * np.eye(2), E=0.1 * np.eye(2, 4))
+    return team_scenario(observer_mode, [plant] * 4, user=(3,))
+
+
 def group_rows(scenario: Scenario) -> list:
     """Each step group's (G, k) follower indices, as nested lists."""
     return [g.rows.tolist() for g in coopreg.simkit._step_groups(scenario)]
@@ -533,6 +541,8 @@ def assert_run_matches_reference(scenario: Scenario) -> None:
     (distinct_scenario, [[[i] for i in range(12)]]),
     # the two classes of three members stack; the class of two is its own group
     (cyclic_scenario, [[[0, 3, 6], [1, 4, 7]], [[2, 5]]]),
+    # D u enters e: the Riccati class of three and the user-gain one
+    (feedthrough_scenario, [[[0, 1, 2]], [[3]]]),
 ])
 def test_step_groups_match_the_reference_loop(build, rows, mode):
     scenario = build(mode)

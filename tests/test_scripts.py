@@ -13,43 +13,51 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_bench_observer_sweep_writes_its_record(tmp_path):
-    out = tmp_path / "bench.json"
+def test_sweep_probe_prints_its_record():
+    # the probe needs no git: each tree of a pairs run holds a copy of it
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench_observer_sweep.py"), "--out", str(out),
-         "--sizes", "3", "70", "--horizon", "4", "--repeats", "3", "--crossover-nodes", "16"],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, str(SCRIPTS / "bench_observer_sweep.py"), "--tiny", "--seconds", "0.02"],
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "machine tuning: none" in proc.stdout
-    doc = json.loads(out.read_text())
-    assert {"python", "numpy", "git_sha", "machine_tuning", "edge_table_factor",
-            "observer_update_growth"} <= doc.keys()
-    assert [(e["N"], e["mode"], e["team"]) for e in doc["sweep"]] == [
-        (n, mode, team) for n in (3, 70) for mode in ("distributed", "adaptive")
-        for team in ("shared", "mod4", "distinct")]
-    for e in doc["sweep"]:
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert (doc["correct"], doc["attempted"], doc["failed"]) == (True, 13, 0)
+    m = {name: entry["value"] for name, entry in doc["metrics"].items()}
+    items = [(n, mode, team) for n in (3, 70) for mode in ("distributed", "adaptive")
+             for team in ("shared", "mod4", "distinct")]
+    assert list(dict.fromkeys(tuple(name.split(".")[:3]) for name in m
+                              if name.startswith("N"))) == [
+        (f"N{n}", mode, team) for n, mode, team in items]
+    for n, mode, team in items:
+        e = {name.split(".")[3]: v for name, v in m.items()
+             if name.startswith(f"N{n}.{mode}.{team}.")}
         assert e["observer_update_us"] > 0 and e["run_ms"] > 0 and e["peak_traced_mb"] > 0
         assert e["topology_mb"] > 0 and e["log_mb"] > 0
         assert e["plant_step_us"] > 0
         # one plant, four plants in turn, one plant per follower; classes of
         # one shape stack into one step group per class size (mod4 at N=70:
         # classes of 18 and of 17 followers)
-        classes, groups = {"shared": (1, 1), "mod4": (min(4, e["N"]), 1 + (e["N"] == 70)),
-                           "distinct": (e["N"], 1)}[e["team"]]
+        classes, groups = {"shared": (1, 1), "mod4": (min(4, n), 1 + (n == 70)),
+                           "distinct": (n, 1)}[team]
         assert (e["plant_classes"], e["step_groups"]) == (classes, groups)
         # a tree row reads one node, but both sizes are under the table's
         # 256-node floor: dense Omega
-        assert {f["form"] for f in e["mix_forms"]} == {"dense"}
-    assert {(c["k"], c["columns"]) for c in doc["crossover"]} == {(2, 4), (2, 16), (1, 4), (1, 16)}
+        assert (e["table_modes"], e["k_max"]) == (0, 1)
+    crossover = {tuple(name.split(".")[2:]) for name in m if name.startswith("crossover.16.")}
+    assert crossover == {(k, c, f"{form}_us") for k in ("k2", "k1") for c in ("c4", "c16")
+                         for form in ("dense", "table")}
+    assert all(m[f"crossover.16.{k}.{c}.{f}"] > 0 for k, c, f in crossover)
+
+
+def in_git_work_tree(root: Path) -> bool:
+    return bool(shutil.which("git")) and subprocess.run(
+        ["git", "-C", str(root), "rev-parse", "--is-inside-work-tree"],
+        capture_output=True, text=True).stdout.strip() == "true"
 
 
 def test_perf_pairs_compares_head_with_this_checkout():
     root = SCRIPTS.parent
-    inside = shutil.which("git") and subprocess.run(
-        ["git", "-C", str(root), "rev-parse", "--is-inside-work-tree"],
-        capture_output=True, text=True).stdout.strip() == "true"
-    if not inside:
+    if not in_git_work_tree(root):
         pytest.skip("not a git work tree: perf_pairs.py exports its baseline with git archive")
     worktrees = subprocess.run(["git", "-C", str(root), "worktree", "list"],
                                capture_output=True, text=True).stdout
@@ -73,13 +81,65 @@ def test_perf_pairs_compares_head_with_this_checkout():
                           capture_output=True, text=True).stdout == worktrees
 
 
+def test_perf_pairs_runs_the_sweep_probe_in_pairs(tmp_path):
+    if not in_git_work_tree(SCRIPTS.parent):
+        pytest.skip("not a git work tree: perf_pairs.py exports its baseline with git archive")
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "perf_pairs.py"), "--baseline", "HEAD", "--workload",
+         "sweep", "--seeds", "1-1", "--seconds", "0.02", "--tiny", "--out", str(out)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("scripts/bench_observer_sweep.py identical in both trees: ")
+               for line in lines)
+    assert lines[-2:] == ["all 2 runs gated correct with 0 failed: yes", f"wrote {out}"]
+    doc = json.loads(out.read_text())
+    assert set(doc["sha"]) == {"parent", "change"} and len(doc["rounds"]) == 1
+    row = doc["metrics"]["N70.adaptive.mod4.run_ms"]
+    assert row["parent"][1] == doc["rounds"][0]["parent"]["metrics"]["N70.adaptive.mod4.run_ms"][
+        "value"]
+    assert row["wins"] in ("0/1", "1/1") and row["bound"] == 0.05
+    assert len(row["round_ratio_iqr"]) == 2 and row["ratio"] > 0
+    assert doc["metrics"]["N3.distributed.shared.table_modes"]["ratio"] == 1.0  # 0 against 0
+    for side in ("parent", "change"):
+        (growth,) = doc["observer_update_growth"][side]
+        assert (growth["from_N"], growth["to_N"]) == (3, 70)
+        assert growth["adaptive"] > 0 and growth["distributed"] > 0
+
+
+@pytest.mark.parametrize("workload, program", [("sweep", "scripts/bench_observer_sweep.py"),
+                                               ("props", "perfbench/")])
+def test_perf_pairs_refuses_a_baseline_without_what_it_runs(workload, program, tmp_path,
+                                                            monkeypatch, capsys):
+    if not shutil.which("git"):
+        pytest.skip("perf_pairs.py exports its baseline with git archive")
+    perf_pairs = load_perf_pairs()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", repo)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    monkeypatch.setattr(perf_pairs, "ROOT", repo)
+    argv = ["--baseline", "HEAD", "--workload", workload, "--seeds", "1", "--tiny"]
+    assert perf_pairs.main(argv) == 2
+    assert f"perf_pairs: HEAD has no {program}" in capsys.readouterr().err
+
+
+def load_perf_pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPTS / "perf_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_perf_pairs_copies_the_checkout_without_what_git_ignores(tmp_path, monkeypatch):
     if not shutil.which("git"):
         pytest.skip("perf_pairs.py lists the checkout's files with git")
-    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPTS / "perf_pairs.py")
-    perf_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(perf_pairs)
+    perf_pairs = load_perf_pairs()
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
 
