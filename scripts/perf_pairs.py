@@ -21,7 +21,8 @@ neither) and a verdict under the bound (BENCHMARK.json's, or SWEEP_BOUND):
   unless every change run beat every parent run;
 - ``worse``: the change's median is worse than the parent's by more than the
   bound, as a fraction of the parent's median;
-- ``within bound`` otherwise.
+- ``within bound`` otherwise;
+- ``missing``: a run on either side did not report the metric.
 
 Finally it prints whether every run gated correct with 0 failed: exit code 1
 if not, and 2 if the baseline lacks the program to run.  ``--out`` writes one
@@ -118,9 +119,7 @@ def bench(tree: Path, args, seed: int) -> dict:
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
-    if len(xs) < 2:
-        return xs[0], xs[0], xs[0]
-    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive")) if len(xs) > 1 else (xs[0],) * 3
 
 
 def fraction(x: float, of: float) -> float:
@@ -135,7 +134,9 @@ def summary(parent: list[float], change: list[float], rule: dict) -> dict:
     sign = 1 if rule["better"] == "lower" else -1  # sign * (p - c) > 0: the change is better
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-    if wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1:
+    if any(map(math.isnan, parent + change)):  # a run lacks it: renamed, dropped or new
+        verdict = "missing"
+    elif wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1:
         verdict = "gain"
     elif (max(fraction(p3 - p1, pm), fraction(c3 - c1, cm)) > rule["bound"]
           and not all(sign * (p - c) > 0 for p in parent for c in change)):
@@ -182,8 +183,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in runs}
         export(sha["parent"], trees["parent"])
-        if not (trees["parent"] / program).exists():
-            print(f"perf_pairs: {args.baseline} has no {program}", file=sys.stderr)
+        entry = trees["parent"] / (PROBE if args.workload == "sweep" else BENCH)
+        # the sweep before it became a probe wrote its own record and took no --tiny
+        if not (entry.is_file() and '"--tiny"' in entry.read_text()):
+            print(f"perf_pairs: {args.baseline} has no {program} with --tiny", file=sys.stderr)
             return 2
         copy_checkout(trees["change"])
         same = subprocess.run(["diff", "-rq", *(str(t / program) for t in trees.values())],

@@ -7,6 +7,7 @@ from ``np.kron``.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -67,17 +68,13 @@ def below(bound: float):
 # The trial-line fields whose digits follow the BLAS kernel's order of
 # summation, with the rule under which two of them agree: spreads near 1e-15,
 # route and factorization deviations near 1e-16 and 1e-22 and observer finals
-# down to 1e-57 below their suite's pass bound or the decay fit's floor.  The
-# observers' rates are fitted down to that floor, where rounding is up to
-# about 10 % of a sample, so they move by up to 3e-4 between kernels (trial
-# 3's distributed rate reads 0.7391 or 0.7394); they agree within 1e-3.
+# down to 1e-57 below their suite's pass bound or the decay fit's floor.
+# Fitted rates carry a decision and stay exact, the observers' included.
 ROUNDING_FIELDS = {
     "consensus": [(re.compile(r"(?<=spread )\S+"), below(1e-9))],
     "equivalence": [(re.compile(r"(?<=deviation )\S+"), below(1e-10))],
     "kron": [(re.compile(r"(?<=deviation )\S+"), below(1e-9))],
-    "observers": [(re.compile(r"(?<=final )[^,\s]+"), below(observers.FLOOR)),
-                  (re.compile(r"(?<=rate )\S+"),
-                   lambda a, b: abs(float(a) - float(b)) <= 1e-3)],
+    "observers": [(re.compile(r"(?<=final )[^,\s]+"), below(observers.FLOOR))],
 }
 
 
@@ -459,7 +456,7 @@ def test_props_stdout_matches_the_recorded_output(suite, capsys):
     ("observers", "[PASS] trial   0: N 6 q 3 rho 0.83: distributed rate 0.6463 final 5.54e-57, "
                   "adaptive rate 0.6613 S final 2.00e-13", False),
     # any other byte: a rate digit, N, a verdict, the trial index
-    ("observers", "[PASS] trial   0: N 6 q 3 rho 0.83: distributed rate 0.6473 final 5.54e-57, "
+    ("observers", "[PASS] trial   0: N 6 q 3 rho 0.83: distributed rate 0.6464 final 5.54e-57, "
                   "adaptive rate 0.6613 S final 7.04e-16", False),
     ("observers", "[PASS] trial   0: N 5 q 3 rho 0.83: distributed rate 0.6463 final 5.54e-57, "
                   "adaptive rate 0.6613 S final 7.04e-16", False),
@@ -490,19 +487,36 @@ print(json.dumps(printed))
 """
 
 
-@pytest.mark.skipif("openblas" not in numpy_build_config().lower(),
-                    reason="numpy is not built on OpenBLAS, so OPENBLAS_CORETYPE picks no kernel")
-@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
-def test_props_stdout_matches_the_recorded_output_on_other_blas_kernels(kernel):
-    # the variable acts on the child alone; this process keeps its kernel
+@functools.cache
+def props_on_kernel(kernel: str) -> dict[str, str]:
+    """Every suite's props stdout from a child process on ``kernel``; the
+    variable acts on the child alone, this process keeps its kernel."""
     src = str(Path(properties.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, *sorted(SUITES)], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    for suite, out in json.loads(proc.stdout).items():
-        assert props_mismatches(suite, out, (PROPS_DATA / f"{suite}.txt").read_text("utf-8")) == []
+    return json.loads(proc.stdout)
+
+
+# The observers' fitted rates are fitted down to the decay fit's floor, where
+# rounding is up to about 10 % of a sample, so on these kernels a rate moves
+# in its last digit (trial 3's distributed rate reads 0.7394, recorded
+# 0.7391).  A rate carries a decision and stays exact, so these cases fail
+# until the rates are fitted or printed so that they do not follow the kernel.
+RATES_MOVE = pytest.mark.xfail(reason="the observers' fitted rates differ in the last digit "
+                                      "on this kernel; rates are compared exactly")
+
+
+@pytest.mark.skipif("openblas" not in numpy_build_config().lower(),
+                    reason="numpy is not built on OpenBLAS, so OPENBLAS_CORETYPE picks no kernel")
+@pytest.mark.parametrize("kernel, suite", [
+    pytest.param(kernel, suite, marks=RATES_MOVE if suite == "observers" else ())
+    for kernel in ("Haswell", "Prescott") for suite in sorted(SUITES)])
+def test_props_stdout_matches_the_recorded_output_on_other_blas_kernels(kernel, suite):
+    recorded = (PROPS_DATA / f"{suite}.txt").read_text("utf-8")
+    assert props_mismatches(suite, props_on_kernel(kernel)[suite], recorded) == []
 
 
 @pytest.mark.parametrize("seed", [408, 1675])

@@ -109,9 +109,17 @@ def test_perf_pairs_runs_the_sweep_probe_in_pairs(tmp_path):
         assert growth["adaptive"] > 0 and growth["distributed"] > 0
 
 
-@pytest.mark.parametrize("workload, program", [("sweep", "scripts/bench_observer_sweep.py"),
-                                               ("props", "perfbench/")])
-def test_perf_pairs_refuses_a_baseline_without_what_it_runs(workload, program, tmp_path,
+# the sweep before it became a probe: a one-tree script that took no --tiny
+PRE_PROBE_SWEEP = 'ap.add_argument("--out", type=Path, required=True)\n'
+
+
+@pytest.mark.parametrize("workload, program, files", [
+    ("sweep", "scripts/bench_observer_sweep.py", {}),
+    ("sweep", "scripts/bench_observer_sweep.py",
+     {"scripts/bench_observer_sweep.py": PRE_PROBE_SWEEP}),
+    ("props", "perfbench/", {}),
+])
+def test_perf_pairs_refuses_a_baseline_without_what_it_runs(workload, program, files, tmp_path,
                                                             monkeypatch, capsys):
     if not shutil.which("git"):
         pytest.skip("perf_pairs.py exports its baseline with git archive")
@@ -119,6 +127,9 @@ def test_perf_pairs_refuses_a_baseline_without_what_it_runs(workload, program, t
     repo = tmp_path / "repo"
     repo.mkdir()
     shutil.copy(SCRIPTS.parent / "BENCHMARK.json", repo)
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
            "-c", "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
@@ -126,7 +137,7 @@ def test_perf_pairs_refuses_a_baseline_without_what_it_runs(workload, program, t
     monkeypatch.setattr(perf_pairs, "ROOT", repo)
     argv = ["--baseline", "HEAD", "--workload", workload, "--seeds", "1", "--tiny"]
     assert perf_pairs.main(argv) == 2
-    assert f"perf_pairs: HEAD has no {program}" in capsys.readouterr().err
+    assert f"perf_pairs: HEAD has no {program} with --tiny" in capsys.readouterr().err
 
 
 def load_perf_pairs():
@@ -134,6 +145,23 @@ def load_perf_pairs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ([10.0] * 10, [8.0] * 10, "gain"),
+    ([10.0] * 4, [11.0] * 4, "worse"),
+    ([10.0] * 4, [10.2] * 4, "within bound"),
+    ([5.0, 10.0, 15.0, 10.0], [10.0] * 4, "unresolved"),
+    # a metric one side's runs do not report: a rename, a drop or a new one
+    ([10.0] * 4, [NAN] * 4, "missing"),
+    ([10.0, NAN], [10.0, 10.0], "missing"),
+])
+def test_perf_pairs_verdicts(parent, change, verdict):
+    row = load_perf_pairs().summary(parent, change, {"better": "lower", "bound": 0.05})
+    assert row["verdict"] == verdict
 
 
 def test_perf_pairs_copies_the_checkout_without_what_git_ignores(tmp_path, monkeypatch):
