@@ -13,7 +13,9 @@ swarm does) and ``distinct`` (every follower with its own step).  A fresh
 process per (N, mode, team) reports, named ``N<n>.<mode>.<team>.<metric>``:
 ``observer_update_us`` per call; ``plant_step_us``, ``_plant_trajectory`` of
 every step group over the horizon divided by the horizon (u and x+ of every
-follower); ``run_ms`` per call; ``plant_classes`` (1, 4 and N) and the
+follower); ``run_ms`` per call; ``connectivity_ms``, the scenario's
+``is_jointly_connected`` check, and ``analyze_ms``, ``analyze`` of the
+run's log, per call; ``plant_classes`` (1, 4 and N) and the
 ``step_groups`` they stack into, which set how many stacked products a step
 runs; ``table_modes``, how many of the four modes selected the edge-table
 mix rather than dense Omega, and their largest in-degree ``k_max``; and,
@@ -64,6 +66,7 @@ from coopreg.simkit import (  # noqa: E402
     Scenario,
     _plant_trajectory,
     _step_groups,
+    analyze,
     run,
     synthesize_gains,
 )
@@ -139,8 +142,6 @@ def sweep_item(n: int, mode: str, team: str, horizon: int, seconds: float) -> di
     log = run(sc)
     after, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    eta_log, v_log = log.eta, log.v
-    del log
     adjs = [sc.topology.adjacency_of_mode(m) for m in range(1, sc.topology.n_modes + 1)]
     bank = sc.initial_bank()
     # one log row as observer_logs stacks it, the leader's v and S first
@@ -157,14 +158,19 @@ def sweep_item(n: int, mode: str, team: str, horizon: int, seconds: float) -> di
 
     def plant_trajectories():
         for g in groups:
-            _plant_trajectory(g, eta_log, v_log)
+            _plant_trajectory(g, log.eta, log.v)
 
-    best = best_per_call({"update": step, "plants": plant_trajectories, "run": lambda: run(sc)},
-                         seconds)
+    best = best_per_call({
+        "update": step, "plants": plant_trajectories, "run": lambda: run(sc),
+        "connectivity": lambda: topology.is_jointly_connected(
+            sc.topology, sc.checks.connectivity_window),
+        "analyze": lambda: analyze(log)}, seconds)
     values = {
         "observer_update_us": (best["update"] * 1e6, "us"),
         "plant_step_us": (best["plants"] / horizon * 1e6, "us"),
         "run_ms": (best["run"] * 1e3, "ms"),
+        "connectivity_ms": (best["connectivity"] * 1e3, "ms"),
+        "analyze_ms": (best["analyze"] * 1e3, "ms"),
         "plant_classes": (len(sc._classes), "count"),
         "step_groups": (len(groups), "count"),
         "table_modes": (sum(a._edges is not None for a in adjs), "count"),

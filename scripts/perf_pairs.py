@@ -9,9 +9,10 @@ would otherwise spare the change side the compile that the baseline pays.
 Then, for each seed, it runs each tree's own ``perfbench/run.py --trace 0``,
 or for ``--workload sweep`` its N-sweep probe
 ``scripts/bench_observer_sweep.py``, alternating which tree runs first; both
-print a last line of JSON with ``correct``, ``failed`` and ``metrics``.  For
-each metric (BENCHMARK.json's end-to-end ones, or every one the probe
-reports) it prints every pair, each side's median and quartiles, the
+print a last line of JSON with ``correct``, ``failed`` and ``metrics``.  Each
+pair prints one line: both sides' gate (``correct`` and ``failed``) and the
+BENCHMARK.json end-to-end metrics that its runs report.  Then, for each
+metric the runs report, it prints each side's median and quartiles, the
 change/parent ratio of the medians, the pairs the change won (ties count for
 neither) and a verdict under the bound (BENCHMARK.json's, or SWEEP_BOUND):
 
@@ -178,6 +179,7 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, --seconds "
           f"{args.seconds or 'default'}{', tiny inputs' if args.tiny else ''}")
 
+    rules = {m["name"]: m for m in spec["end_to_end"]}
     program = str(PROBE) if args.workload == "sweep" else f"{BENCH.parent}/"
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
@@ -196,14 +198,14 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(bench(trees[side], args, seed))
-            pair = (runs["parent"][-1], runs["change"][-1])
-            cells = "  ".join(f"{name} {value(pair[0], name):.4g} -> {value(pair[1], name):.4g}"
-                              for name in dict.fromkeys([*pair[0]["metrics"], *pair[1]["metrics"]]))
-            print(f"pair {k + 1:>2} seed {seed} ({order[0]} first): {cells}", flush=True)
+            p, c = runs["parent"][-1], runs["change"][-1]
+            cells = "".join(f"  {name} {value(p, name):.4g} -> {value(c, name):.4g}"
+                            for name in rules if name in p["metrics"] or name in c["metrics"])
+            print(f"pair {k + 1:>2} seed {seed} ({order[0]} first): correct {p['correct']} -> "
+                  f"{c['correct']}  failed {p['failed']} -> {c['failed']}{cells}", flush=True)
 
     bad = [(side, seed, r) for side in runs for seed, r in zip(args.seeds, runs[side])
            if not (r["correct"] is True and r["failed"] == 0)]
-    rules = {m["name"]: m for m in spec["end_to_end"]}
     table = {} if bad else {
         name: summary(*([value(r, name) for r in runs[side]] for side in runs),
                       rules.get(name, {"better": "lower", "bound": SWEEP_BOUND}))

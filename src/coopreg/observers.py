@@ -379,7 +379,8 @@ class DecayFit:
     normalized by the log-range the tail spans (floored at 1), a scale-free
     straightness measure that ignores bounded switching ripple.  ``rate`` is
     NaN when too few samples survive flooring or a sample is not finite;
-    ``floored`` marks finite series that sit entirely at the numerical floor.
+    ``floored`` marks finite series that sit entirely at or below their
+    floor, max(FLOOR, RELATIVE_FLOOR * the series' largest sample).
     """
 
     rate: float
@@ -397,22 +398,25 @@ class DecayFit:
 
 
 # the share of a series' kept samples that a fit uses (its tail, past the
-# early transient), and the level at or below which a sample is fp noise
+# early transient), and the level at or below which a sample is fp noise:
+# FLOOR, lifted to RELATIVE_FLOOR times the series' largest sample, since fp
+# noise in an error series scales with the magnitudes it was computed from
 TAIL_FRACTION = 0.6
 FLOOR = 1e-13
+RELATIVE_FLOOR = 1e-12
 
 
-def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFit]:
+def _fit_columns(values: np.ndarray) -> list[DecayFit]:
     """Geometric fits of every column of a (T, k) stack of series at once.
 
-    Column j drops its samples at or below ``floors[j]`` (a scalar floor
-    applies to every column) and fits a line through (t, ln value) over the
-    last max(ceil(TAIL_FRACTION * kept), 2) kept samples, found with a
-    reversed cumulative count of the kept samples.  The slope and intercept
-    are the closed-form centred least-squares ones, computed for all
-    columns in the same array operations; each column is a row of the
-    transposed stack and is reduced on its own, so its fit does not depend
-    on the other columns.  A finite column with no kept sample is
+    Each column drops its samples at or below its own floor, max(FLOOR,
+    RELATIVE_FLOOR * the column's largest sample), and fits a line through
+    (t, ln value) over the last max(ceil(TAIL_FRACTION * kept), 2) kept
+    samples, found with a reversed cumulative count of the kept samples.
+    The slope and intercept are the closed-form centred least-squares ones,
+    computed for all columns in the same array operations; each column is a
+    row of the transposed stack and is reduced on its own, so its fit does
+    not depend on the other columns.  A finite column with no kept sample is
     ``floored``; one with a single kept sample gets NaN rate, prefactor and
     residual.  A column holding NaN or +-inf keeps no sample: it gets that
     NaN fit with ``n_samples`` 0 and is not floored, so it never decays, and
@@ -420,7 +424,8 @@ def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFi
     """
     v = np.ascontiguousarray(np.asarray(values, dtype=float).T)  # one series per row
     finite = np.isfinite(v).all(axis=1)
-    keep = (v > np.reshape(floors, (-1, 1))) & finite[:, None]
+    floors = np.maximum(FLOOR, RELATIVE_FLOOR * v.max(axis=1, initial=0.0))
+    keep = (v > floors[:, None]) & finite[:, None]
     count = keep.sum(axis=1)
     want = np.maximum(np.ceil(TAIL_FRACTION * count), 2)
     kept_from = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1]  # kept samples at or after t
@@ -454,11 +459,12 @@ def _fit_columns(values: np.ndarray, floors: np.ndarray | float) -> list[DecayFi
 def fit_decay(values: np.ndarray) -> DecayFit:
     """Fit a geometric rate to a nonnegative series.
 
-    Samples at or below ``FLOOR`` are discarded (they sit in floating-point
-    noise), then a least-squares line is fit through (t, ln value) over the
-    last ``TAIL_FRACTION`` of the surviving samples, skipping the early
+    Samples at or below max(``FLOOR``, ``RELATIVE_FLOOR`` * the series'
+    largest sample) are discarded (they sit in floating-point noise), then a
+    least-squares line is fit through (t, ln value) over the last
+    ``TAIL_FRACTION`` of the surviving samples, skipping the early
     transient.  A series holding NaN or +-inf gets a NaN fit that is not
     decaying.  This is the one-column case of ``_fit_columns``, the fit
     that ``simkit.analyze`` runs on all its series at once.
     """
-    return _fit_columns(np.asarray(values, dtype=float)[:, None], FLOOR)[0]
+    return _fit_columns(np.asarray(values, dtype=float)[:, None])[0]

@@ -69,8 +69,6 @@ def _double_integrator_plant() -> PlantModel:
 def _formation(
     name: str,
     offsets: tuple[tuple[float, float], ...],
-    horizon: int = 300,
-    observer_mode: str = "distributed",
     seed: int | None = None,
 ) -> Scenario:
     """The formation plants over the default network, locking onto ``offsets``.
@@ -97,27 +95,19 @@ def _formation(
         leader=_planar_leader(),
         topology=fig2_topology(),
         followers=tuple(followers),
-        observer_mode=observer_mode,
+        observer_mode="distributed",
         eta0=eta0,
-        horizon=horizon,
+        horizon=300,
         checks=AssumptionChecks(connectivity_window=7),
     )
 
 
-def formation_scenario(
-    horizon: int = 300,
-    observer_mode: str = "distributed",
-    seed: int | None = None,
-) -> Scenario:
+def formation_scenario(seed: int | None = None) -> Scenario:
     """Five-robot formation benchmark: the followers hold FORMATION_OFFSETS."""
-    return _formation("formation-sec5", FORMATION_OFFSETS, horizon, observer_mode, seed)
+    return _formation("formation-sec5", FORMATION_OFFSETS, seed)
 
 
-def single_follower_scenario(
-    horizon: int = 60,
-    observer_mode: str = "distributed",
-    seed: int | None = None,
-) -> Scenario:
+def single_follower_scenario(seed: int | None = None) -> Scenario:
     """One follower, one static graph edge from the leader.
 
     The leader holds a constant planar state; the follower's observer error
@@ -146,9 +136,9 @@ def single_follower_scenario(
                 gain=GainDirective(K_x=-0.5 * np.eye(2)),
             ),
         ),
-        observer_mode=observer_mode,
+        observer_mode="distributed",
         eta0=eta0,
-        horizon=horizon,
+        horizon=60,
         checks=AssumptionChecks(connectivity_window=0),
     )
 

@@ -35,7 +35,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
-from .observers import (FLOOR, DecayFit, LeaderModel, ObserverBank, _error_norms, _fit_columns,
+from .observers import (DecayFit, LeaderModel, ObserverBank, _error_norms, _fit_columns,
                         observer_logs)
 from .regulation import (
     ControllerGains,
@@ -599,18 +599,16 @@ def analyze(
 
     The series eta_tilde_norm, s_tilde_norm (adaptive only) and e_norm_1..N
     are the columns of one (T+1, k) stack, fitted by a single batched
-    least-squares pass (``fit_decay`` is its one-column case).  A column
-    holding NaN or +-inf gets no fit there and is reported as "non-finite
-    values".
+    least-squares pass that floors each column at its own noise level
+    (``fit_decay`` is its one-column case, so a series fits the same either
+    way).  A column holding NaN or +-inf gets no fit there and is reported
+    as "non-finite values".
     """
     names, blocks = _norm_columns(log)
     values = np.hstack(blocks)
-    # fp noise in an error series scales with the magnitudes it was computed
-    # from, so lift each fitting floor accordingly for large-amplitude runs
-    floors = np.maximum(FLOOR, 1e-12 * values.max(axis=0, initial=0.0))
     series = tuple(
         _judge(name, final, fit, thresholds)
-        for name, final, fit in zip(names, values[-1].tolist(), _fit_columns(values, floors))
+        for name, final, fit in zip(names, values[-1].tolist(), _fit_columns(values))
     )
     return ConvergenceReport(series=series, thresholds=thresholds, checks=tuple(checks))
 

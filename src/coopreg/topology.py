@@ -291,8 +291,8 @@ class ConnectivityResult:
     """Outcome of a joint-connectivity check.
 
     ``witness`` is the first (start time, unreachable node) pair when the
-    check fails, None otherwise.  ``checked_up_to`` records the horizon the
-    verdict covers; for aperiodic signals it is finite evidence only.
+    check fails, None otherwise.  ``checked_up_to`` records the last time
+    step the check read; every later window repeats one read before it.
     """
 
     connected: bool
@@ -470,41 +470,27 @@ class SwitchingTopology:
         return self._normalized[mode - 1]
 
 
-def _default_horizon(topo: SwitchingTopology, window: int) -> int:
-    sig = topo.signal
-    if sig.is_periodic:
-        return sig.period + window
-    return len(sig.table) + window
-
-
-def is_jointly_connected(
-    topo: SwitchingTopology,
-    window: int,
-    horizon: int | None = None,
-) -> ConnectivityResult:
+def is_jointly_connected(topo: SwitchingTopology, window: int) -> ConnectivityResult:
     """Check that every follower is reachable from the leader in every
     sliding union window of the schedule.
 
     For each start time t in [0, horizon - window], the union digraph over
     modes active at t, .., t + window is built and reachability from node 0
     is decided by BFS.  A window's verdict depends only on its set of modes,
-    so each distinct set is decided once.  For periodic signals the horizon
-    is capped at one full period plus the window, which is sufficient by
-    periodicity; for table signals the verdict only covers the checked
-    horizon.
+    so each distinct set is decided once.  The horizon is one period plus
+    the window for a periodic signal, and the table's length plus the window
+    for a table signal: every later window repeats one already checked (a
+    table's tail repeats one window forever), so the verdict holds for all
+    time.
 
     Returns a ConnectivityResult whose witness is the first failing
     (start time, node) pair.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    cap = _default_horizon(topo, window)
-    if horizon is None:
-        horizon = cap
-    if horizon < window:
-        raise ValueError("horizon must be >= window")
-    horizon = min(horizon, cap) if topo.signal.is_periodic else horizon
-    schedule = topo.signal.modes(0, horizon + 1).tolist()
+    sig = topo.signal
+    horizon = (sig.period if sig.is_periodic else len(sig.table)) + window
+    schedule = sig.modes(0, horizon + 1).tolist()
     reached: dict[frozenset[int], np.ndarray] = {}
     for t in range(horizon - window + 1):
         modes = frozenset(schedule[t : t + window + 1])
@@ -518,15 +504,11 @@ def is_jointly_connected(
     return ConnectivityResult(True, None, horizon)
 
 
-def find_connectivity_window(
-    topo: SwitchingTopology,
-    t_max: int,
-    horizon: int | None = None,
-) -> int | None:
+def find_connectivity_window(topo: SwitchingTopology, t_max: int) -> int | None:
     """Smallest window T in [0, t_max] for which the topology verifies as
     jointly connected, or None if none does."""
     for window in range(t_max + 1):
-        if is_jointly_connected(topo, window, horizon):
+        if is_jointly_connected(topo, window):
             return window
     return None
 

@@ -7,6 +7,7 @@ certificates, and the determinism/round-trip contracts, each at its stated
 tolerance.
 """
 
+import dataclasses
 import functools
 import io
 import json
@@ -82,7 +83,7 @@ def criterion(num, title):
 
 @criterion(1, "formation benchmark reproduction")
 def test_formation_benchmark():
-    scenario = formation_scenario(horizon=300)
+    scenario = formation_scenario()
     # pin the benchmark data the bundled scenario must carry
     assert np.array_equal(
         scenario.leader.S, np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
@@ -173,7 +174,7 @@ def test_follower_block_product_decay():
 
     # non-decay witness: follower 3 never receives an edge
     topo = disconnected_topology()
-    assert not is_jointly_connected(topo, 25, horizon=60)
+    assert not is_jointly_connected(topo, 25)
     norms = np.array(
         [np.linalg.norm(transition_product(topo, 0, k), 2) for k in range(241)]
     )
@@ -258,11 +259,11 @@ def test_determinism_and_round_trip(tmp_path):
     assert a == b
 
     buf1, buf2 = io.StringIO(), io.StringIO()
-    write_trajectory_csv(run(formation_scenario(horizon=60, seed=9)), buf1)
-    write_trajectory_csv(run(formation_scenario(horizon=60, seed=9)), buf2)
+    write_trajectory_csv(run(dataclasses.replace(formation_scenario(seed=9), horizon=60)), buf1)
+    write_trajectory_csv(run(dataclasses.replace(formation_scenario(seed=9), horizon=60)), buf2)
     assert buf1.getvalue() == buf2.getvalue()
 
-    scenario = formation_scenario(horizon=300, seed=5)
+    scenario = formation_scenario(seed=5)
     doc = scenario_to_config(scenario)
     reloaded = config_to_scenario(json.loads(json.dumps(doc)), name=scenario.name)
     assert scenario_to_config(reloaded) == doc

@@ -29,7 +29,7 @@ from coopreg.topology import SwitchingSignal, SwitchingTopology, WeightedDigraph
 @pytest.fixture
 def formation_config(tmp_path):
     path = tmp_path / "formation.json"
-    save_config(formation_scenario(horizon=300), path)
+    save_config(formation_scenario(), path)
     return path
 
 
@@ -134,7 +134,7 @@ def test_loading_a_dense_config_holds_little_more_than_its_text(tmp_path):
     # entries, nearly all 0.0.  Reading holds the file's bytes and its text
     # (2x the size); a float object per entry would take the peak to about 4x.
     n = 64
-    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
     doc["followers"] = doc["followers"][:1] * n
     doc["gains"] = doc["gains"][:1] * n
     weights = np.zeros((n + 1, n + 1))
@@ -154,7 +154,7 @@ def test_loading_a_dense_config_holds_little_more_than_its_text(tmp_path):
 
 class TestConfigValidation:
     def base_doc(self):
-        return scenario_to_config(formation_scenario(horizon=10))
+        return scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
 
     def test_unknown_key_named(self):
         doc = self.base_doc()
@@ -314,7 +314,7 @@ class TestCliValidate:
         assert "[PASS] jointly_connected" in out
 
     def test_unstable_leader_fails_named_check(self, tmp_path, capsys):
-        doc = scenario_to_config(formation_scenario(horizon=10))
+        doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
         doc["leader"]["S"] = (2.0 * np.eye(4)).tolist()
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(doc))
@@ -325,7 +325,7 @@ class TestCliValidate:
 
     def test_schema_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "ragged.json"
-        doc = scenario_to_config(formation_scenario(horizon=10))
+        doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
         doc["graphs"][0] = [[0.0, 1.0], [0.0]]
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
@@ -438,7 +438,7 @@ class TestCliRun:
         assert a == b
 
     def test_failing_validation_blocks_without_force(self, tmp_path, capsys):
-        doc = scenario_to_config(formation_scenario(horizon=40))
+        doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=40))
         doc["leader"]["S"] = (2.0 * np.eye(4)).tolist()
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(doc))
@@ -446,7 +446,7 @@ class TestCliRun:
         assert "--force" in capsys.readouterr().out
 
     def test_force_runs_into_overflow_abort(self, tmp_path, capsys):
-        doc = scenario_to_config(formation_scenario(horizon=400))
+        doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=400))
         doc["leader"]["S"] = (1.5 * np.eye(4)).tolist()
         # keep the regulator solvable for the scaled leader: E couples the
         # leader into the plant so X = I no longer works; drop the coupling

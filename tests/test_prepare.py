@@ -145,7 +145,7 @@ def test_cached_failures_raise_in_per_follower_order(solve_counts):
 
 
 def test_force_past_failed_synthesis_reports_it(tmp_path, capsys):
-    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
     doc["followers"][1]["B"] = np.zeros((4, 2)).tolist()
     doc["gains"][1] = {"method": "riccati"}
     path = tmp_path / "stuck.json"
@@ -170,7 +170,7 @@ def test_singular_riccati_step_is_reported_for_its_follower(tmp_path, capsys):
 
 
 def test_validate_reports_a_non_finite_leader():
-    base = formation_scenario(horizon=10)
+    base = dataclasses.replace(formation_scenario(), horizon=10)
     S = base.leader.S.copy()
     S[0, 1] = np.inf
     scenario = Scenario(
@@ -184,7 +184,7 @@ def test_validate_reports_a_non_finite_leader():
 
 
 def test_non_finite_leader_fails_the_regulator_check_without_a_warning():
-    base = formation_scenario(horizon=10)
+    base = dataclasses.replace(formation_scenario(), horizon=10)
     S = base.leader.S.copy()
     S[0, 1] = np.inf
     scenario = dataclasses.replace(base, leader=LeaderModel(S=S, v0=base.leader.v0))

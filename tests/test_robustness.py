@@ -31,7 +31,7 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def test_nan_initial_state_aborts_at_step_zero():
-    base = formation_scenario(horizon=20)
+    base = dataclasses.replace(formation_scenario(), horizon=20)
     f = base.followers[0]
     x0 = f.x0.copy()
     x0[0] = math.nan
@@ -45,7 +45,7 @@ def test_nan_initial_state_aborts_at_step_zero():
 
 
 def test_abort_names_follower_and_series():
-    base = formation_scenario(horizon=20)
+    base = dataclasses.replace(formation_scenario(), horizon=20)
     f = base.followers[2]
     x0 = f.x0.copy()
     x0[1] = math.nan
@@ -61,7 +61,7 @@ def test_abort_names_follower_and_series():
 
 @pytest.mark.parametrize("series", ["eta", "s_est"])
 def test_abort_names_observer_series(series):
-    base = formation_scenario(horizon=20, observer_mode="adaptive")
+    base = dataclasses.replace(formation_scenario(), horizon=20, observer_mode="adaptive")
     q = base.leader.q
     eta0 = [np.zeros(q) for _ in base.followers]
     s0 = [np.zeros((q, q)) for _ in base.followers]
@@ -78,7 +78,7 @@ def test_abort_names_observer_series(series):
 
 
 def test_abort_names_the_leader():
-    base = formation_scenario(horizon=20)
+    base = dataclasses.replace(formation_scenario(), horizon=20)
     leader = dataclasses.replace(base.leader, v0=np.array([0.0, 1e13, 0.0, 0.0]))
     with pytest.raises(OverflowAbort) as exc_info:
         run(dataclasses.replace(base, leader=leader))
@@ -116,7 +116,7 @@ def huge_coupling_scenario() -> Scenario:
     coupling E = 1e13 I lifts x past the guard at step 1 while the leader
     stays finite.  X = I solves its regulator equations for any E, and the
     default tol certifies the pair relative to the size of E."""
-    base = formation_scenario(horizon=30)
+    base = dataclasses.replace(formation_scenario(), horizon=30)
     plant = PlantModel(A=np.eye(4), B=np.eye(4), C=np.eye(4), D=np.zeros((4, 4)),
                        E=1e13 * np.eye(4), F=-np.eye(4))
     follower = FollowerSpec(plant, np.zeros(4), GainDirective(K_x=-0.5 * np.eye(4)))
@@ -124,14 +124,14 @@ def huge_coupling_scenario() -> Scenario:
 
 
 def nan_eta0_scenario() -> Scenario:
-    base = formation_scenario(horizon=30)
+    base = dataclasses.replace(formation_scenario(), horizon=30)
     eta0 = [np.zeros(4) for _ in base.followers]
     eta0[2][1] = math.nan
     return dataclasses.replace(base, eta0=tuple(eta0))
 
 
 def nan_s0_scenario() -> Scenario:
-    base = formation_scenario(horizon=30, observer_mode="adaptive")
+    base = dataclasses.replace(formation_scenario(), horizon=30, observer_mode="adaptive")
     s0 = [np.zeros((4, 4)) for _ in base.followers]
     s0[3][2, 2] = math.nan
     return dataclasses.replace(base, s0=tuple(s0))
@@ -140,7 +140,7 @@ def nan_s0_scenario() -> Scenario:
 def growing_leader_scenario(scale: float) -> Scenario:
     """An adaptive formation whose leader S = scale I grows past the guard
     mid-run; at scale 10 it overflows to inf and NaN before the horizon."""
-    base = formation_scenario(horizon=400, observer_mode="adaptive")
+    base = dataclasses.replace(formation_scenario(), horizon=400, observer_mode="adaptive")
     return dataclasses.replace(base, leader=LeaderModel(S=scale * np.eye(4), v0=np.ones(4)))
 
 
@@ -170,7 +170,7 @@ def leader_at_the_limit(entry: float) -> Scenario:
     follower 2's estimate of that component at ``entry``: the estimate
     error is at most one ulp, so the error norms alone cannot tell an
     entry past the limit from one at it."""
-    base = formation_scenario(horizon=10)
+    base = dataclasses.replace(formation_scenario(), horizon=10)
     v0 = np.array([1e12, 0.0, 0.0, 0.0])
     eta0 = [v0.copy() for _ in base.followers]
     eta0[1][0] = entry
@@ -182,7 +182,7 @@ def errors_past_the_limit(mode: str) -> Scenario:
     """Every estimate entry at 4e11 (S_i entries at 2e11), all in range,
     against a leader at rest at 0: the error norms at step 0, 1.6e12 for eta
     and 3.2e12 for S_i, lie past the limit that no entry reaches."""
-    base = formation_scenario(horizon=10, observer_mode=mode)
+    base = dataclasses.replace(formation_scenario(), horizon=10, observer_mode=mode)
     leader = dataclasses.replace(base.leader, v0=np.zeros(4))
     eta0 = tuple(np.full(4, 4e11) for _ in base.followers)
     s0 = tuple(np.full((4, 4), 2e11) for _ in base.followers) if mode == "adaptive" else None
@@ -227,7 +227,7 @@ def test_a_user_gain_refuses_the_riccati_weights(key, fill):
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_series_is_not_converged(bad):
-    log = run(formation_scenario(horizon=300))
+    log = run(formation_scenario())
     assert analyze(log).converged
     e_norms = log.e_norms.copy()
     e_norms[-1, 0] = bad
@@ -248,7 +248,8 @@ def numeric_leaves(doc, path=""):
             yield sub, doc, key
 
 
-FORMATION_DOC = scenario_to_config(formation_scenario(observer_mode="adaptive", seed=1))
+FORMATION_DOC = scenario_to_config(
+    dataclasses.replace(formation_scenario(seed=1), observer_mode="adaptive"))
 # signal segments are integer (mode, length) pairs, reported as "signal: ..."
 LEAVES = [p for p, _, _ in numeric_leaves(FORMATION_DOC) if not p.startswith("signal.")]
 
@@ -278,7 +279,7 @@ EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348
        bad=st.tuples(st.integers(0, 1), st.integers(0, 3)))
 def test_finite_matrix_entries_round_trip_bitwise(entries, bad):
     k_x = np.array(entries).reshape(2, 4)
-    base = formation_scenario(horizon=10)
+    base = dataclasses.replace(formation_scenario(), horizon=10)
     first = base.followers[0]
     scenario = dataclasses.replace(base, followers=(
         FollowerSpec(first.plant, first.x0, GainDirective(K_x=k_x)), *base.followers[1:]))
@@ -339,7 +340,7 @@ def test_misshaped_user_gain_in_a_config_exits_2(command, tmp_path, capsys):
 
 
 def test_infinite_signal_segment_rejected(tmp_path):
-    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
     doc["signal"]["segments"][0][1] = math.inf
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -348,7 +349,7 @@ def test_infinite_signal_segment_rejected(tmp_path):
 
 
 def test_cli_run_rejects_nan_config(tmp_path, capsys):
-    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
     doc["followers"][0]["x0"][0] = math.nan
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
@@ -382,7 +383,7 @@ def test_negative_tol_is_refused(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_negative_tol_in_a_config_is_refused(command, tmp_path, capsys):
     path = tmp_path / "formation.json"
-    save_config(formation_scenario(horizon=10), path)
+    save_config(dataclasses.replace(formation_scenario(), horizon=10), path)
     doc = json.loads(path.read_text())
     doc["run"]["regulator_tol"] = -1.0
     path.write_text(json.dumps(doc))
@@ -407,7 +408,7 @@ def test_negative_run_flag_exits_2(flag, value, message, tmp_path, capsys):
 
 def test_negative_horizon_over_a_config_exits_2(tmp_path, capsys):
     path = tmp_path / "formation.json"
-    save_config(formation_scenario(horizon=10), path)
+    save_config(dataclasses.replace(formation_scenario(), horizon=10), path)
     assert main(["run", str(path), "--horizon", "-3", "--out", str(tmp_path / "out")]) == 2
     assert "horizon must be >= 0, got -3" in capsys.readouterr().err
 
@@ -421,7 +422,7 @@ def test_negative_props_flag_exits_2(flag, capsys):
 
 def test_seed_with_config_path_is_refused(tmp_path, capsys):
     path = tmp_path / "formation.json"
-    save_config(formation_scenario(horizon=10), path)
+    save_config(dataclasses.replace(formation_scenario(), horizon=10), path)
     assert main(["run", str(path), "--seed", "1", "--out", str(tmp_path / "out")]) == 2
     assert "--seed applies only to --builtin" in capsys.readouterr().err
 
@@ -429,7 +430,8 @@ def test_seed_with_config_path_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("key", ["eta0", "s0"])
 def test_observer_initial_values_must_be_a_list(command, key, tmp_path, capsys):
-    doc = scenario_to_config(formation_scenario(horizon=10, observer_mode="adaptive"))
+    doc = scenario_to_config(
+        dataclasses.replace(formation_scenario(), horizon=10, observer_mode="adaptive"))
     doc["observer"][key] = 5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -466,7 +468,7 @@ STRICT_CASES = {
 @pytest.mark.parametrize("case", sorted(STRICT_CASES))
 def test_config_values_are_not_coerced_or_dropped(case, tmp_path, capsys):
     (*parents, last), value, key = STRICT_CASES[case]
-    doc = scenario_to_config(formation_scenario(horizon=10))
+    doc = scenario_to_config(dataclasses.replace(formation_scenario(), horizon=10))
     target = doc
     for k in parents:
         target = target[k]

@@ -32,6 +32,7 @@ def test_sweep_probe_prints_its_record():
         e = {name.split(".")[3]: v for name, v in m.items()
              if name.startswith(f"N{n}.{mode}.{team}.")}
         assert e["observer_update_us"] > 0 and e["run_ms"] > 0 and e["peak_traced_mb"] > 0
+        assert e["connectivity_ms"] > 0 and e["analyze_ms"] > 0
         assert e["topology_mb"] > 0 and e["log_mb"] > 0
         assert e["plant_step_us"] > 0
         # one plant, four plants in turn, one plant per follower; classes of
@@ -69,6 +70,8 @@ def test_perf_pairs_compares_head_with_this_checkout():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "perfbench/ identical in both trees: yes" in lines
+    (pair,) = [line for line in lines if line.startswith("pair ")]
+    assert all(f"  {name} " in pair for name in ("setup_s", "wall_s", "peak_rss_mb"))
     assert lines[-1] == "all 2 runs gated correct with 0 failed: yes"
     table = {line.split()[0]: line for line in lines
              if line.split()[:1] in (["setup_s"], ["wall_s"], ["peak_rss_mb"])}
@@ -95,6 +98,9 @@ def test_perf_pairs_runs_the_sweep_probe_in_pairs(tmp_path):
     assert any(line.startswith("scripts/bench_observer_sweep.py identical in both trees: ")
                for line in lines)
     assert lines[-2:] == ["all 2 runs gated correct with 0 failed: yes", f"wrote {out}"]
+    # a pair line carries the gate and no probe metric; the table has them all
+    (pair,) = [line for line in lines if line.startswith("pair ")]
+    assert len(pair) < 300 and "correct True -> True  failed 0 -> 0" in pair
     doc = json.loads(out.read_text())
     assert set(doc["sha"]) == {"parent", "change"} and len(doc["rounds"]) == 1
     row = doc["metrics"]["N70.adaptive.mod4.run_ms"]

@@ -117,7 +117,7 @@ class TestValidateScenario:
 
 class TestRun:
     def test_zero_error_start_stays_on_manifold(self):
-        base = formation_scenario(horizon=50)
+        base = dataclasses.replace(formation_scenario(), horizon=50)
         v0 = base.leader.v0
         scenario = Scenario(
             name="manifold", leader=base.leader, topology=base.topology,
@@ -132,7 +132,7 @@ class TestRun:
         assert np.max(np.abs(np.concatenate([e.ravel() for e in log.e]))) <= 1e-12
 
     def test_formation_reaches_offsets(self):
-        log = run(formation_scenario(horizon=300))
+        log = run(formation_scenario())
         assert log.horizon == 300
         # regulated outputs below threshold
         assert np.all(log.e_norms[-1] < 1e-6)
@@ -144,12 +144,12 @@ class TestRun:
             assert np.allclose(rel_vel, 0.0, atol=1e-6)
 
     def test_regulated_output_equals_position_error_exactly(self):
-        log = run(formation_scenario(horizon=40))
+        log = run(dataclasses.replace(formation_scenario(), horizon=40))
         for i in range(4):
             assert np.array_equal(log.e[i], log.x[i][:, :2] - log.v[:, :2])
 
     def test_single_follower_closed_form(self):
-        scenario = single_follower_scenario(horizon=40)
+        scenario = dataclasses.replace(single_follower_scenario(), horizon=40)
         log = run(scenario)
         eta0 = np.zeros(2)
         expected = np.array(
@@ -158,12 +158,12 @@ class TestRun:
         assert np.allclose(log.eta_tilde_norm, expected, atol=1e-12)
 
     def test_horizon_zero_single_record(self):
-        log = run(formation_scenario(horizon=0))
+        log = run(dataclasses.replace(formation_scenario(), horizon=0))
         assert log.horizon == 0
         assert log.v.shape[0] == 1 and log.eta.shape[0] == 1
 
     def test_adaptive_mode_logs_matrix_series(self):
-        log = run(formation_scenario(horizon=120, observer_mode="adaptive"))
+        log = run(dataclasses.replace(formation_scenario(), horizon=120, observer_mode="adaptive"))
         assert log.s_est is not None and log.s_tilde_norm is not None
         assert log.s_tilde_norm[0] > 0
         assert log.s_tilde_norm[-1] < 1e-8
@@ -185,22 +185,22 @@ class TestRun:
                             f"in v of the leader at time step {t}")
 
     def test_determinism_identical_logs(self):
-        a, b = run(formation_scenario(horizon=80)), run(formation_scenario(horizon=80))
+        a, b = (run(dataclasses.replace(formation_scenario(), horizon=80)) for _ in range(2))
         assert np.array_equal(a.v, b.v)
         assert all(np.array_equal(x, y) for x, y in zip(a.x, b.x))
         assert np.array_equal(a.eta, b.eta)
 
     def test_seeded_initial_conditions_are_reproducible(self):
-        a = formation_scenario(horizon=10, seed=7)
-        b = formation_scenario(horizon=10, seed=7)
-        c = formation_scenario(horizon=10, seed=8)
+        a = dataclasses.replace(formation_scenario(seed=7), horizon=10)
+        b = dataclasses.replace(formation_scenario(seed=7), horizon=10)
+        c = dataclasses.replace(formation_scenario(seed=8), horizon=10)
         assert all(np.array_equal(x.x0, y.x0) for x, y in zip(a.followers, b.followers))
         assert not all(
             np.array_equal(x.x0, y.x0) for x, y in zip(a.followers, c.followers)
         )
 
     def test_riccati_directive_closes_the_loop(self):
-        base = formation_scenario(horizon=300)
+        base = formation_scenario()
         scenario = Scenario(
             name="riccati",
             leader=base.leader,
@@ -227,7 +227,7 @@ class TestRun:
 
 class TestPermutationEquivariance:
     def test_relabeling_followers_permutes_the_log(self):
-        base = formation_scenario(horizon=60)
+        base = dataclasses.replace(formation_scenario(), horizon=60)
         perm = [2, 0, 3, 1]  # new follower k simulates old follower perm[k]
         old_of_new = [0] + [p + 1 for p in perm]
         permuted_graphs = tuple(
@@ -252,14 +252,14 @@ class TestPermutationEquivariance:
 
 class TestAnalyze:
     def test_formation_report_converges(self):
-        scenario = formation_scenario(horizon=300)
+        scenario = formation_scenario()
         report = analyze(run(scenario), scenario.thresholds)
         assert report.converged
         for s in report.series:
             assert s.fit.floored or s.fit.rate < 1.0
 
     def test_zero_series_reported_as_floor(self):
-        base = formation_scenario(horizon=30)
+        base = dataclasses.replace(formation_scenario(), horizon=30)
         v0 = base.leader.v0
         scenario = Scenario(
             name="manifold", leader=base.leader, topology=base.topology,
@@ -274,12 +274,12 @@ class TestAnalyze:
         assert all("floor" in s.note for s in report.series)
 
     def test_short_run_not_converged(self):
-        scenario = formation_scenario(horizon=0)
+        scenario = dataclasses.replace(formation_scenario(), horizon=0)
         report = analyze(run(scenario), scenario.thresholds)
         assert not report.converged
 
     def test_strict_rate_threshold_fails(self):
-        scenario = formation_scenario(horizon=300)
+        scenario = formation_scenario()
         report = analyze(run(scenario), Thresholds(final=1e-6, rate=0.5))
         # formation decay rate is about 0.81 per step, above this bound
         assert not report.converged
@@ -297,7 +297,7 @@ class TestAnalyze:
 
 class TestCsvExport:
     def test_columns_and_rows(self):
-        log = run(formation_scenario(horizon=5))
+        log = run(dataclasses.replace(formation_scenario(), horizon=5))
         cols = csv_columns(log)
         assert cols[:2] == ["t", "sigma"]
         assert "v_0_0" in cols and "x_1_0" in cols and "e_norm_4" in cols
@@ -317,13 +317,14 @@ class TestCsvExport:
     def test_byte_identical_across_runs(self):
         def render():
             buf = io.StringIO()
-            write_trajectory_csv(run(formation_scenario(horizon=60, seed=3)), buf)
+            scenario = dataclasses.replace(formation_scenario(seed=3), horizon=60)
+            write_trajectory_csv(run(scenario), buf)
             return buf.getvalue()
 
         assert render() == render()
 
     def test_round_trip_precision(self):
-        log = run(formation_scenario(horizon=20))
+        log = run(dataclasses.replace(formation_scenario(), horizon=20))
         buf = io.StringIO()
         write_trajectory_csv(log, buf)
         lines = buf.getvalue().strip().split("\n")

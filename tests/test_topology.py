@@ -417,16 +417,10 @@ class TestJointConnectivity:
         assert not res
         assert res.witness[1] == 3
 
-    def test_periodic_horizon_extension_is_irrelevant(self):
-        topo = fig2_topology()
-        base = is_jointly_connected(topo, 7)
-        extended = is_jointly_connected(topo, 7, horizon=500)
-        assert base.connected == extended.connected
-        # internally capped at one period plus the window
-        assert extended.checked_up_to == topo.signal.period + 7
-
     def test_bundled_topology_connected_at_window_seven(self):
-        assert is_jointly_connected(fig2_topology(), 7)
+        res = is_jointly_connected(fig2_topology(), 7)
+        # one period plus the window covers every window by periodicity
+        assert res.connected and res.checked_up_to == fig2_topology().signal.period + 7
 
     def test_find_connectivity_window(self):
         # the bundled family documents window 7 (one period); the search
@@ -443,8 +437,18 @@ class TestJointConnectivity:
         topo = SwitchingTopology(
             graphs=(a,), signal=SwitchingSignal.from_table([1, 1, 1], tail_mode=1)
         )
-        res = is_jointly_connected(topo, 0, horizon=50)
-        assert res.connected and res.checked_up_to == 50
+        res = is_jointly_connected(topo, 0)
+        assert res.connected and res.checked_up_to == 3
+
+    def test_table_verdict_covers_its_tail(self):
+        # every window that meets the table is connected; the tail alone is not
+        linked = WeightedDigraph.from_edges(3, [(0, 1), (1, 2)])
+        cut = WeightedDigraph.from_edges(3, [(0, 1)])
+        topo = SwitchingTopology(
+            graphs=(linked, cut), signal=SwitchingSignal.from_table([1, 1, 1], tail_mode=2)
+        )
+        res = is_jointly_connected(topo, 1)
+        assert not res and res.witness == (3, 2) and res.checked_up_to == 4
 
 
 class TestSwitchingSignal:
