@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -275,6 +276,36 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+# a mode's twin blocks, by adjacency and then by leader; both are frozen,
+# hashed by identity and hold read-only arrays, so a block never goes stale,
+# and it is freed with its adjacency or its leader
+_TWIN_BLOCKS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _twin_blocks(
+    adj: NormalizedAdjacency, leader: LeaderModel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lambda kron S, Lambda - I as an (N, 1, N, 1) array, Lambda kron I_q and
+    the flat index of the diagonal blocks of an (N*q, N*q) matrix, for one
+    mode and leader: read-only, built on the pair's first ``error_form_step``."""
+    by_leader = _TWIN_BLOCKS.get(adj)
+    if by_leader is None:
+        by_leader = _TWIN_BLOCKS[adj] = WeakKeyDictionary()
+    blocks = by_leader.get(leader)
+    if blocks is None:
+        lam = adj.lambda_block
+        n, q = lam.shape[0], leader.q
+        i = np.arange(n)
+        # the flat positions of the entries [i, a, i, b] of an (n, q, n, q) array
+        diag = np.arange((n * q) ** 2).reshape(n, q, n, q)[i, :, i, :].reshape(-1)
+        blocks = (_kron(lam, leader.S), (lam - np.eye(n))[:, None, :, None],
+                  _kron(lam, np.eye(q)), diag)
+        for block in blocks:
+            block.setflags(write=False)
+        by_leader[leader] = blocks
+    return blocks
+
+
 def error_form_step(
     eta_tilde: np.ndarray,
     s_tilde: np.ndarray | None,
@@ -297,31 +328,32 @@ def error_form_step(
     matrix error acting on the current leader state.  Both right-hand sides
     are evaluated at the current time, matching the bank updates exactly;
     this function is the independent second route for equivalence tests.
+    The blocks that depend only on the mode and the leader are built on the
+    first step through that pair and reused on every later one.
     """
-    lam = adj.lambda_block
-    n = lam.shape[0]
+    n = adj.node_count - 1
     q = leader.q
     if eta_tilde.shape[0] != n * q:
         raise DimensionError(
             f"eta_tilde has {eta_tilde.shape[0]} entries, expected {n * q}"
         )
-    gamma1 = _kron(lam, leader.S)
+    gamma1, lam_min_i, lam_kron_i, diag = _twin_blocks(adj, leader)
     if s_tilde is None:
         return gamma1 @ eta_tilde, None
 
     # as (n, q, n, q) arrays, block (i, j) of a matrix is [i, :, j, :]
     s_blocks = s_tilde.reshape(n, q, q)
-    s_diag = np.zeros((n, q, n, q))
-    diag = np.arange(n)
-    s_diag[diag, :, diag, :] = s_blocks
+    s_diag = np.zeros(n * q * n * q)
+    s_diag[diag] = s_blocks.reshape(-1)
     s_diag = s_diag.reshape(n * q, n * q)
     # row block i is (Lambda - I)[i, :] kron s_tilde_i, each entry one product as in _kron
-    lam_min_i = lam - np.eye(n)
-    coupling = (lam_min_i[:, None, :, None] * s_blocks[:, :, None, :]).reshape(n * q, n * q)
+    coupling = (lam_min_i * s_blocks[:, :, None, :]).reshape(n * q, n * q)
     gamma2 = s_diag + coupling
-    gamma3 = s_diag @ np.broadcast_to(np.asarray(v, dtype=float), (n, q)).reshape(-1)
+    v_stack = np.empty((n, q))
+    v_stack[:] = v  # v once per follower
+    gamma3 = s_diag @ v_stack.reshape(-1)
     new_eta = (gamma1 + gamma2) @ eta_tilde + gamma3
-    new_s = _kron(lam, np.eye(q)) @ s_tilde
+    new_s = lam_kron_i @ s_tilde
     return new_eta, new_s
 
 

@@ -38,6 +38,7 @@ from .observers import (
     LeaderModel,
     ObserverBank,
     _error_norms,
+    _fit_columns,
     _kron,
     error_form_step,
     fit_decay,
@@ -155,7 +156,9 @@ def consensus_trial(seed: int) -> TrialResult:
     the Lemma 2 rate r = rho(Lambda(P-1) .. Lambda(0))^(1/P) over one period
     P needs for that, so a slowly contracting topology gets the time it needs.
     Lambda has a positive diagonal and the schedule is jointly connected, so
-    0 < r < 1."""
+    0 < r < 1.  The leader reads no one, so after one period the follower
+    errors x_i - x_0 must also be that product applied to the initial ones,
+    to 1e-10; a loop that steps with the wrong modes fails there."""
     horizon_factor, n_vectors = 60, 100
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
@@ -164,15 +167,19 @@ def consensus_trial(seed: int) -> TrialResult:
         return TrialResult(seed, False, "generated topology failed connectivity")
     x = rng.normal(size=(topo.node_count, n_vectors))
     period = topo.signal.period
-    rate = spectral_radius(transition_product(topo, 0, period)) ** (1 / period)
+    period_product = transition_product(topo, 0, period)
+    rate = spectral_radius(period_product) ** (1 / period)
     spread0 = float(np.max(x.max(axis=0) - x.min(axis=0)))
     needed = math.ceil(2 * math.log(1e-9 / spread0) / math.log(rate))
     horizon = max(horizon_factor * topo.n_followers * (window + 1), needed)
-    for mode in topo.signal.modes(0, horizon).tolist():
+    expected = period_product @ (x[1:] - x[0])
+    for t, mode in enumerate(topo.signal.modes(0, horizon).tolist(), start=1):
         x = consensus_step(topo.adjacency_of_mode(mode), x)
+        if t == period:
+            lag = float(np.max(np.abs(x[1:] - x[0] - expected)))
     spread = float(np.max(x.max(axis=0) - x.min(axis=0)))
     return TrialResult(
-        seed, spread < 1e-9,
+        seed, spread < 1e-9 and lag <= 1e-10,
         f"spread {spread:.3e} after {horizon} steps ({n_vectors} initial vectors)",
     )
 
@@ -280,7 +287,7 @@ def observers_trial(seed: int) -> TrialResult:
     adap = simulate_observer_norms(
         topo, leader, ObserverBank(eta=rng.normal(size=(n, q)), s_est=np.zeros((n, q, q))),
         horizon)
-    d_fit, a_fit = fit_decay(dist), fit_decay(adap["eta_tilde"])
+    d_fit, a_fit = _fit_columns(np.stack([dist, adap["eta_tilde"]], axis=1))
     return TrialResult(
         seed, d_fit.decaying and a_fit.decaying,
         f"N {n} q {q} rho {leader.rho:.2f}: distributed rate {d_fit.rate:.4f} "

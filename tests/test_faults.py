@@ -118,7 +118,9 @@ FAULTS = [
     # 0.9999999999999971), which is not decay: all three trials fail
     ("observers", biased_logs, OBSERVER_LOGS, True),
     ("consensus", nan_steps, CONSENSUS_STEP, True),
-    ("consensus", lagged_steps, CONSENSUS_STEP, False),
+    # the errors after one period differ from the period's transition
+    # product by 0.24-1.41 on seeds 0-2
+    ("consensus", lagged_steps, CONSENSUS_STEP, True),
     ("consensus", biased_steps, CONSENSUS_STEP, True),
     ("lemma2", nan_series, FIT_DECAY, True),
     ("lemma3", nan_series, FIT_DECAY, True),

@@ -8,6 +8,7 @@ from ``np.kron``.
 
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
@@ -16,6 +17,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -292,21 +294,64 @@ def per_step_bank_vs_error_form(topo, leader, bank, horizon):
     return dev
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_bank_vs_error_form_matches_the_per_step_reference_bitwise(seed):
+def trial_banks(seed):
+    """A trial topology, its leader and one bank of each observer mode."""
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     leader = random_leader(rng)
     n, q = topo.n_followers, leader.q
-    banks = (
+    return topo, leader, (
         ObserverBank(eta=rng.normal(size=(n, q))),
         ObserverBank(eta=rng.normal(size=(n, q)),
                      s_est=leader.S + rng.uniform(-0.3, 0.3, size=(n, q, q))),
     )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bank_vs_error_form_matches_the_per_step_reference_bitwise(seed):
+    topo, leader, banks = trial_banks(seed)
     for bank in banks:
         got = bank_vs_error_form(topo, leader, bank, 100)
         assert got == per_step_bank_vs_error_form(topo, leader, bank, 100)
         assert 0 < got < 1e-10
+
+
+def test_the_twin_builds_each_modes_kronecker_blocks_once(monkeypatch):
+    calls = []
+    kron = observers._kron
+    monkeypatch.setattr(observers, "_kron", lambda a, b: calls.append(None) or kron(a, b))
+    topo, leader, banks = trial_banks(0)
+    assert topo.n_modes == 3
+    for bank in banks:
+        calls.clear()
+        bank_vs_error_form(topo, leader, bank, 100)
+        assert len(calls) <= 2 * topo.n_modes
+
+
+def test_the_twin_blocks_are_freed_with_their_leader_and_topology(monkeypatch):
+    blocks = []
+    kron = observers._kron
+
+    def recording(a, b):
+        out = kron(a, b)
+        blocks.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(observers, "_kron", recording)
+    topo, leader, banks = trial_banks(1)
+    assert topo.n_modes == 3
+    for bank in banks:
+        bank_vs_error_form(topo, leader, bank, 100)
+    assert blocks and all(b() is not None for b in blocks)
+    adjacencies = [weakref.ref(topo.adjacency_of_mode(m)) for m in range(1, topo.n_modes + 1)]
+    leader_ref = weakref.ref(leader)
+    del leader, banks
+    gc.collect()
+    assert leader_ref() is None and all(b() is None for b in blocks)
+    assert all(a() is not None for a in adjacencies)
+    del topo
+    gc.collect()
+    assert all(a() is None for a in adjacencies)
 
 
 def per_step_observer_norms(topo, leader, bank, horizon):
