@@ -58,7 +58,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coopreg import topology  # noqa: E402
-from coopreg.observers import LeaderModel, _neighbor_mix, _observer_update  # noqa: E402
+from coopreg.observers import (  # noqa: E402
+    LeaderModel,
+    _mixer,
+    _neighbor_mix,
+    _observer_update,
+    _update_work,
+)
 from coopreg.regulation import PlantModel  # noqa: E402
 from coopreg.simkit import (  # noqa: E402
     OBSERVER_MODES,
@@ -149,10 +155,12 @@ def sweep_item(n: int, mode: str, team: str, horizon: int, seconds: float) -> di
     s_est = None if bank.s_est is None else np.concatenate([LEADER_S[None], bank.s_est])
     eta_next = np.empty_like(bank.eta)
     s_next = None if s_est is None else np.empty_like(bank.s_est)
-    cycle = itertools.cycle(adjs)
+    work = _update_work(n, bank.q, s_est is not None)
+    # each mode's mix operand resolved once, as observer_logs resolves it
+    cycle = itertools.cycle([_mixer(a) for a in adjs])
 
     def step():
-        _observer_update(LEADER_S, next(cycle), eta, s_est, eta_next, s_next)
+        _observer_update(LEADER_S, next(cycle), eta, s_est, eta_next, s_next, work)
 
     groups = _step_groups(sc)
 
@@ -200,10 +208,12 @@ def crossover(sizes: tuple, seconds: float) -> dict:
             adj = in_degree_adjacency(n1 - 1, k, rng)
             for columns in (4, 16):
                 values = rng.normal(size=(n1, columns))
+                mixed, term = np.empty((2, n1 - 1, columns))
                 # the same adjacency with each mix form, whatever it selects
                 forms = {"dense": None, "table": topology._in_edge_table(adj)}
                 best = best_per_call({form: functools.partial(
-                    _neighbor_mix, dataclasses.replace(adj, _edges=edges), values)
+                    _neighbor_mix, _mixer(dataclasses.replace(adj, _edges=edges)), values,
+                    mixed, term)
                     for form, edges in forms.items()}, seconds)
                 out |= {f"crossover.{n1}.k{k}.c{columns}.{form}_us":
                         {"value": s * 1e6, "unit": "us"} for form, s in best.items()}

@@ -20,6 +20,11 @@ in-neighbours j of follower i: over the adjacency's edge table when the
 graph is sparse and has at least 256 nodes, otherwise as (Omega x)_i - x_i
 over the dense Omega.
 
+The step loops write each step into a preallocated row in place.  A 2-D
+product there is ``np.dot(a, b, out=row)``: for float arrays it calls the
+same BLAS routine as ``a @ b``, so the bits are the same, with less dispatch
+cost per call than ``np.matmul``; ``out`` must be C-contiguous.
+
 Each observer has a compact error-form twin acting on the stacked errors
 (`error_form_step`), used as the independent second route in equivalence
 tests.  Helpers for decay-rate fitting and a perturbed switched-system
@@ -35,6 +40,7 @@ divergence with a magnitude cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -98,8 +104,8 @@ class LeaderModel:
         """Leader states v(0..horizon) as an (horizon+1, q) array."""
         out = np.empty((horizon + 1, self.q))
         out[0] = self.v0
-        for t in range(horizon):
-            out[t + 1] = self.S @ out[t]
+        for v, v_next in zip(out, out[1:]):
+            np.dot(self.S, v, out=v_next)
         return out
 
 
@@ -117,12 +123,14 @@ class ObserverBank:
     s_est: np.ndarray | None = None
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
+        # C order, whatever the caller's layout: the update's sums follow the
+        # strides, and the matrix mix writes a flat view of the next S_i
+        eta = np.ascontiguousarray(self.eta, dtype=float)
         if eta.ndim != 2:
             raise DimensionError("eta must be a (followers, q) array")
         object.__setattr__(self, "eta", _readonly(eta))
         if self.s_est is not None:
-            s = np.asarray(self.s_est, dtype=float)
+            s = np.ascontiguousarray(self.s_est, dtype=float)
             n, q = eta.shape
             if s.shape != (n, q, q):
                 raise DimensionError(
@@ -143,52 +151,76 @@ class ObserverBank:
         return self.eta.shape[1]
 
 
-def _neighbor_mix(adj: NormalizedAdjacency, values: np.ndarray) -> np.ndarray:
-    """sum_j omega_ij (values_j - values_i) for follower rows i = 1..N.
+def _mixer(adj: NormalizedAdjacency) -> np.ndarray | tuple:
+    """What ``_neighbor_mix`` reads of one adjacency, resolved once per mode:
+    its in-neighbour edge table, or Omega's follower rows when it has none."""
+    return adj.omega[1:] if adj._edges is None else adj._edges
 
-    ``values`` stacks the leader's entry first; works for vectors (N+1, q)
-    and matrices (N+1, q, q) alike.  A sparse adjacency sums over its
-    in-neighbour edge table, sum_k w_k (values[src_k] - values_i), in
-    O(edges) per flattened entry.  Otherwise Omega is row-stochastic, so the
-    sum equals (Omega values)_i - values_i: one matmul over the flattened
-    entries instead of an (N+1, N+1, ...) difference tensor.
+
+def _neighbor_mix(mixer: np.ndarray | tuple, flat: np.ndarray, out: np.ndarray,
+                  term: np.ndarray | None) -> None:
+    """Write sum_j omega_ij (flat_j - flat_i) for the follower rows i = 1..N
+    into ``out`` (N, k); ``flat`` (N+1, k) stacks the leader's entry first.
+
+    ``mixer`` is one mode's operand from ``_mixer``.  Over an edge table the
+    sum is sum_k w_k (flat[src_k] - flat_i), in O(edges) per column: the
+    first table column is gathered into ``out`` and each later one into
+    ``term`` (N, k), then added.  Over Omega's follower rows, which are
+    row-stochastic, it is (Omega flat)_i - flat_i: one matmul instead of an
+    (N+1, N+1, k) difference tensor.
     """
-    flat = values.reshape(values.shape[0], -1)
     own = flat[1:]
-    if adj._edges is None:
-        mix = adj.omega[1:] @ flat - own
-    else:
-        mix = None if adj._edges else np.zeros_like(own)
-        for src, weight in adj._edges:
-            term = np.take(flat, src, axis=0)  # a fresh copy, updated in place
-            term -= own
-            term *= weight
-            mix = term if mix is None else np.add(mix, term, out=mix)
-    return mix.reshape(own.shape[:1] + values.shape[1:])
+    if isinstance(mixer, np.ndarray):
+        np.dot(mixer, flat, out=out)
+        out -= own
+        return
+    if not mixer:
+        out.fill(0.0)
+    for k, (src, weight) in enumerate(mixer):
+        gathered = term if k else out
+        np.take(flat, src, axis=0, out=gathered, mode="clip")  # "raise" would buffer out
+        gathered -= own
+        gathered *= weight
+        if k:
+            out += term
+
+
+def _update_work(n: int, q: int, adaptive: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Scratch for ``_observer_update`` of N followers: the mixed estimates
+    (N, q) and, adaptive, the table gather of the matrix mix (N, q*q)."""
+    return np.empty((n, q)), np.empty((n, q * q)) if adaptive else None
 
 
 def _observer_update(
     S: np.ndarray,
-    adj: NormalizedAdjacency,
+    mixer: np.ndarray | tuple,
     eta: np.ndarray,
     s_est: np.ndarray | None,
     eta_next: np.ndarray,
     s_next: np.ndarray | None,
+    work: tuple[np.ndarray, np.ndarray | None],
 ) -> None:
     """Write the bank's next follower rows into ``eta_next`` (N, q) and, in
-    adaptive mode, ``s_next`` (N, q, q), on raw arrays, without checks.
+    adaptive mode, the C-contiguous ``s_next`` (N, q, q), on raw arrays,
+    without checks and without allocating an array.
 
     ``eta`` (N+1, q) and ``s_est`` (N+1, q, q) stack the leader's v(t) and S
-    first, as ``_neighbor_mix`` reads them.  With ``s_est`` None this is the
-    distributed observer, which multiplies by the leader's S; otherwise the
-    adaptive one, whose state update uses the current S_i(t).
+    first, as ``_neighbor_mix`` reads them; ``mixer`` is the mode's operand
+    from ``_mixer`` and ``work`` the scratch from ``_update_work``.  The
+    vector mix gathers its table terms into ``eta_next``, which is written
+    last.  With ``s_est`` None this is the distributed observer, which
+    multiplies by the leader's S; otherwise the adaptive one, whose state
+    update uses the current S_i(t).
     """
-    mixed = eta[1:] + _neighbor_mix(adj, eta)
+    mixed, term = work
+    _neighbor_mix(mixer, eta, mixed, eta_next)
+    np.add(eta[1:], mixed, out=mixed)
     if s_est is None:
-        np.matmul(mixed, S.T, out=eta_next)
+        np.dot(mixed, S.T, out=eta_next)
     else:
         np.einsum("iab,ib->ia", s_est[1:], mixed, out=eta_next)
-        np.add(s_est[1:], _neighbor_mix(adj, s_est), out=s_next)
+        _neighbor_mix(mixer, s_est.reshape(len(s_est), -1), s_next.reshape(len(s_next), -1), term)
+        np.add(s_est[1:], s_next, out=s_next)
 
 
 def observer_step(
@@ -216,7 +248,8 @@ def observer_step(
     s_est = None if bank.s_est is None else np.concatenate([leader.S[None, :, :], bank.s_est])
     new_eta = np.empty_like(bank.eta)
     new_s = None if s_est is None else np.empty_like(bank.s_est)
-    _observer_update(leader.S, adj, eta, s_est, new_eta, new_s)
+    _observer_update(leader.S, _mixer(adj), eta, s_est, new_eta, new_s,
+                     _update_work(bank.n_followers, bank.q, s_est is not None))
     return ObserverBank(eta=new_eta, s_est=new_s)
 
 
@@ -231,21 +264,24 @@ def observer_logs(
 
     The estimates are views of (T+1, N+1, ...) logs whose row 0 holds v(t)
     and S, so each step's neighbour mix reads its log row as it is and
-    writes the next row in place.  The schedule is read once, and no step
-    is checked.  A diverging run overflows to inf and NaN, with whatever
-    floating-point warnings the caller's ``np.errstate`` allows.
+    writes the next row in place.  The schedule and each mode's mix operand
+    are resolved once, before the first step, and no step is checked or
+    allocates an array.  A diverging run overflows to inf and NaN, with
+    whatever floating-point warnings the caller's ``np.errstate`` allows.
     """
     v = leader.trajectory(horizon)
-    eta = np.empty((horizon + 1, bank.n_followers + 1, bank.q))
+    n, q = bank.n_followers, bank.q
+    eta = np.empty((horizon + 1, n + 1, q))
     eta[:, 0], eta[0, 1:] = v, bank.eta
     s_est = None
     if bank.s_est is not None:
-        s_est = np.empty(eta.shape + (bank.q,))
+        s_est = np.empty(eta.shape + (q,))
         s_est[:, 0], s_est[0, 1:] = leader.S, bank.s_est
-    for t, mode in enumerate(topology.signal.modes(0, horizon).tolist()):
-        _observer_update(leader.S, topology.adjacency_of_mode(mode), eta[t],
-                         None if s_est is None else s_est[t], eta[t + 1, 1:],
-                         None if s_est is None else s_est[t + 1, 1:])
+    work = _update_work(n, q, s_est is not None)
+    s_rows = (repeat(None),) * 2 if s_est is None else (s_est, s_est[1:, 1:])
+    for mixer, eta_t, eta_next, s_t, s_next in zip(topology.per_step(0, horizon, _mixer),
+                                                   eta, eta[1:, 1:], *s_rows):
+        _observer_update(leader.S, mixer, eta_t, s_t, eta_next, s_next, work)
     return v, eta[:, 1:], None if s_est is None else s_est[:, 1:]
 
 
@@ -398,8 +434,9 @@ def perturbed_convergence_check(
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     z = np.empty((horizon + 1, z0.shape[0]))
     z[0] = z0
-    for t in range(horizon):
-        z[t + 1] = c_seq(t) @ z[t] + d_seq(t)
+    for t, (z_t, z_next) in enumerate(zip(z, z[1:])):
+        np.dot(c_seq(t), z_t, out=z_next)
+        z_next += d_seq(t)
     return fit_decay(_dot_norms(z))
 
 

@@ -141,8 +141,8 @@ def bank_vs_error_form(
     s_err = None if s_est is None else s_est - leader.S
     # the twin starts from row 0 of the logs
     twin = [(eta_err[0].reshape(-1), None if s_err is None else s_err[0].reshape(-1, leader.q))]
-    for t, mode in enumerate(topo.signal.modes(0, horizon).tolist()):
-        twin.append(error_form_step(*twin[-1], topo.adjacency_of_mode(mode), leader, v[t]))
+    for adj, v_t in zip(topo.per_step(0, horizon, lambda adj: adj), v):
+        twin.append(error_form_step(*twin[-1], adj, leader, v_t))
     twin_eta, twin_s = zip(*twin)
     dev = [eta_err - np.reshape(twin_eta, eta.shape)]
     if s_err is not None:
@@ -173,8 +173,8 @@ def consensus_trial(seed: int) -> TrialResult:
     needed = math.ceil(2 * math.log(1e-9 / spread0) / math.log(rate))
     horizon = max(horizon_factor * topo.n_followers * (window + 1), needed)
     expected = period_product @ (x[1:] - x[0])
-    for t, mode in enumerate(topo.signal.modes(0, horizon).tolist(), start=1):
-        x = consensus_step(topo.adjacency_of_mode(mode), x)
+    for t, adj in enumerate(topo.per_step(0, horizon, lambda adj: adj), start=1):
+        x = consensus_step(adj, x)
         if t == period:
             lag = float(np.max(np.abs(x[1:] - x[0] - expected)))
     spread = float(np.max(x.max(axis=0) - x.min(axis=0)))
@@ -195,8 +195,9 @@ def follower_product_norms(topo: SwitchingTopology, horizon: int) -> np.ndarray:
     """
     prods = np.empty((horizon + 1, topo.n_followers, topo.n_followers))
     prods[0] = np.eye(topo.n_followers)
-    for k, mode in enumerate(topo.signal.modes(0, horizon).tolist()):
-        np.matmul(topo.adjacency_of_mode(mode).lambda_block, prods[k], out=prods[k + 1])
+    for lam, prod, prod_next in zip(topo.per_step(0, horizon, lambda adj: adj.lambda_block),
+                                    prods, prods[1:]):
+        np.dot(lam, prod, out=prod_next)
     return np.linalg.svd(prods, compute_uv=False)[:, 0]
 
 
@@ -223,11 +224,10 @@ def _coupled_system_fit(seed: int, horizon: int, driven: bool) -> tuple[LeaderMo
     leader = random_leader(rng)
     dim = topo.n_followers * leader.q
     d0 = rng.normal(size=dim) if driven else np.zeros(dim)
-    blocks = [_kron(topo.adjacency_of_mode(m).lambda_block, leader.S)
-              for m in range(1, topo.n_modes + 1)]
-    modes = topo.signal.modes(0, horizon).tolist()
+    blocks = topo.per_step(0, horizon, lambda adj: _kron(adj.lambda_block, leader.S))
+    drive = np.array([0.9**t for t in range(horizon)])[:, None] * d0  # row t: (0.9^t) d0
     return leader, perturbed_convergence_check(
-        lambda t: blocks[modes[t] - 1], lambda t: (0.9**t) * d0, rng.normal(size=dim), horizon)
+        blocks.__getitem__, drive.__getitem__, rng.normal(size=dim), horizon)
 
 
 def lemma3_trial(seed: int) -> TrialResult:
@@ -276,20 +276,27 @@ def equivalence_trial(seed: int) -> TrialResult:
 def observers_trial(seed: int) -> TrialResult:
     """Both observers from random initial estimates over 500 steps: the
     distributed one's eta errors and the adaptive one's (from S_i = 0) must
-    decay geometrically."""
+    decay geometrically.  The distributed errors evolve by Lambda(t) kron S,
+    so after the first period P they must also be
+    (Lambda(P-1) .. Lambda(0)) kron S^P applied to the initial ones, to
+    1e-10; a bank that steps with the wrong modes fails there."""
     horizon = 500
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
     leader = random_leader(rng)
     n, q = topo.n_followers, leader.q
-    dist = simulate_observer_norms(topo, leader, ObserverBank(eta=rng.normal(size=(n, q))),
-                                   horizon)["eta_tilde"]
+    v, eta, _ = observer_logs(leader, topo, ObserverBank(eta=rng.normal(size=(n, q))), horizon)
+    dist = _error_norms(eta, v[:, None, :])
+    period = topo.signal.period
+    expected = _kron(transition_product(topo, 0, period),
+                     np.linalg.matrix_power(leader.S, period)) @ (eta[0] - v[0]).reshape(-1)
+    lag = float(np.max(np.abs((eta[period] - v[period]).reshape(-1) - expected)))
     adap = simulate_observer_norms(
         topo, leader, ObserverBank(eta=rng.normal(size=(n, q)), s_est=np.zeros((n, q, q))),
         horizon)
     d_fit, a_fit = _fit_columns(np.stack([dist, adap["eta_tilde"]], axis=1))
     return TrialResult(
-        seed, d_fit.decaying and a_fit.decaying,
+        seed, d_fit.decaying and a_fit.decaying and lag <= 1e-10,
         f"N {n} q {q} rho {leader.rho:.2f}: distributed rate {d_fit.rate:.4f} "
         f"final {dist[-1]:.2e}, adaptive rate {a_fit.rate:.4f} S final {adap['s_tilde'][-1]:.2e}",
     )

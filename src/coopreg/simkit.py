@@ -454,18 +454,24 @@ def _plant_trajectory(g: _StepGroup, eta_log: np.ndarray,
                       v_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The group's (T+1, G, k, n) states and (T+1, G, k, m) inputs, driven by
     the logged estimates and leader states: per step u = x K_x + eta K_v and
-    x+ = x A + u B + v E, one stacked product per term.  The feed terms
-    eta K_v and v E do not depend on x, so they are computed for the whole
-    horizon before the step loop, each as the same stacked product per step."""
+    x+ = x A + u B + v E, one stacked product per term, each written in place
+    into its log row (u B through one scratch block).  The feed terms eta K_v
+    and v E do not depend on x, so they are computed for the whole horizon
+    before the step loop, each as the same stacked product per step."""
     x = np.empty((len(v_log),) + g.x0.shape)
     u = np.empty(x.shape[:-1] + g.K_x.shape[-1:])
     w = eta_log.take(g.rows, axis=1) @ g.K_v
     f = v_log[:, None, None, :] @ g.E
     x[0] = g.x0
-    for t in range(len(x)):
-        u[t] = x[t] @ g.K_x + w[t]
-        if t + 1 < len(x):
-            x[t + 1] = x[t] @ g.A + u[t] @ g.B + f[t]
+    u_b = np.empty_like(g.x0)
+    for x_t, u_t, w_t, f_t, x_next in zip(x, u, w, f, x[1:]):
+        np.matmul(x_t, g.K_x, out=u_t)
+        u_t += w_t
+        np.matmul(x_t, g.A, out=x_next)
+        np.matmul(u_t, g.B, out=u_b)
+        x_next += u_b
+        x_next += f_t
+    u[-1] = x[-1] @ g.K_x + w[-1]
     return x, u
 
 

@@ -29,9 +29,12 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
+
+
+T = TypeVar("T")
 
 
 class DimensionError(ValueError):
@@ -237,12 +240,14 @@ def normalize_adjacency(g: WeightedDigraph) -> NormalizedAdjacency:
         np.add.at(row, g._dst, g._w)  # in edge order, with no edge-length temporary
     if not np.isfinite(row).all():
         raise ValueError("the in-edge weights of a node must have a finite sum")
-    scale = 1.0 + row
+    scale = np.add(1.0, row, out=row)
     w = scale[g._dst]
     np.divide(g._w, w, out=w)
     diag = 1.0 / scale
     _frozen(w, diag)
     adj = NormalizedAdjacency(n, g._src, g._dst, w, diag)
+    if EDGE_TABLE_FACTOR * 8 > n:  # no in-degree can select the table
+        return adj
     # receiver-sorted, so a row's in-degree is the gap between its first edges
     k_max = int(np.diff(np.searchsorted(g._dst, np.arange(1, n + 1))).max(initial=0))
     if EDGE_TABLE_FACTOR * max(k_max, 8) <= n:
@@ -469,6 +474,14 @@ class SwitchingTopology:
     def adjacency_of_mode(self, mode: int) -> NormalizedAdjacency:
         return self._normalized[mode - 1]
 
+    def per_step(self, t0: int, t1: int, of: Callable[[NormalizedAdjacency], T]) -> list[T]:
+        """``of`` of the active adjacency at each time t0, .., t1 - 1, called
+        once per mode that occurs, so that a step loop reads its operands
+        without a lookup."""
+        modes = self.signal.modes(t0, t1).tolist()
+        operands = {m: of(self._normalized[m - 1]) for m in dict.fromkeys(modes)}
+        return [operands[m] for m in modes]
+
 
 def is_jointly_connected(topo: SwitchingTopology, window: int) -> ConnectivityResult:
     """Check that every follower is reachable from the leader in every
@@ -531,6 +544,6 @@ def transition_product(topo: SwitchingTopology, t0: int, t: int) -> np.ndarray:
     if t < t0:
         raise ValueError("t must be >= t0")
     out = np.eye(topo.n_followers)
-    for mode in topo.signal.modes(t0, t).tolist():
-        out = topo.adjacency_of_mode(mode).lambda_block @ out
+    for lam in topo.per_step(t0, t, lambda adj: adj.lambda_block):
+        out = lam @ out
     return out

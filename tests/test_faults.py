@@ -113,7 +113,9 @@ FAULTS = [
     ("equivalence", lagged_logs, OBSERVER_LOGS, True),
     ("equivalence", biased_logs, OBSERVER_LOGS, True),
     ("observers", nan_logs, OBSERVER_LOGS, True),
-    ("observers", lagged_logs, OBSERVER_LOGS, False),
+    # the distributed errors after one period differ from the period's
+    # transition product kron S^P by 0.07-1.74 on seeds 0-4
+    ("observers", lagged_logs, OBSERVER_LOGS, True),
     # a plateau at the bias fits rate 1 to within rounding (seed 1 at
     # 0.9999999999999971), which is not decay: all three trials fail
     ("observers", biased_logs, OBSERVER_LOGS, True),

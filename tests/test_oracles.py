@@ -413,19 +413,36 @@ def test_consensus_trial_matches_the_per_step_reference_bitwise(seed, monkeypatc
     assert result.passed and f"spread {spread:.3e} after {len(steps)} steps" in result.detail
 
 
+def coupled_reference_norms(seed: int, horizon: int, driven: bool) -> np.ndarray:
+    """||z(t)|| of z(t+1) = (Lambda(t) kron S) z(t) + 0.9^t d0 on the trial's
+    draws, one ``adjacency_at`` and ``np.kron`` per step (d0 = 0 undriven)."""
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng)
+    leader = random_leader(rng)
+    dim = topo.n_followers * leader.q
+    d0 = rng.normal(size=dim) if driven else None
+    z = rng.normal(size=dim)
+    norms = [np.linalg.norm(z)]
+    for t in range(horizon):
+        z = np.kron(topo.adjacency_at(t).lambda_block, leader.S) @ z
+        if driven:
+            z = z + 0.9**t * d0
+        norms.append(np.linalg.norm(z))
+    return np.array(norms)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_lemma3_norms_match_the_per_step_reference_bitwise(seed, monkeypatch):
     fits = record_calls(monkeypatch, "fit_decay", observers)
     assert lemma3_trial(seed).passed
-    rng = np.random.default_rng(seed)
-    topo = random_topology(rng)
-    leader = random_leader(rng)
-    z = rng.normal(size=topo.n_followers * leader.q)
-    norms = [np.linalg.norm(z)]
-    for t in range(240):
-        z = np.kron(topo.adjacency_at(t).lambda_block, leader.S) @ z
-        norms.append(np.linalg.norm(z))
-    assert fits[-1][0][0].tobytes() == np.array(norms).tobytes()
+    assert fits[-1][0][0].tobytes() == coupled_reference_norms(seed, 240, False).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lemma4_driven_norms_match_the_per_step_reference_bitwise(seed, monkeypatch):
+    fits = record_calls(monkeypatch, "fit_decay", observers)
+    assert lemma4_trial(seed).passed
+    assert fits[-1][0][0].tobytes() == coupled_reference_norms(seed, 300, True).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -457,7 +474,7 @@ def test_oracles_never_run_on_the_observer_path(monkeypatch):
         raise AssertionError("an oracle ran on the observer path it checks")
 
     # patch every coopreg module that binds the functions, not just their home
-    for name in ("_observer_update", "_neighbor_mix"):
+    for name in ("_observer_update", "_neighbor_mix", "_mixer", "_update_work"):
         original = getattr(observers, name)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("coopreg") and getattr(mod, name, None) is original:

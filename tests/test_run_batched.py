@@ -27,6 +27,7 @@ from coopreg.observers import (
     LeaderModel,
     ObserverBank,
     _fit_columns,
+    _mixer,
     _neighbor_mix,
     fit_decay,
     observer_logs,
@@ -186,6 +187,14 @@ def difference_tensor_mix(omega, values):
     return (w * diff).sum(axis=1)[1:]
 
 
+def neighbor_mix(adj, values):
+    """``_neighbor_mix`` of the (N+1, ...) ``values`` into a fresh (N, ...) array."""
+    flat = values.reshape(len(values), -1)
+    out = np.empty((len(values) - 1, flat.shape[1]))
+    _neighbor_mix(_mixer(adj), flat, out, np.empty_like(out))
+    return out.reshape(out.shape[:1] + values.shape[1:])
+
+
 # edge densities of the sizes that select the edge table; the others draw 0.4
 SPARSE_DENSITY = {150: 0.005, 600: 0.01}
 
@@ -204,7 +213,7 @@ def test_neighbor_mix_matches_difference_tensor(n_followers, shape, monkeypatch)
     if n_followers in SPARSE_DENSITY:
         assert adj._edges is not None
     values = rng.normal(size=(n1,) + shape)
-    got = _neighbor_mix(adj, values)
+    got = neighbor_mix(adj, values)
     assert got.shape == (n_followers,) + shape
     assert np.abs(got - difference_tensor_mix(adj.omega, values)).max() <= 1e-13
 
@@ -231,7 +240,7 @@ def test_edge_table_mix_covers_degenerate_rows(case, shape, monkeypatch):
     adj = normalize_adjacency(WeightedDigraph.from_edges(80, EDGE_CASES[case], weight=1.5))
     assert adj._edges is not None
     values = np.random.default_rng(5).normal(size=(80,) + shape)
-    got = _neighbor_mix(adj, values)
+    got = neighbor_mix(adj, values)
     assert got.shape == (79,) + shape
     assert np.abs(got - difference_tensor_mix(adj.omega, values)).max() <= 1e-13
     # a row without in-edges mixes to exactly zero
@@ -418,17 +427,12 @@ def test_row_norms_equal_linalg_norm_bitwise(p):
     assert _row_norms(e).tobytes() == np.linalg.norm(e, axis=-1).tobytes()
 
 
-@pytest.mark.parametrize("table", [False, True], ids=["dense", "edge table"])
-@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
-def test_observer_logs_equal_a_loop_of_observer_step_bitwise(mode, table, monkeypatch):
-    if table:
-        tables_at_any_size(monkeypatch)
-    topo = sparse_topology(40, n_modes=3, seed=8)
-    assert all((topo.adjacency_of_mode(m)._edges is not None) == table for m in (1, 2, 3))
+def assert_logs_are_a_loop_of_observer_step(topo: SwitchingTopology, mode: str) -> None:
+    n = topo.n_followers
     rng = np.random.default_rng(9)
     leader = random_leader(rng, q=3)
-    s_est = leader.S + rng.uniform(-0.3, 0.3, size=(40, 3, 3)) if mode == "adaptive" else None
-    bank = ObserverBank(eta=rng.normal(size=(40, 3)), s_est=s_est)
+    s_est = leader.S + rng.uniform(-0.3, 0.3, size=(n, 3, 3)) if mode == "adaptive" else None
+    bank = ObserverBank(eta=rng.normal(size=(n, 3)), s_est=s_est)
     v, eta, s_log = observer_logs(leader, topo, bank, 30)
     assert v.tobytes() == leader.trajectory(30).tobytes()
     for t in range(31):
@@ -437,6 +441,56 @@ def test_observer_logs_equal_a_loop_of_observer_step_bitwise(mode, table, monkey
             assert s_log[t].tobytes() == bank.s_est.tobytes(), t
         bank = observer_step(leader, v[t], bank, topo.adjacency_at(t))
     assert (s_log is None) == (mode == "distributed")
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["dense", "edge table"])
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_observer_logs_equal_a_loop_of_observer_step_bitwise(mode, table, monkeypatch):
+    if table:
+        tables_at_any_size(monkeypatch)
+    topo = sparse_topology(40, n_modes=3, seed=8)
+    assert all((topo.adjacency_of_mode(m)._edges is not None) == table for m in (1, 2, 3))
+    assert_logs_are_a_loop_of_observer_step(topo, mode)
+
+
+@pytest.mark.parametrize("mode", ["distributed", "adaptive"])
+def test_observer_logs_equal_a_loop_of_observer_step_over_an_empty_edge_table(mode, monkeypatch):
+    # the mode without edges mixes to zero: its estimates only advance by S
+    tables_at_any_size(monkeypatch)
+    tree = sparse_topology(40, n_modes=2, seed=8)
+    topo = SwitchingTopology(
+        graphs=tree.graphs + (WeightedDigraph.from_edges(41, []),),
+        signal=SwitchingSignal.periodic([(1, 2), (3, 3), (2, 2)]),
+    )
+    assert [topo.adjacency_of_mode(m)._edges == () for m in (1, 2, 3)] == [False, False, True]
+    assert_logs_are_a_loop_of_observer_step(topo, mode)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_leader_trajectory_is_a_loop_of_advance_bitwise(q):
+    leader = random_leader(np.random.default_rng(q), q=q, rho=1.0)
+    v, states = leader.v0, [leader.v0]
+    for _ in range(60):
+        v = leader.advance(v)
+        states.append(v)
+    assert leader.trajectory(60).tobytes() == np.array(states).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_observer_step_does_not_depend_on_the_banks_memory_layout(layout):
+    # the state update sums S_i(t) eta_i in the order of the strides, and the
+    # matrix mix writes a flat view of the new S_i, which must not be a copy
+    rng = np.random.default_rng(3)
+    leader = random_leader(rng, q=3)
+    adj = normalize_adjacency(WeightedDigraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)]))
+    s_est = leader.S + rng.uniform(-0.3, 0.3, size=(5, 3, 3))
+    given = np.asfortranarray(s_est) if layout == "fortran" else np.repeat(s_est, 2, axis=0)[::2]
+    assert not given.flags.c_contiguous and np.array_equal(given, s_est)
+    eta = rng.normal(size=(5, 3))
+    got = observer_step(leader, leader.v0, ObserverBank(eta=eta, s_est=given), adj)
+    want = observer_step(leader, leader.v0, ObserverBank(eta=eta, s_est=s_est), adj)
+    assert got.eta.tobytes() == want.eta.tobytes()
+    assert got.s_est.tobytes() == want.s_est.tobytes()
 
 
 def test_nan_in_a_padded_follower_aborts_at_step_zero():
