@@ -171,7 +171,7 @@ def sweep_item(n: int, mode: str, team: str, horizon: int, seconds: float) -> di
     best = best_per_call({
         "update": step, "plants": plant_trajectories, "run": lambda: run(sc),
         "connectivity": lambda: topology.is_jointly_connected(
-            sc.topology, sc.checks.connectivity_window),
+            sc.topology, sc.connectivity_window),
         "analyze": lambda: analyze(log)}, seconds)
     values = {
         "observer_update_us": (best["update"] * 1e6, "us"),

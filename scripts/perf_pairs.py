@@ -9,8 +9,11 @@ would otherwise spare the change side the compile that the baseline pays.
 Then, for each seed, it runs each tree's own ``perfbench/run.py --trace 0``,
 or for ``--workload sweep`` its N-sweep probe
 ``scripts/bench_observer_sweep.py``, alternating which tree runs first; both
-print a last line of JSON with ``correct``, ``failed`` and ``metrics``.  Each
-pair prints one line: both sides' gate (``correct`` and ``failed``) and the
+print a last line of JSON with ``correct``, ``failed`` and ``metrics``.  The
+system's load averages just before each run starts are kept with that run as
+``loadavg_at_start``, so a pair that ran while other jobs loaded the machine
+can be told from a slower change.  Each pair prints one line: both sides'
+gate (``correct`` and ``failed``), one-minute load average and the
 BENCHMARK.json end-to-end metrics that its runs report.  Then, for each
 metric the runs report, it prints each side's median and quartiles, the
 change/parent ratio of the medians, the pairs the change won (ties count for
@@ -103,7 +106,8 @@ def copy_checkout(dest: Path) -> None:
 
 
 def bench(tree: Path, args, seed: int) -> dict:
-    """One benchmark run from ``tree``: the JSON object of its last line."""
+    """One benchmark run from ``tree``: the JSON object of its last line, with
+    the system's load averages (1, 5 and 15 minutes) as the run started."""
     if args.workload == "sweep":  # the probe measures fixed scenarios: the seed labels a round
         cmd = [sys.executable, str(PROBE)] + (["--sizes", *map(str, args.sizes)]
                                               if args.sizes else [])
@@ -112,11 +116,12 @@ def bench(tree: Path, args, seed: int) -> dict:
                "--trace", "0"]
     cmd += (["--seconds", str(args.seconds)] if args.seconds else []) + (
         ["--tiny"] if args.tiny else [])
+    load = list(os.getloadavg())
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        return {"correct": False, "failed": None, "metrics": {},
+        return {"correct": False, "failed": None, "metrics": {}, "loadavg_at_start": load,
                 "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "loadavg_at_start": load}
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -202,7 +207,9 @@ def main(argv=None) -> int:
             cells = "".join(f"  {name} {value(p, name):.4g} -> {value(c, name):.4g}"
                             for name in rules if name in p["metrics"] or name in c["metrics"])
             print(f"pair {k + 1:>2} seed {seed} ({order[0]} first): correct {p['correct']} -> "
-                  f"{c['correct']}  failed {p['failed']} -> {c['failed']}{cells}", flush=True)
+                  f"{c['correct']}  failed {p['failed']} -> {c['failed']}  load "
+                  f"{p['loadavg_at_start'][0]:.2f} -> {c['loadavg_at_start'][0]:.2f}{cells}",
+                  flush=True)
 
     bad = [(side, seed, r) for side in runs for seed, r in zip(args.seeds, runs[side])
            if not (r["correct"] is True and r["failed"] == 0)]

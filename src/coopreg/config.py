@@ -24,9 +24,7 @@ from .observers import LeaderModel
 from .regulation import PlantModel
 from .simkit import (
     OBSERVER_MODES,
-    AssumptionChecks,
     FollowerSpec,
-    GainDirective,
     Scenario,
     Thresholds,
     indented_json,
@@ -58,7 +56,7 @@ def _require_keys(obj: Any, required: set[str], optional: set[str], path: str) -
         raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
     for key in obj:
         if key not in required and key not in optional:
-            raise ConfigError(f"{path}: unknown key {key!r}")
+            raise ConfigError(f"{path}.{key}: unknown key")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}: missing required key {key!r}")
@@ -116,12 +114,6 @@ def _number(obj: Any, path: str) -> float:
     return float(obj)
 
 
-def _flag(obj: Any, path: str) -> bool:
-    if not isinstance(obj, bool):
-        raise ConfigError(f"{path}: expected true or false, got {obj!r}")
-    return obj
-
-
 def _list(obj: Any, path: str, what: str) -> list:
     if not isinstance(obj, list):
         raise ConfigError(f"{path}: expected a list of {what}")
@@ -157,44 +149,19 @@ def _parse_signal(obj: Any) -> SwitchingSignal:
         )
 
 
-# the optional keys each gain method reads; any other key is an error
-_GAIN_KEYS = {"user": {"K_x"}, "riccati": {"Q", "R"}}
-
-
-def _parse_gain(obj: Any, path: str) -> GainDirective:
-    _require_keys(obj, {"method"}, {"K_x", "Q", "R"}, path)
+def _parse_gain(obj: Any, path: str) -> np.ndarray | None:
+    """The K_x of a user gain, or None for Riccati synthesis."""
+    _require_keys(obj, {"method"}, {"K_x"}, path)
     method = obj["method"]
-    if not isinstance(method, str) or method not in _GAIN_KEYS:
+    if not isinstance(method, str) or method not in ("user", "riccati"):
         raise ConfigError(f"{path}.method: expected 'user' or 'riccati', got {method!r}")
-    extra = sorted(obj.keys() - {"method"} - _GAIN_KEYS[method])
-    if extra:
-        raise ConfigError(f"{path}.{extra[0]}: not used by the {method!r} gain method")
-    if method == "user":
-        if "K_x" not in obj:
-            raise ConfigError(f"{path}: user gain requires 'K_x'")
-        return GainDirective(K_x=_matrix(obj["K_x"], f"{path}.K_x"))
-    q = _matrix(obj["Q"], f"{path}.Q") if "Q" in obj else None
-    r = _matrix(obj["R"], f"{path}.R") if "R" in obj else None
-    return GainDirective(Q=q, R=r)
-
-
-def _settings(cls: type, obj: Any, path: str):
-    """``cls`` (``AssumptionChecks`` or ``Thresholds``) built from the keys
-    ``obj`` gives, which are the dataclass's fields.  A field whose default
-    is a bool takes true or false, one whose default is a float a finite
-    number, and any other an integer >= 0."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    _require_keys(obj, set(), set(defaults), path)
-
-    def parse(key: str, value: Any):
-        if isinstance(defaults[key], bool):
-            return _flag(value, f"{path}.{key}")
-        if isinstance(defaults[key], float):
-            return _number(value, f"{path}.{key}")
-        return _positive_int(value, f"{path}.{key}", 0)
-
-    with _keyed("run."):
-        return cls(**{key: parse(key, value) for key, value in obj.items()})
+    if method == "riccati":
+        if "K_x" in obj:
+            raise ConfigError(f"{path}.K_x: not used by the 'riccati' gain method")
+        return None
+    if "K_x" not in obj:
+        raise ConfigError(f"{path}: user gain requires 'K_x'")
+    return _matrix(obj["K_x"], f"{path}.K_x")
 
 
 def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
@@ -245,7 +212,7 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
                 FollowerSpec(
                     plant=plant,
                     x0=_vector(fobj["x0"], f"{fpath}.x0"),
-                    gain=_parse_gain(gobj, f"gains[{k}]"),
+                    K_x=_parse_gain(gobj, f"gains[{k}]"),
                 )
             )
 
@@ -270,10 +237,20 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
     run_obj = doc["run"]
     _require_keys(run_obj, {"horizon"}, {"checks", "thresholds", "regulator_tol"}, "run")
     horizon = _positive_int(run_obj["horizon"], "run.horizon", minimum=0)
-    checks = _settings(AssumptionChecks, run_obj.get("checks", {}), "run.checks")
-    thresholds = _settings(Thresholds, run_obj.get("thresholds", {}), "run.thresholds")
-    tol = ({"regulator_tol": _number(run_obj["regulator_tol"], "run.regulator_tol")}
-           if "regulator_tol" in run_obj else {})
+    # the keys a document leaves out take the Scenario's and Thresholds' defaults
+    checks = run_obj.get("checks", {})
+    _require_keys(checks, set(), {"connectivity_window"}, "run.checks")
+    given = {}
+    if "connectivity_window" in checks:
+        given["connectivity_window"] = _positive_int(
+            checks["connectivity_window"], "run.checks.connectivity_window", 0)
+    if "regulator_tol" in run_obj:
+        given["regulator_tol"] = _number(run_obj["regulator_tol"], "run.regulator_tol")
+    limits = run_obj.get("thresholds", {})
+    _require_keys(limits, set(), {f.name for f in fields(Thresholds)}, "run.thresholds")
+    with _keyed("run."):
+        thresholds = Thresholds(
+            **{key: _number(value, f"run.thresholds.{key}") for key, value in limits.items()})
 
     with _keyed(""):
         return Scenario(
@@ -285,9 +262,8 @@ def config_to_scenario(doc: dict, name: str = "scenario") -> Scenario:
             eta0=eta0,
             s0=s0,
             horizon=horizon,
-            checks=checks,
             thresholds=thresholds,
-            **tol,
+            **given,
         )
 
 
@@ -298,17 +274,8 @@ def scenario_to_config(scenario: Scenario) -> dict:
         signal: dict = {"period": sig.period, "segments": [[m, l] for m, l in sig.segments]}
     else:
         signal = {"table": list(sig.table), "tail_mode": sig.tail_mode}
-    gains = []
-    for f in scenario.followers:
-        if f.gain.method == "user":
-            gains.append({"method": "user", "K_x": f.gain.K_x.tolist()})
-        else:
-            entry: dict = {"method": "riccati"}
-            if f.gain.Q is not None:
-                entry["Q"] = f.gain.Q.tolist()
-            if f.gain.R is not None:
-                entry["R"] = f.gain.R.tolist()
-            gains.append(entry)
+    gains = [{"method": "riccati"} if f.K_x is None else {"method": "user", "K_x": f.K_x.tolist()}
+             for f in scenario.followers]
     observer: dict = {"mode": scenario.observer_mode}
     if scenario.eta0 is not None:
         observer["eta0"] = [e.tolist() for e in scenario.eta0]
@@ -331,7 +298,7 @@ def scenario_to_config(scenario: Scenario) -> dict:
         "observer": observer,
         "run": {
             "horizon": scenario.horizon,
-            "checks": asdict(scenario.checks),
+            "checks": {"connectivity_window": scenario.connectivity_window},
             "thresholds": asdict(scenario.thresholds),
             "regulator_tol": scenario.regulator_tol,
         },

@@ -40,6 +40,7 @@ divergence with a magnitude cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Callable
 from weakref import WeakKeyDictionary
@@ -63,11 +64,11 @@ def spectral_radius(m: np.ndarray) -> float:
 class LeaderModel:
     """Autonomous leader v(t+1) = S v(t) with initial state v0.
 
-    ``rho`` is the spectral radius of S and ``rho_le_one`` records whether
-    the marginal-stability assumption holds (within 1e-9).  Construction
-    never rejects an unstable S: the matrix-consensus half of the adaptive
-    observer converges regardless, so the flag is checked by scenario
-    validation instead.
+    ``rho`` is the spectral radius of S, computed once, and ``rho_le_one``
+    records whether the marginal-stability assumption holds (within 1e-9).
+    Construction never rejects an unstable S: the matrix-consensus half of
+    the adaptive observer converges regardless, so the flag is checked by
+    scenario validation instead.
     """
 
     S: np.ndarray
@@ -89,7 +90,7 @@ class LeaderModel:
     def q(self) -> int:
         return self.S.shape[0]
 
-    @property
+    @cached_property
     def rho(self) -> float:
         return spectral_radius(self.S)
 

@@ -195,18 +195,16 @@ def synthesize_stabilizing_gain(
     A: np.ndarray,
     B: np.ndarray,
     K: np.ndarray | None = None,
-    Q: np.ndarray | None = None,
-    R: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Produce a state feedback K_x with rho(A + B K_x) < 1.
 
     With ``K`` given, the user-supplied gain is certified as-is.  Otherwise
-    the discrete Riccati recursion
+    the discrete Riccati recursion with identity weights
 
-        P <- A'PA - A'PB (R + B'PB)^-1 B'PA + Q
+        P <- A'PA - A'PB (I + B'PB)^-1 B'PA + I
 
-    is iterated to a fixed point with identity weights by default, and the
-    resulting gain is certified.  The fixed point is detected with a
+    is iterated to a fixed point, and the resulting gain is certified; a
+    user ``K`` expresses any other design.  The fixed point is detected with a
     tolerance relative to the magnitude of P, since the cost matrix can be
     large for strongly unstable plants.  Non-convergence (a diverging or
     stalling recursion) signals a non-stabilizable pair.
@@ -224,9 +222,7 @@ def synthesize_stabilizing_gain(
         if not radius < 1.0:
             raise GainSynthesisError(f"supplied gain is not stabilizing (radius {radius:.6g})")
         return K, radius
-    m = B.shape[1]
-    Q = np.eye(n) if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.eye(m) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
+    Q, R = np.eye(n), np.eye(B.shape[1])
     P = Q.copy()
     # overflow of the recursion IS the divergence signal, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,16 +248,16 @@ def synthesize_stabilizing_gain(
 
 
 def build_controller(
-    plant: PlantModel,
-    K_x: np.ndarray,
+    gain: tuple[np.ndarray, float],
     solution: RegulatorSolution,
 ) -> ControllerGains:
-    """Package a certified K_x with the feedforward gain K_v = U - K_x X of
-    the regulator ``solution`` (see ``solve_regulator_equations``)."""
-    K_x = np.atleast_2d(np.asarray(K_x, dtype=float))
-    radius = spectral_radius(plant.A + plant.B @ K_x)
-    K_v = solution.U - K_x @ solution.X
-    return ControllerGains(K_x=K_x, K_v=K_v, closed_loop_radius=radius)
+    """Package a certified gain, the (K_x, closed-loop spectral radius) pair
+    that ``synthesize_stabilizing_gain`` returns, with the feedforward gain
+    K_v = U - K_x X of the regulator ``solution`` (see
+    ``solve_regulator_equations``)."""
+    K_x, radius = gain
+    return ControllerGains(K_x=K_x, K_v=solution.U - K_x @ solution.X,
+                           closed_loop_radius=radius)
 
 
 def control_input(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .observers import LeaderModel
 from .regulation import PlantModel
-from .simkit import AssumptionChecks, FollowerSpec, GainDirective, Scenario
+from .simkit import FollowerSpec, Scenario
 from .topology import SwitchingSignal, SwitchingTopology, WeightedDigraph
 
 # one period of the formation schedule: modes 1..4, two steps each
@@ -86,9 +86,7 @@ def _formation(
     for (px, py), (ox, oy) in zip(FORMATION_START_POSITIONS, offsets):
         vel = rng.normal(size=2) if rng is not None else np.zeros(2)
         x0 = np.array([px - ox, py - oy, vel[0], vel[1]])
-        followers.append(
-            FollowerSpec(plant=plant, x0=x0, gain=GainDirective(K_x=k_x))
-        )
+        followers.append(FollowerSpec(plant=plant, x0=x0, K_x=k_x))
     eta0 = tuple(rng.normal(size=4) for _ in followers) if rng is not None else None
     return Scenario(
         name=name,
@@ -98,7 +96,7 @@ def _formation(
         observer_mode="distributed",
         eta0=eta0,
         horizon=300,
-        checks=AssumptionChecks(connectivity_window=7),
+        connectivity_window=7,
     )
 
 
@@ -130,16 +128,10 @@ def single_follower_scenario(seed: int | None = None) -> Scenario:
         name="single-follower",
         leader=leader,
         topology=topo,
-        followers=(
-            FollowerSpec(
-                plant=plant, x0=x0,
-                gain=GainDirective(K_x=-0.5 * np.eye(2)),
-            ),
-        ),
+        followers=(FollowerSpec(plant=plant, x0=x0, K_x=-0.5 * np.eye(2)),),
         observer_mode="distributed",
         eta0=eta0,
         horizon=60,
-        checks=AssumptionChecks(connectivity_window=0),
     )
 
 

@@ -1,7 +1,7 @@
 """Closed-loop scenario orchestration.
 
 A Scenario bundles the leader, the switching topology, per-follower plants
-with gain directives, and observer settings.  Follower i's controller reads
+with their gains, and observer settings.  Follower i's controller reads
 only its own state and its estimate eta_i, and no observer reads a plant
 state, so ``run`` simulates the closed loop as the cascade it is: the
 leader trajectory v, then the observer bank (eta and, in adaptive mode,
@@ -9,7 +9,7 @@ S_i) driven by v over the switching graph, then the plants driven by their
 logged estimates.  Every right-hand side uses time-t values and the time-t
 graph.
 
-Followers whose plant matrices and gain directive are equal by value form
+Followers whose plant matrices and gains are equal by value form
 one plant class, solved once per scenario.  The classes of equal size and
 equal (n, m, p) form one step group, which owns its state and input logs
 and runs each step's control law and plant step as one stacked product per
@@ -77,47 +77,6 @@ class OverflowAbort(RuntimeError):
         self.follower = follower
 
 
-@dataclass(frozen=True, eq=False)
-class GainDirective:
-    """Per-follower gain choice: a user K_x, or Riccati synthesis with weights Q and R.
-
-    Each given matrix is stored once, as a read-only 2-D float array, so a
-    scalar, a nested list and an array of equal value are one directive."""
-
-    K_x: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    R: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.K_x is not None and (self.Q is not None or self.R is not None):
-            raise ValueError("Q and R only apply to the riccati method; a user K_x ignores them")
-        for key in ("K_x", "Q", "R"):
-            if getattr(self, key) is not None:
-                object.__setattr__(self, key, _readonly(np.atleast_2d(getattr(self, key))))
-
-    @property
-    def method(self) -> str:
-        """``"user"`` exactly when K_x is given, otherwise ``"riccati"``."""
-        return "riccati" if self.K_x is None else "user"
-
-
-@dataclass(frozen=True)
-class AssumptionChecks:
-    """Which validation checks to run and their parameters; the window must
-    be >= 0."""
-
-    connectivity: bool = True
-    connectivity_window: int = 0
-    leader_spectral: bool = True
-    stabilizability: bool = True
-    regulator: bool = True
-
-    def __post_init__(self):
-        if self.connectivity_window < 0:
-            raise ValueError(
-                f"checks.connectivity_window must be >= 0, got {self.connectivity_window}")
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Convergence pass criteria: final value and fitted rate bounds.
@@ -139,29 +98,37 @@ class Thresholds:
 
 @dataclass(frozen=True, eq=False)
 class FollowerSpec:
-    """One follower.  Its gain directive is checked against the plant: K_x
-    must be (m, n), Q (n, n) and R (m, m)."""
+    """One follower: its plant, initial state and state feedback.
+
+    ``K_x`` is a user gain, certified as it is, or None for Riccati synthesis
+    with identity weights.  A given K_x is stored once, as a read-only 2-D
+    float array (so a scalar, a nested list and an array of equal value are
+    one gain), and must be (m, n) for the plant."""
 
     plant: PlantModel
     x0: np.ndarray
-    gain: GainDirective = field(default_factory=GainDirective)
+    K_x: np.ndarray | None = None
 
     def __post_init__(self):
         n, m = self.plant.n, self.plant.m
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape[0] != n:
             raise DimensionError(f"initial state has dim {x0.shape[0]}, plant expects {n}")
-        for key, shape in (("K_x", (m, n)), ("Q", (n, n)), ("R", (m, m))):
-            value = getattr(self.gain, key)
-            if value is not None and value.shape != shape:
-                raise DimensionError(f"gain {key} has shape {value.shape}, "
-                                     f"expected {shape} for a plant with (m, n) = ({m}, {n})")
+        if self.K_x is not None:
+            K_x = _readonly(np.atleast_2d(self.K_x))
+            if K_x.shape != (m, n):
+                raise DimensionError(f"gain K_x has shape {K_x.shape}, "
+                                     f"expected {(m, n)} for a plant with (m, n) = ({m}, {n})")
+            object.__setattr__(self, "K_x", K_x)
         object.__setattr__(self, "x0", _readonly(x0))
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete description of one closed-loop simulation.
+
+    Validation checks joint connectivity over union windows of
+    ``connectivity_window`` + 1 steps.
 
     An adaptive scenario without ``s0`` starts every follower's estimate of
     the leader matrix at zero; a distributed one must not set ``s0``.
@@ -182,7 +149,7 @@ class Scenario:
     eta0: tuple[np.ndarray, ...] | None = None
     s0: tuple[np.ndarray, ...] | None = None
     horizon: int = 100
-    checks: AssumptionChecks = field(default_factory=AssumptionChecks)
+    connectivity_window: int = 0
     thresholds: Thresholds = field(default_factory=Thresholds)
     regulator_tol: float = REGULATOR_TOL
     _classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
@@ -193,6 +160,9 @@ class Scenario:
             raise ValueError(f"unknown observer mode {self.observer_mode!r}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.connectivity_window < 0:
+            raise ValueError(
+                f"connectivity_window must be >= 0, got {self.connectivity_window}")
         if not math.isfinite(self.regulator_tol):
             raise ValueError(f"regulator_tol must be finite, got {self.regulator_tol}")
         if self.regulator_tol < 0:
@@ -255,8 +225,8 @@ class CheckResult:
 
 @dataclass(frozen=True, eq=False)
 class _SharedSolve:
-    """Regulator solution and certified gain of one (plant, gain directive)
-    class; a failed solve keeps its exception in place of the result."""
+    """Regulator solution and certified gain of one (plant, gain) class; a
+    failed solve keeps its exception in place of the result."""
 
     regulator: RegulatorSolution | Exception
     gain: tuple[np.ndarray, float] | Exception
@@ -269,9 +239,8 @@ _REPORTED_ERRORS = (RegulatorUnsolvableError, GainSynthesisError, np.linalg.LinA
 
 
 def _solve_key(f: FollowerSpec) -> tuple:
-    """Equal for followers whose plant matrices and gain directive are equal by value."""
-    g = f.gain
-    arrays = [getattr(f.plant, k) for k in "ABCDEF"] + [g.K_x, g.Q, g.R]
+    """Equal for followers whose plant matrices and gains are equal by value."""
+    arrays = [getattr(f.plant, k) for k in "ABCDEF"] + [f.K_x]
     # adding +0.0 turns -0.0 into 0.0, so the bytes of equal values are equal
     return tuple(None if a is None else (a.shape, (a + 0.0).tobytes()) for a in arrays)
 
@@ -295,12 +264,11 @@ def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
         except _REPORTED_ERRORS as exc:
             regulator = exc
         try:
-            gain = synthesize_stabilizing_gain(
-                f.plant.A, f.plant.B, K=f.gain.K_x, Q=f.gain.Q, R=f.gain.R)
+            gain = synthesize_stabilizing_gain(f.plant.A, f.plant.B, K=f.K_x)
         except _REPORTED_ERRORS as exc:
             gain = exc
         failed = isinstance(regulator, Exception) or isinstance(gain, Exception)
-        controller = None if failed else build_controller(f.plant, gain[0], regulator)
+        controller = None if failed else build_controller(gain, regulator)
         solve = _SharedSolve(regulator, gain, controller)
         for i in members:
             out[i] = solve
@@ -311,7 +279,7 @@ def _solve_followers(scenario: Scenario) -> tuple[_SharedSolve, ...]:
 def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
     """Solve the regulator equations and certify a gain for every follower.
 
-    Followers with equal plants and gain directives share one solve, and a
+    Followers with equal plants and gains share one solve, and a
     scenario is solved once, however often it is asked.  A failed solve
     raises the first error a per-follower loop would meet: classes in order
     of their first follower, regulator before gain, as a
@@ -328,50 +296,44 @@ def synthesize_gains(scenario: Scenario) -> list[ControllerGains]:
 
 
 def validate_scenario(scenario: Scenario) -> list[CheckResult]:
-    """Run the requested assumption checks; reports, never raises.
+    """Check every assumption the results rest on; reports, never raises.
 
-    Checks, in order: joint connectivity of the switching topology,
-    leader spectral radius <= 1, per-follower stabilizability (gain
-    certification), and regulator-equation solvability.  Followers with
-    equal plants and gain directives share one regulator solve and one gain
-    synthesis; each still gets its own checks.
+    Returns 2 + 2N checks, in order: joint connectivity of the switching
+    topology, leader spectral radius <= 1, then per-follower stabilizability
+    (gain certification) and per-follower regulator-equation solvability.
+    Followers with equal plants and gains share one regulator solve and one
+    gain synthesis; each still gets its own checks.
     """
-    checks = scenario.checks
-    results: list[CheckResult] = []
-    if checks.connectivity:
-        res = is_jointly_connected(scenario.topology, checks.connectivity_window)
-        if res.connected:
-            detail = (
-                f"every follower reachable from the leader in all union windows "
-                f"of length {checks.connectivity_window + 1} "
-                f"(verified up to horizon {res.checked_up_to})"
-            )
-        else:
-            t, node = res.witness
-            detail = f"node {node} unreachable in the union window starting at t={t}"
-        results.append(CheckResult("jointly_connected", res.connected, detail))
-    if checks.leader_spectral:
-        try:
-            passed, detail = scenario.leader.rho_le_one, f"rho(S) = {scenario.leader.rho:.6g}"
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            passed, detail = False, f"rho(S): {exc}"
-        results.append(CheckResult("leader_spectral_radius", passed, detail))
+    window = scenario.connectivity_window
+    res = is_jointly_connected(scenario.topology, window)
+    if res.connected:
+        detail = (
+            f"every follower reachable from the leader in all union windows "
+            f"of length {window + 1} (verified up to horizon {res.checked_up_to})"
+        )
+    else:
+        t, node = res.witness
+        detail = f"node {node} unreachable in the union window starting at t={t}"
+    results = [CheckResult("jointly_connected", res.connected, detail)]
+    try:
+        passed, detail = scenario.leader.rho_le_one, f"rho(S) = {scenario.leader.rho:.6g}"
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        passed, detail = False, f"rho(S): {exc}"
+    results.append(CheckResult("leader_spectral_radius", passed, detail))
     solves = _solve_followers(scenario)
     # the members of a plant class share one solve, whose text is formatted once
     shared = dict.fromkeys(solves)
-    if checks.stabilizability:
-        radius = {s: f"closed-loop spectral radius {s.gain[1]:.6g}"
-                  for s in shared if not isinstance(s.gain, Exception)}
-        for k, s in enumerate(solves, start=1):
-            ok = s in radius
-            detail = radius[s] if ok else f"follower {k}: {s.gain}"
-            results.append(CheckResult(f"stabilizable_follower_{k}", ok, detail))
-    if checks.regulator:
-        residual = {s: str(s.regulator) if isinstance(s.regulator, Exception)
-                    else f"residual {s.regulator.residual:.3e}" for s in shared}
-        for k, s in enumerate(solves, start=1):
-            ok = not isinstance(s.regulator, Exception)
-            results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, residual[s]))
+    radius = {s: f"closed-loop spectral radius {s.gain[1]:.6g}"
+              for s in shared if not isinstance(s.gain, Exception)}
+    for k, s in enumerate(solves, start=1):
+        ok = s in radius
+        detail = radius[s] if ok else f"follower {k}: {s.gain}"
+        results.append(CheckResult(f"stabilizable_follower_{k}", ok, detail))
+    residual = {s: str(s.regulator) if isinstance(s.regulator, Exception)
+                else f"residual {s.regulator.residual:.3e}" for s in shared}
+    for k, s in enumerate(solves, start=1):
+        ok = not isinstance(s.regulator, Exception)
+        results.append(CheckResult(f"regulator_solvable_follower_{k}", ok, residual[s]))
     return results
 
 

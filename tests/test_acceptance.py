@@ -97,7 +97,7 @@ def test_formation_benchmark():
     assert FORMATION_START_POSITIONS == ((15.0, 3.0), (-10.0, 19.0), (1.0, 40.0), (30.0, -2.0))
     k_expected = np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
     for f in scenario.followers:
-        assert np.array_equal(f.gain.K_x, k_expected)
+        assert np.array_equal(f.K_x, k_expected)
 
     started = time.perf_counter()
     log = run(scenario)

@@ -22,7 +22,7 @@ from coopreg.config import (
 from coopreg.observers import LeaderModel
 from coopreg.regulation import PlantModel
 from coopreg.scenarios import build_builtin, formation_scenario
-from coopreg.simkit import AssumptionChecks, FollowerSpec, GainDirective, Scenario
+from coopreg.simkit import FollowerSpec, Scenario
 from coopreg.topology import SwitchingSignal, SwitchingTopology, WeightedDigraph
 
 
@@ -38,7 +38,7 @@ def scenarios_equal(a, b):
         a.name != b.name
         or a.observer_mode != b.observer_mode
         or a.horizon != b.horizon
-        or a.checks != b.checks
+        or a.connectivity_window != b.connectivity_window
         or a.thresholds != b.thresholds
         or a.regulator_tol != b.regulator_tol
     ):
@@ -56,7 +56,7 @@ def scenarios_equal(a, b):
         for key in "ABCDEF":
             if not np.array_equal(getattr(fa.plant, key), getattr(fb.plant, key)):
                 return False
-        if not np.array_equal(fa.x0, fb.x0) or fa.gain.method != fb.gain.method:
+        if not np.array_equal(fa.x0, fb.x0) or (fa.K_x is None) != (fb.K_x is None):
             return False
     return True
 
@@ -100,8 +100,8 @@ class TestConfigRoundTrip:
 
 
 def scalar_plant_scenario(*gains):
-    """Followers with n = m = 1 integrator plants, one per gain directive,
-    each with a direct leader link."""
+    """Followers with n = m = 1 integrator plants, one per K_x (None for
+    Riccati synthesis), each with a direct leader link."""
     n = len(gains)
     plant = PlantModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], E=[[0.0]], F=[[-1.0]])
     return Scenario(
@@ -110,13 +110,19 @@ def scalar_plant_scenario(*gains):
         topology=SwitchingTopology(
             graphs=(WeightedDigraph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)]),),
             signal=SwitchingSignal.periodic([(1, 1)])),
-        followers=tuple(FollowerSpec(plant=plant, x0=np.zeros(1), gain=g) for g in gains),
+        followers=tuple(FollowerSpec(plant=plant, x0=np.zeros(1), K_x=g) for g in gains),
         horizon=20,
     )
 
 
-@pytest.mark.parametrize("gain", [GainDirective(K_x=-0.5), GainDirective(K_x=[[-0.5]]),
-                                  GainDirective(Q=2.0, R=3.0)], ids=["K_x-scalar", "K_x-list", "Q-R"])
+def unstable_leader_scenario():
+    """single-follower with S = 1.2 I: every check but the leader's passes,
+    and the run itself would read as converged."""
+    base = build_builtin("single-follower")
+    return dataclasses.replace(base, leader=LeaderModel(S=1.2 * np.eye(2), v0=base.leader.v0))
+
+
+@pytest.mark.parametrize("gain", [-0.5, [[-0.5]], None], ids=["K_x-scalar", "K_x-list", "riccati"])
 def test_a_gain_given_in_any_form_saves_loads_and_saves_the_same(gain, tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_config(scalar_plant_scenario(gain), first)
@@ -125,8 +131,8 @@ def test_a_gain_given_in_any_form_saves_loads_and_saves_the_same(gain, tmp_path)
 
 
 def test_equal_gains_in_any_form_are_one_plant_class():
-    scenario = scalar_plant_scenario(GainDirective(Q=2.0), GainDirective(Q=[[2.0]]))
-    assert scenario._classes == ((0, 1),)
+    scenario = scalar_plant_scenario(-0.5, [[-0.5]], np.array([[-0.5]]), None)
+    assert scenario._classes == ((0, 1, 2), (3,))
 
 
 def test_loading_a_dense_config_holds_little_more_than_its_text(tmp_path):
@@ -278,12 +284,45 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         out = ["--out", str(tmp_path / "out")] if command == "run" else []
         assert main([command, str(path), *out]) == 2
-        assert "run.checks: unknown key 'connectivity_horizon'" in capsys.readouterr().err
+        assert "run.checks.connectivity_horizon: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["connectivity", "leader_spectral", "stabilizability",
+                                     "regulator"])
+    def test_a_check_switch_is_refused(self, key, tmp_path, capsys):
+        # every run checks every assumption: a switch that turned one off is
+        # refused by name, not read and not dropped
+        path = tmp_path / "unstable.json"
+        save_config(unstable_leader_scenario(), path)
+        doc = json.loads(path.read_text())
+        doc["run"]["checks"][key] = False
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"run.checks.{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_an_unstable_leader_fails_its_check(self, tmp_path, capsys):
+        path = tmp_path / "unstable.json"
+        save_config(unstable_leader_scenario(), path)
+        assert json.loads(path.read_text())["run"]["checks"] == {"connectivity_window": 0}
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] leader_spectral_radius: rho(S) = 1.2\n" in out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["Q", "R"])
+    def test_a_riccati_weight_is_refused(self, key, capsys, tmp_path):
+        # Riccati synthesis uses identity weights; a user K_x expresses any other design
+        doc = self.base_doc()
+        doc["gains"][2] = {"method": "riccati", key: np.eye(4 if key == "Q" else 2).tolist()}
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert f"gains[2].{key}: unknown key" in capsys.readouterr().err
 
     def test_connectivity_window_and_horizon_are_checked_when_built(self):
         with pytest.raises(ValueError, match="connectivity_window must be >= 0"):
-            AssumptionChecks(connectivity_window=-1)
+            dataclasses.replace(formation_scenario(), connectivity_window=-1)
 
     @pytest.mark.parametrize("key, value, message", [
         ("S", [[1.0, 0.0]], "leader: leader matrix must be square, got (1, 2)"),

@@ -158,10 +158,12 @@ ERRORS = [
      DimensionError, "plant matrix B has shape (3, 1), expected (2, 1)"),
     ("gain-pair-shapes", lambda: synthesize_stabilizing_gain(np.eye(2), np.ones((3, 1))),
      DimensionError, "incompatible shapes A(2, 2), B(3, 1)"),
-    # Q = 0 makes P = 0 a fixed point of the recursion, and its K_x = 0 fails the certificate
+    # the weakly actuated mode 2 takes P to about 3e14, whose relative fixed-point
+    # tolerance hides the uncontrollable mode 1's growth of 1 per step: the
+    # recursion stops, and its K_x fails the certificate on mode 1
     ("riccati-gain-uncertified",
-     lambda: synthesize_stabilizing_gain(np.array([[2.0]]), np.array([[1.0]]), Q=np.zeros((1, 1))),
-     GainSynthesisError, "synthesized gain failed certification (radius 2)"),
+     lambda: synthesize_stabilizing_gain(np.diag([1.0, 2.0]), np.array([[0.0], [1e-7]])),
+     GainSynthesisError, "synthesized gain failed certification (radius 1)"),
     # scenarios
     ("follower-initial-state", lambda: FollowerSpec(plant=PLANT, x0=np.zeros(3)),
      DimensionError, "initial state has dim 3, plant expects 2"),

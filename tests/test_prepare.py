@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+import coopreg.observers as observers
+import coopreg.regulation as regulation
 import coopreg.simkit as simkit
 from coopreg.cli import main
 from coopreg.config import load_config, save_config, scenario_to_config
@@ -14,9 +16,7 @@ from coopreg.observers import LeaderModel
 from coopreg.regulation import GainSynthesisError, PlantModel, RegulatorUnsolvableError
 from coopreg.scenarios import build_builtin, formation_scenario
 from coopreg.simkit import (
-    AssumptionChecks,
     FollowerSpec,
-    GainDirective,
     Scenario,
     run,
     synthesize_gains,
@@ -61,11 +61,9 @@ def star_scenario(plants):
             signal=SwitchingSignal.periodic([(1, 1)]),
         ),
         followers=tuple(
-            FollowerSpec(plant=p, x0=np.full(4, float(k)), gain=GainDirective())
-            for k, p in enumerate(plants)
+            FollowerSpec(plant=p, x0=np.full(4, float(k))) for k, p in enumerate(plants)
         ),
         horizon=40,
-        checks=AssumptionChecks(connectivity_window=0),
     )
 
 
@@ -125,6 +123,24 @@ def test_validate_then_run_solves_each_class_once(solve_counts):
     assert solve_counts == {"solve_regulator_equations": 4, "synthesize_stabilizing_gain": 4}
 
 
+@pytest.mark.parametrize("scenario, classes", [
+    (build_builtin("formation-sec5"), 1),
+    (star_scenario([double_integrator(h) for h in (1.0, 0.5, 1.0)]), 2),
+], ids=["user-gain", "riccati"])
+def test_validate_solves_each_eigenvalue_problem_once(scenario, classes, monkeypatch):
+    # rho(S) once for its check and its text; each class's closed-loop radius
+    # once, where its gain is certified, and not again when it is packaged
+    calls = []
+    for module in (observers, regulation):
+        def counted(m, _name=module.__name__, _original=module.spectral_radius):
+            calls.append(_name)
+            return _original(m)
+
+        monkeypatch.setattr(module, "spectral_radius", counted)
+    assert all(validate_scenario(scenario))
+    assert calls == ["coopreg.observers"] + ["coopreg.regulation"] * classes
+
+
 def test_cached_failures_raise_in_per_follower_order(solve_counts):
     stuck = PlantModel(
         A=2.0 * np.eye(4), B=np.zeros((4, 2)), C=np.eye(2, 4),
@@ -134,7 +150,7 @@ def test_cached_failures_raise_in_per_follower_order(solve_counts):
     followers = list(scenario.followers)
     # follower 2 fails only its gain, follower 3 its regulator first
     followers[1] = FollowerSpec(plant=followers[1].plant, x0=followers[1].x0,
-                                gain=GainDirective(K_x=np.zeros((2, 4))))
+                                K_x=np.zeros((2, 4)))
     followers[2] = FollowerSpec(plant=stuck, x0=followers[2].x0)
     scenario = dataclasses.replace(scenario, followers=tuple(followers))
     assert not all(validate_scenario(scenario))
@@ -155,9 +171,12 @@ def test_force_past_failed_synthesis_reports_it(tmp_path, capsys):
 
 
 def test_singular_riccati_step_is_reported_for_its_follower(tmp_path, capsys):
-    # R = -I makes R + B'PB = 0 at the first Riccati step: a LinAlgError
+    # two equal inputs on a fast mode: P reaches 3e23 in one step, where
+    # I + B'PB rounds to a singular matrix at the second: a LinAlgError
     doc = scenario_to_config(build_builtin("formation-sec5"))
-    doc["gains"][1] = {"method": "riccati", "R": [[-1, 0], [0, -1]]}
+    doc["followers"][1] = {"A": [[1e12]], "B": [[1.0, 1.0]], "C": [[0.0]], "D": [[0.0, 0.0]],
+                           "E": [[0.0] * 4], "F": [[0.0] * 4], "x0": [0.0]}
+    doc["gains"][1] = {"method": "riccati"}
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
@@ -175,7 +194,8 @@ def test_validate_reports_a_non_finite_leader():
     S[0, 1] = np.inf
     scenario = Scenario(
         name="inf", leader=LeaderModel(S=S, v0=base.leader.v0),
-        topology=base.topology, followers=base.followers, checks=base.checks,
+        topology=base.topology, followers=base.followers,
+        connectivity_window=base.connectivity_window,
     )
     results = validate_scenario(scenario)
     spectral = next(r for r in results if r.name == "leader_spectral_radius")
@@ -242,14 +262,15 @@ def test_plant_classes_are_found_when_the_scenario_is_built():
     assert dataclasses.replace(team, horizon=5)._classes == team._classes
 
 
-def test_gain_directives_compare_by_identity_and_hash():
-    a, b = GainDirective(K_x=np.eye(2)), GainDirective(K_x=np.eye(2))
+def test_follower_specs_compare_by_identity_and_hash():
+    plant = double_integrator(1.0)
+    a, b = (FollowerSpec(plant, np.zeros(4), np.eye(2, 4)) for _ in range(2))
     # no elementwise comparison of the arrays they hold
     assert a == a and a != b
-    assert len({a, b, GainDirective(), GainDirective(Q=np.eye(2), R=np.eye(1))}) == 4
-    # plant classes compare directives by value, through _solve_key
+    assert len({a, b, FollowerSpec(plant, np.zeros(4))}) == 3
+    # plant classes compare gains by value, through _solve_key
     scenario = build_builtin("formation-sec5")
-    assert len({id(f.gain) for f in scenario.followers}) == 4
+    assert len({id(f.K_x) for f in scenario.followers}) == 4
     assert scenario._classes == ((0, 1, 2, 3),)
 
 

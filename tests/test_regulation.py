@@ -19,6 +19,11 @@ from coopreg.regulation import (
 from coopreg.topology import DimensionError
 
 
+def certified_controller(plant, K_x, solution):
+    """``build_controller`` on K_x as ``synthesize_stabilizing_gain`` certifies it."""
+    return build_controller(synthesize_stabilizing_gain(plant.A, plant.B, K=K_x), solution)
+
+
 def planar_tracking_plant():
     """Double integrator regulated onto a constant-velocity planar leader."""
     A = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
@@ -159,7 +164,7 @@ class TestBuildController:
         plant = planar_tracking_plant()
         k = np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
         sol = solve_regulator_equations(plant, planar_leader_matrix())
-        gains = build_controller(plant, k, sol)
+        gains = certified_controller(plant, k, sol)
         assert np.allclose(gains.K_v, -k, atol=1e-12)
         assert gains.closed_loop_radius == pytest.approx(0.5, abs=1e-9)
 
@@ -170,29 +175,32 @@ class TestBuildController:
             D=rng.normal(size=(1, 2)), E=np.zeros((2, 2)), F=np.zeros((1, 2)),
         )
         sol = solve_regulator_equations(plant, np.eye(2))
-        gains = build_controller(plant, np.zeros((2, 2)), sol)
+        gains = certified_controller(plant, np.zeros((2, 2)), sol)
         assert np.allclose(gains.K_v, sol.U)
 
     def test_gain_relation_holds_on_random_plants(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             plant, S, _, _ = random_solvable_plant(rng)
-            K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B)
+            K_x, radius = synthesize_stabilizing_gain(plant.A, plant.B)
             sol = solve_regulator_equations(plant, S)
-            gains = build_controller(plant, K_x, sol)
+            gains = build_controller((K_x, radius), sol)
             assert np.abs(gains.K_v - (sol.U - K_x @ sol.X)).max() < 1e-12
 
     def test_uncertified_gain_cannot_build(self):
+        # K_x = 0 leaves the double integrator's closed-loop radius at 1
         plant = planar_tracking_plant()
+        sol = solve_regulator_equations(plant, planar_leader_matrix())
         with pytest.raises(GainSynthesisError):
-            build_controller(plant, np.zeros((2, 4)),
-                             solve_regulator_equations(plant, planar_leader_matrix()))
+            certified_controller(plant, np.zeros((2, 4)), sol)
+        with pytest.raises(GainSynthesisError):
+            build_controller((np.zeros((2, 4)), 1.0), sol)
 
 
 class TestControlAndPlantStep:
     def test_zero_in_zero_out(self):
         plant = planar_tracking_plant()
-        gains = build_controller(
+        gains = certified_controller(
             plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)),
             solve_regulator_equations(plant, planar_leader_matrix()),
         )
@@ -202,8 +210,8 @@ class TestControlAndPlantStep:
         rng = np.random.default_rng(8)
         plant, S, _, _ = random_solvable_plant(rng)
         sol = solve_regulator_equations(plant, S)
-        K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B)
-        gains = build_controller(plant, K_x, sol)
+        K_x, radius = synthesize_stabilizing_gain(plant.A, plant.B)
+        gains = build_controller((K_x, radius), sol)
         v = rng.normal(size=plant.q)
         u = control_input(gains, sol.X @ v, v)
         assert np.allclose(u, sol.U @ v, atol=1e-10)
@@ -212,7 +220,7 @@ class TestControlAndPlantStep:
         plant = planar_tracking_plant()
         S = planar_leader_matrix()
         sol = solve_regulator_equations(plant, S)
-        gains = build_controller(plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)), sol)
+        gains = certified_controller(plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)), sol)
         v = np.array([3.0, -1.0, 0.5, 2.0])
         assert np.allclose(control_input(gains, sol.X @ v, v), 0.0, atol=1e-12)
 
@@ -242,7 +250,7 @@ class TestControlAndPlantStep:
         plant = planar_tracking_plant()
         with pytest.raises(DimensionError):
             plant_step(plant, np.zeros(3), np.zeros(2), np.zeros(4))
-        gains = build_controller(
+        gains = certified_controller(
             plant, np.kron(np.array([[-0.7, -1.9]]), np.eye(2)),
             solve_regulator_equations(plant, planar_leader_matrix()),
         )
@@ -258,8 +266,8 @@ class TestControlAndPlantStep:
         rng = np.random.default_rng(seed)
         plant, S, _, _ = random_solvable_plant(rng)
         sol = solve_regulator_equations(plant, S)
-        K_x, _ = synthesize_stabilizing_gain(plant.A, plant.B)
-        gains = build_controller(plant, K_x, sol)
+        K_x, radius = synthesize_stabilizing_gain(plant.A, plant.B)
+        gains = build_controller((K_x, radius), sol)
         x = rng.normal(size=plant.n)
         v = rng.normal(size=plant.q)
         eta = rng.normal(size=plant.q)

@@ -17,7 +17,6 @@ from coopreg.regulation import PlantModel, control_input, plant_step
 from coopreg.scenarios import build_builtin, formation_scenario
 from coopreg.simkit import (
     FollowerSpec,
-    GainDirective,
     OverflowAbort,
     Scenario,
     analyze,
@@ -36,7 +35,7 @@ def test_nan_initial_state_aborts_at_step_zero():
     x0 = f.x0.copy()
     x0[0] = math.nan
     scenario = dataclasses.replace(
-        base, followers=(FollowerSpec(plant=f.plant, x0=x0, gain=f.gain),) + base.followers[1:]
+        base, followers=(FollowerSpec(plant=f.plant, x0=x0, K_x=f.K_x),) + base.followers[1:]
     )
     with pytest.raises(OverflowAbort) as exc_info:
         run(scenario)
@@ -50,7 +49,7 @@ def test_abort_names_follower_and_series():
     x0 = f.x0.copy()
     x0[1] = math.nan
     followers = list(base.followers)
-    followers[2] = FollowerSpec(plant=f.plant, x0=x0, gain=f.gain)
+    followers[2] = FollowerSpec(plant=f.plant, x0=x0, K_x=f.K_x)
     with pytest.raises(OverflowAbort) as exc_info:
         run(dataclasses.replace(base, followers=tuple(followers)))
     exc = exc_info.value
@@ -119,7 +118,7 @@ def huge_coupling_scenario() -> Scenario:
     base = dataclasses.replace(formation_scenario(), horizon=30)
     plant = PlantModel(A=np.eye(4), B=np.eye(4), C=np.eye(4), D=np.zeros((4, 4)),
                        E=1e13 * np.eye(4), F=-np.eye(4))
-    follower = FollowerSpec(plant, np.zeros(4), GainDirective(K_x=-0.5 * np.eye(4)))
+    follower = FollowerSpec(plant, np.zeros(4), -0.5 * np.eye(4))
     return dataclasses.replace(base, followers=(base.followers[0], follower) + base.followers[2:])
 
 
@@ -215,14 +214,17 @@ def test_the_overflow_scan_reads_entries_not_error_norms(build, want):
 
 @pytest.mark.parametrize("key", ["Q", "R"])
 @pytest.mark.parametrize("fill", [1.0, math.nan])
-def test_a_user_gain_refuses_the_riccati_weights(key, fill):
-    # a user K_x ignores Q and R: an unused Q split formation-sec5's one
-    # plant class in two, and an all-NaN one passed every check
+def test_a_user_gain_refuses_the_riccati_weights(key, fill, tmp_path):
+    # an unused Q once split formation-sec5's one plant class in two, and an
+    # all-NaN one passed every check; a gain now holds its K_x and nothing else
     base = build_builtin("formation-sec5")
     assert base._classes == ((0, 1, 2, 3),)
-    gain = base.followers[0].gain
-    with pytest.raises(ValueError, match="Q and R only apply to the riccati method"):
-        dataclasses.replace(gain, **{key: np.full((4, 4) if key == "Q" else (2, 2), fill)})
+    doc = scenario_to_config(base)
+    doc["gains"][1][key] = np.full((4, 4) if key == "Q" else (2, 2), fill).tolist()
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))  # a NaN as the literal Python's json reads
+    with pytest.raises(ConfigError, match=rf"^gains\[1\]\.{key}: unknown key$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -282,11 +284,11 @@ def test_finite_matrix_entries_round_trip_bitwise(entries, bad):
     base = dataclasses.replace(formation_scenario(), horizon=10)
     first = base.followers[0]
     scenario = dataclasses.replace(base, followers=(
-        FollowerSpec(first.plant, first.x0, GainDirective(K_x=k_x)), *base.followers[1:]))
+        FollowerSpec(first.plant, first.x0, k_x), *base.followers[1:]))
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         save_config(scenario, cfg)
-        loaded = load_config(cfg).followers[0].gain.K_x
+        loaded = load_config(cfg).followers[0].K_x
         assert loaded.tobytes() == k_x.tobytes()
         # 1E400 reads as inf, which is refused with its key path
         doc = scenario_to_config(scenario)
@@ -299,19 +301,16 @@ def test_finite_matrix_entries_round_trip_bitwise(entries, bad):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 3), m=st.integers(1, 3), key=st.sampled_from(["K_x", "Q", "R"]),
+@given(n=st.integers(1, 3), m=st.integers(1, 3),
        shape=st.lists(st.integers(1, 3), max_size=3), b=st.floats(-2.0, 2.0),
        value=st.floats(-2.0, 2.0))
-def test_gain_shapes_are_checked_when_the_follower_is_built(n, m, key, shape, b, value):
+def test_gain_shapes_are_checked_when_the_follower_is_built(n, m, shape, b, value):
     # a stable plant, so that a gain of the right shape reaches every solve
     plant = PlantModel(A=0.5 * np.eye(n), B=np.full((n, m), b), C=np.eye(1, n),
                        D=np.zeros((1, m)), E=np.zeros((n, 1)), F=-np.eye(1))
-    # Q and R stay nonnegative, so the Riccati recursion ends within a few steps
-    matrix = np.full(shape, value if key == "K_x" else abs(value))
-    gain = GainDirective(**{key: matrix})
-    expected = {"K_x": (m, n), "Q": (n, n), "R": (m, m)}[key]
-    if np.atleast_2d(matrix).shape != expected:
-        with pytest.raises(DimensionError, match=f"gain {key} has shape"):
+    gain = np.full(shape, value)
+    if np.atleast_2d(gain).shape != (m, n):
+        with pytest.raises(DimensionError, match="gain K_x has shape"):
             FollowerSpec(plant, np.ones(n), gain)
         return
     scenario = Scenario(
@@ -452,6 +451,7 @@ STRICT_CASES = {
     "fractional_period": (("signal", "period"), 8.0, "signal.period"),
     "fractional_table_mode": (
         ("signal",), {"table": [1, 1.9], "tail_mode": 1}, "signal.table[1]"),
+    # the check switches are gone: a switch in any form is refused by name
     "string_check_flag": (
         ("run", "checks", "connectivity"), "false", "run.checks.connectivity"),
     "integer_check_flag": (

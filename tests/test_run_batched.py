@@ -37,9 +37,7 @@ from coopreg.properties import bank_vs_error_form, random_leader
 from coopreg.regulation import PlantModel, control_input, plant_step
 from coopreg.scenarios import BUILTINS, build_builtin, formation_scenario
 from coopreg.simkit import (
-    AssumptionChecks,
     FollowerSpec,
-    GainDirective,
     OverflowAbort,
     Scenario,
     Thresholds,
@@ -87,14 +85,13 @@ def mixed_scenario(observer_mode: str, horizon: int = 60, seed: int = 3) -> Scen
     rng = np.random.default_rng(seed)
     S = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
     leader = LeaderModel(S=S, v0=np.array([0.5, -1.0, 0.2, 0.1]))
-    user_di = GainDirective(K_x=np.kron(np.array([[-0.7, -1.9]]), np.eye(2)))
+    user_di = np.kron(np.array([[-0.7, -1.9]]), np.eye(2))
     followers = (
         FollowerSpec(double_integrator(), rng.normal(size=4), user_di),
         FollowerSpec(integrator(2), rng.normal(size=2)),
         FollowerSpec(double_integrator(), rng.normal(size=4)),
         FollowerSpec(integrator(1), rng.normal(size=2)),
-        FollowerSpec(integrator(2), rng.normal(size=2),
-                     GainDirective(K_x=-0.5 * np.eye(2))),
+        FollowerSpec(integrator(2), rng.normal(size=2), -0.5 * np.eye(2)),
     )
     graphs = (
         WeightedDigraph.from_edges(6, [(0, 1), (1, 2), (2, 3)]),
@@ -114,7 +111,7 @@ def mixed_scenario(observer_mode: str, horizon: int = 60, seed: int = 3) -> Scen
         eta0=tuple(rng.normal(size=4) for _ in range(n)),
         s0=s0,
         horizon=horizon,
-        checks=AssumptionChecks(connectivity_window=20),
+        connectivity_window=20,
     )
 
 
@@ -315,7 +312,7 @@ def sparse_swarm(n: int, mode: str, horizon: int, seed: int) -> Scenario:
         followers=tuple(FollowerSpec(double_integrator(), rng.normal(size=4)) for _ in range(n)),
         observer_mode=mode,
         horizon=horizon,
-        checks=AssumptionChecks(connectivity_window=7),
+        connectivity_window=7,
     )
 
 
@@ -498,7 +495,7 @@ def test_nan_in_a_padded_follower_aborts_at_step_zero():
     f = base.followers[3]  # integrator(1): n=2, its own step group in a team with n=4 plants
     x0 = f.x0.copy()
     x0[1] = np.nan
-    followers = base.followers[:3] + (FollowerSpec(f.plant, x0, f.gain),) + base.followers[4:]
+    followers = base.followers[:3] + (FollowerSpec(f.plant, x0, f.K_x),) + base.followers[4:]
     with pytest.raises(OverflowAbort) as exc_info:
         run(dataclasses.replace(base, followers=followers))
     assert (exc_info.value.t, exc_info.value.follower, exc_info.value.series) == (0, 4, "x")
@@ -516,12 +513,11 @@ def team_scenario(observer_mode: str, plants, user=(), horizon: int = 60,
                   seed: int = 5) -> Scenario:
     """The given plants over three random spanning trees; the followers at
     the 0-based indices in ``user`` get a user gain K_x = -0.5 I, the others
-    a Riccati directive."""
+    Riccati synthesis."""
     base = mixed_scenario(observer_mode, horizon, seed)
     rng = np.random.default_rng(seed)
-    user_gain = GainDirective(K_x=-0.5 * np.eye(2))
     followers = tuple(
-        FollowerSpec(plant, rng.normal(size=plant.n), user_gain if i in user else GainDirective())
+        FollowerSpec(plant, rng.normal(size=plant.n), -0.5 * np.eye(2) if i in user else None)
         for i, plant in enumerate(plants)
     )
     n = len(followers)

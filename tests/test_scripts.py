@@ -56,15 +56,16 @@ def in_git_work_tree(root: Path) -> bool:
         capture_output=True, text=True).stdout.strip() == "true"
 
 
-def test_perf_pairs_compares_head_with_this_checkout():
+def test_perf_pairs_compares_head_with_this_checkout(tmp_path):
     root = SCRIPTS.parent
     if not in_git_work_tree(root):
         pytest.skip("not a git work tree: perf_pairs.py exports its baseline with git archive")
     worktrees = subprocess.run(["git", "-C", str(root), "worktree", "list"],
                                capture_output=True, text=True).stdout
+    out = tmp_path / "props.json"
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "perf_pairs.py"), "--baseline", "HEAD", "--workload",
-         "props", "--seeds", "1-1", "--seconds", "0.2", "--tiny"],
+         "props", "--seeds", "1-1", "--seconds", "0.2", "--tiny", "--out", str(out)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -72,7 +73,13 @@ def test_perf_pairs_compares_head_with_this_checkout():
     assert "perfbench/ identical in both trees: yes" in lines
     (pair,) = [line for line in lines if line.startswith("pair ")]
     assert all(f"  {name} " in pair for name in ("setup_s", "wall_s", "peak_rss_mb"))
-    assert lines[-1] == "all 2 runs gated correct with 0 failed: yes"
+    # each run keeps the load average it started under, in the pair line and the record
+    assert re.search(r"  load \d+\.\d\d -> \d+\.\d\d  ", pair)
+    (round_,) = json.loads(out.read_text())["rounds"]
+    for side in ("parent", "change"):
+        load = round_[side]["loadavg_at_start"]
+        assert len(load) == 3 and all(isinstance(x, float) and x >= 0 for x in load)
+    assert lines[-2:] == ["all 2 runs gated correct with 0 failed: yes", f"wrote {out}"]
     table = {line.split()[0]: line for line in lines
              if line.split()[:1] in (["setup_s"], ["wall_s"], ["peak_rss_mb"])}
     assert table.keys() == {"setup_s", "wall_s", "peak_rss_mb"}

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -7,16 +8,16 @@ import pytest
 
 from coopreg.observers import LeaderModel
 from coopreg.regulation import PlantModel
+from coopreg.config import load_config, save_config
 from coopreg.scenarios import (
+    BUILTINS,
     FORMATION_OFFSETS,
     build_builtin,
     formation_scenario,
     single_follower_scenario,
 )
 from coopreg.simkit import (
-    AssumptionChecks,
     FollowerSpec,
-    GainDirective,
     OverflowAbort,
     Scenario,
     Thresholds,
@@ -45,12 +46,8 @@ def scenario_with_leader(S, v0=None, horizon=50):
         name="probe",
         leader=leader,
         topology=topo,
-        followers=(
-            FollowerSpec(plant=plant, x0=np.zeros(q),
-                         gain=GainDirective(K_x=-0.5 * np.eye(q))),
-        ),
+        followers=(FollowerSpec(plant=plant, x0=np.zeros(q), K_x=-0.5 * np.eye(q)),),
         horizon=horizon,
-        checks=AssumptionChecks(connectivity_window=0),
     )
 
 
@@ -77,25 +74,26 @@ class TestValidateScenario:
         scenario = Scenario(
             name="stuck", leader=base.leader, topology=base.topology,
             followers=(FollowerSpec(plant=plant, x0=np.zeros(2)),),
-            horizon=5, checks=AssumptionChecks(connectivity_window=0),
+            horizon=5,
         )
         res = next(
             r for r in validate_scenario(scenario) if r.name.startswith("stabilizable")
         )
         assert not res.passed and "follower 1" in res.detail
 
-    def test_disabled_checks_are_skipped(self):
-        base = formation_scenario()
-        scenario = Scenario(
-            name="partial", leader=base.leader, topology=base.topology,
-            followers=base.followers, horizon=5,
-            checks=AssumptionChecks(connectivity=False, regulator=False,
-                                    connectivity_window=7),
-        )
-        names = [r.name for r in validate_scenario(scenario)]
-        assert "jointly_connected" not in names
-        assert not any(n.startswith("regulator") for n in names)
-        assert "leader_spectral_radius" in names
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_every_builtin_gets_every_check_in_order(self, name, tmp_path):
+        # a config sets the connectivity window and nothing else about the checks
+        path = tmp_path / f"{name}.json"
+        save_config(build_builtin(name), path)
+        assert json.loads(path.read_text())["run"]["checks"] == {
+            "connectivity_window": build_builtin(name).connectivity_window}
+        scenario = load_config(path)
+        n = scenario.n_followers
+        assert [r.name for r in validate_scenario(scenario)] == [
+            "jointly_connected", "leader_spectral_radius",
+            *(f"stabilizable_follower_{k}" for k in range(1, n + 1)),
+            *(f"regulator_solvable_follower_{k}" for k in range(1, n + 1))]
 
     def test_unreachable_follower_witnessed(self):
         # no graph ever feeds node 3
@@ -108,7 +106,7 @@ class TestValidateScenario:
         scenario = Scenario(
             name="broken", leader=base.leader, topology=topo,
             followers=base.followers, horizon=10,
-            checks=AssumptionChecks(connectivity_window=1),
+            connectivity_window=1,
         )
         res = next(r for r in validate_scenario(scenario) if r.name == "jointly_connected")
         assert not res.passed
@@ -122,11 +120,11 @@ class TestRun:
         scenario = Scenario(
             name="manifold", leader=base.leader, topology=base.topology,
             followers=tuple(
-                FollowerSpec(plant=f.plant, x0=v0, gain=f.gain)
+                FollowerSpec(plant=f.plant, x0=v0, K_x=f.K_x)
                 for f in base.followers
             ),
             eta0=tuple(v0 for _ in base.followers),
-            horizon=50, checks=base.checks,
+            horizon=50, connectivity_window=base.connectivity_window,
         )
         log = run(scenario)
         assert np.max(np.abs(np.concatenate([e.ravel() for e in log.e]))) <= 1e-12
@@ -200,17 +198,18 @@ class TestRun:
         )
 
     def test_riccati_directive_closes_the_loop(self):
+        # K_x = None asks for Riccati synthesis
         base = formation_scenario()
         scenario = Scenario(
             name="riccati",
             leader=base.leader,
             topology=base.topology,
             followers=tuple(
-                FollowerSpec(plant=f.plant, x0=f.x0, gain=GainDirective())
+                FollowerSpec(plant=f.plant, x0=f.x0)
                 for f in base.followers
             ),
             horizon=300,
-            checks=base.checks,
+            connectivity_window=base.connectivity_window,
         )
         log = run(scenario)
         assert np.all(log.e_norms[-1] < 1e-6)
@@ -240,7 +239,7 @@ class TestPermutationEquivariance:
             topology=SwitchingTopology(graphs=permuted_graphs, signal=base.topology.signal),
             followers=tuple(base.followers[p] for p in perm),
             horizon=60,
-            checks=base.checks,
+            connectivity_window=base.connectivity_window,
         )
         log_base = run(base)
         log_perm = run(scenario)
@@ -264,10 +263,10 @@ class TestAnalyze:
         scenario = Scenario(
             name="manifold", leader=base.leader, topology=base.topology,
             followers=tuple(
-                FollowerSpec(plant=f.plant, x0=v0, gain=f.gain) for f in base.followers
+                FollowerSpec(plant=f.plant, x0=v0, K_x=f.K_x) for f in base.followers
             ),
             eta0=tuple(v0 for _ in base.followers),
-            horizon=30, checks=base.checks,
+            horizon=30, connectivity_window=base.connectivity_window,
         )
         report = analyze(run(scenario))
         assert report.converged
